@@ -129,15 +129,30 @@ impl Histogram {
         use std::fmt::Write as _;
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} histogram");
+        self.render_samples_into(name, None, out);
+    }
+
+    /// Renders the `_bucket`/`_sum`/`_count` sample lines, labeled with
+    /// an (already escaped) tenant when given.
+    fn render_samples_into(&self, name: &str, tenant: Option<&str>, out: &mut String) {
+        use std::fmt::Write as _;
+        let (le_prefix, labels) = match tenant {
+            Some(t) => (format!("tenant=\"{t}\","), format!("{{tenant=\"{t}\"}}")),
+            None => (String::new(), String::new()),
+        };
+        let counts = self.counts();
         let mut cumulative = 0u64;
-        for (bound, count) in self.bounds.iter().zip(&self.counts) {
-            cumulative += count.load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+        for (bound, count) in self.bounds.iter().zip(&counts) {
+            cumulative += count;
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{le_prefix}le=\"{bound}\"}} {cumulative}"
+            );
         }
-        let total = self.total();
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {total}");
-        let _ = writeln!(out, "{name}_sum {}", self.sum());
-        let _ = writeln!(out, "{name}_count {total}");
+        let total: u64 = counts.iter().sum();
+        let _ = writeln!(out, "{name}_bucket{{{le_prefix}le=\"+Inf\"}} {total}");
+        let _ = writeln!(out, "{name}_sum{labels} {}", self.sum());
+        let _ = writeln!(out, "{name}_count{labels} {total}");
     }
 }
 
@@ -158,6 +173,28 @@ pub struct LabeledCount {
 
 /// One (tenant, outcome, backend) key in a [`LabeledCounts`] family.
 type LabelKey = (String, String, String);
+
+/// The tenant cardinality cap, shared by every per-tenant series: the
+/// label `tenant` is recorded under is `tenant` itself when it is
+/// already tracked or fewer than `cap` distinct tenants are, and
+/// `"other"` otherwise (so at most `cap + 1` labels ever exist).
+fn capped_tenant<'t, 'a>(
+    tenant: &'t str,
+    tracked: impl Iterator<Item = &'a str> + Clone,
+    cap: usize,
+) -> &'t str {
+    if tracked.clone().any(|t| t == tenant) {
+        return tenant;
+    }
+    let mut distinct: Vec<&str> = tracked.collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    if distinct.len() < cap {
+        tenant
+    } else {
+        "other"
+    }
+}
 
 /// A bounded-cardinality counter family keyed on small label sets:
 /// (tenant, outcome, backend).
@@ -191,18 +228,8 @@ impl LabeledCounts {
 
     fn add_n(&self, tenant: &str, outcome: &str, backend: &str, n: u64) {
         let mut cells = lock(&self.cells);
-        let tenant = if cells.iter().any(|((t, _, _), _)| t == tenant) {
-            tenant
-        } else {
-            let mut distinct: Vec<&str> = cells.iter().map(|((t, _, _), _)| t.as_str()).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            if distinct.len() >= self.tenant_cap {
-                "other"
-            } else {
-                tenant
-            }
-        };
+        let tracked = cells.iter().map(|((t, _, _), _)| t.as_str());
+        let tenant = capped_tenant(tenant, tracked, self.tenant_cap);
         if let Some((_, value)) = cells
             .iter_mut()
             .find(|((t, o, b), _)| t == tenant && o == outcome && b == backend)
@@ -295,91 +322,191 @@ struct SloState {
     pending: Option<SloBreachInfo>,
 }
 
-/// A point-in-time snapshot of every [`Aggregator`] counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counts {
+/// One row of the counter table: a [`Counts`] field and how it is
+/// exported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSpec {
+    /// The [`Counts`] field name, which is also the counter's key in
+    /// `trace summary` and `trace metrics`.
+    pub name: &'static str,
+    /// The Prometheus metric name.
+    pub prometheus: &'static str,
+    /// The Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// Whether the `trace diff` regression gate compares this counter.
+    /// Gated counters are deterministic counts of work or outcomes;
+    /// the rest depend on detail level, budgets, or run length.
+    pub gated: bool,
+}
+
+/// Declares every [`Aggregator`] counter once. Each row is a [`Counts`]
+/// field (with its doc and serde attributes), its Prometheus name,
+/// `gated` or `ungated`, and its Prometheus help text. The `Counts`
+/// struct, the atomic storage slots, the snapshot, and the
+/// [`CounterSpec`] table behind [`Counts::entries`] are generated from
+/// it; adding a counter is one row plus the [`Recorder::record`] arm
+/// that increments it.
+macro_rules! counters {
+    (@gated gated) => { true };
+    (@gated ungated) => { false };
+    ($(
+        $(#[$attr:meta])*
+        $field:ident => $prometheus:literal, $gate:ident, $help:literal;
+    )*) => {
+        /// A point-in-time snapshot of every [`Aggregator`] counter.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct Counts {
+            $($(#[$attr])* pub $field: u64,)*
+        }
+
+        /// A counter's slot in the [`Aggregator`] storage array.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        enum Id {
+            $($field,)*
+        }
+
+        const COUNTER_COUNT: usize = [$(Id::$field),*].len();
+
+        static COUNTERS: [CounterSpec; COUNTER_COUNT] = [$(CounterSpec {
+            name: stringify!($field),
+            prometheus: $prometheus,
+            help: $help,
+            gated: counters!(@gated $gate),
+        },)*];
+
+        impl Counts {
+            fn load(slots: &[AtomicU64; COUNTER_COUNT]) -> Counts {
+                Counts {
+                    $($field: slots[Id::$field as usize].load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Every counter with its table row, in field order (the
+            /// order of the Prometheus exposition and `trace summary`).
+            pub fn entries(&self) -> impl Iterator<Item = (&'static CounterSpec, u64)> {
+                COUNTERS.iter().zip([$(self.$field),*])
+            }
+        }
+    };
+}
+
+counters! {
     /// Newton iterations run ([`Event::NewtonIter`]).
-    pub newton_iters: u64,
+    newton_iters => "ferrocim_newton_iterations_total", gated,
+        "Newton-Raphson iterations run.";
     /// Per-iteration residual diagnostics ([`Event::NewtonResidual`],
     /// emitted only at `DetailLevel::Iterations`).
-    pub newton_residuals: u64,
+    newton_residuals => "ferrocim_newton_residuals_total", ungated,
+        "Per-iteration residual diagnostics recorded.";
     /// Newton solves that converged ([`Event::NewtonConverged`]).
-    pub newton_converged: u64,
+    newton_converged => "ferrocim_newton_converged_total", gated,
+        "Newton solves that converged.";
     /// Linear systems factored and solved ([`Event::SolverSolved`]).
-    pub solver_solves: u64,
+    solver_solves => "ferrocim_solver_solves_total", gated,
+        "Linear systems factored and solved.";
     /// Solves that ran a fresh symbolic analysis first
     /// ([`Event::SolverSolved`] with `symbolic: true`). On a fixed
     /// topology the sparse backend reports exactly one of these no
     /// matter how many numeric solves follow.
-    pub solver_symbolic: u64,
+    solver_symbolic => "ferrocim_solver_symbolic_total", gated,
+        "Solves that ran a fresh symbolic analysis.";
     /// Certified solves that needed iterative refinement
     /// ([`Event::SolveRefined`]).
-    pub solves_refined: u64,
+    solves_refined => "ferrocim_solves_refined_total", gated,
+        "Certified solves that needed iterative refinement.";
     /// Solver degradation-ladder escalations ([`Event::SolveDegraded`]).
-    pub solves_degraded: u64,
+    solves_degraded => "ferrocim_solves_degraded_total", gated,
+        "Solver degradation-ladder escalations.";
     /// Transient steps accepted ([`Event::StepAccepted`]).
-    pub steps_accepted: u64,
+    steps_accepted => "ferrocim_steps_accepted_total", gated,
+        "Transient steps accepted.";
     /// Transient steps rejected ([`Event::StepRejected`]).
-    pub steps_rejected: u64,
+    steps_rejected => "ferrocim_steps_rejected_total", gated,
+        "Transient steps rejected.";
     /// Rescue-ladder rung attempts ([`Event::RescueAttempt`]).
-    pub rescue_attempts: u64,
+    rescue_attempts => "ferrocim_rescue_attempts_total", gated,
+        "Convergence-rescue rung attempts.";
     /// Rescue-ladder attempts that converged (one per rescued solve).
-    pub rescues_succeeded: u64,
+    rescues_succeeded => "ferrocim_rescues_succeeded_total", gated,
+        "Rescue rungs that converged.";
     /// Newton iterations charged to a limited budget.
-    pub budget_newton: u64,
+    budget_newton => "ferrocim_budget_newton_total", ungated,
+        "Newton iterations charged to a limited budget.";
     /// Steps charged to a limited budget.
-    pub budget_steps: u64,
+    budget_steps => "ferrocim_budget_steps_total", ungated,
+        "Steps charged to a limited budget.";
     /// Monte-Carlo runs started ([`Event::McRunStarted`]).
-    pub mc_runs_started: u64,
+    mc_runs_started => "ferrocim_mc_runs_started_total", gated,
+        "Monte-Carlo runs started.";
     /// Monte-Carlo runs that produced a sample.
-    pub mc_runs_ok: u64,
+    mc_runs_ok => "ferrocim_mc_runs_ok_total", ungated,
+        "Monte-Carlo runs that produced a sample.";
     /// Monte-Carlo runs that failed or were skipped.
-    pub mc_runs_failed: u64,
+    mc_runs_failed => "ferrocim_mc_runs_failed_total", gated,
+        "Monte-Carlo runs that failed or were skipped.";
     /// MAC jobs requested across all batches ([`Event::MacIssued`]).
-    pub mac_jobs: u64,
+    mac_jobs => "ferrocim_mac_jobs_total", gated,
+        "Row-MAC jobs requested.";
     /// MAC transients actually solved after duplicate collapsing.
-    pub mac_solves: u64,
+    mac_solves => "ferrocim_mac_solves_total", gated,
+        "Row-MAC transients solved after dedup.";
     /// Fault substitutions ([`Event::FaultSubstituted`]).
-    pub faults_substituted: u64,
+    faults_substituted => "ferrocim_faults_substituted_total", gated,
+        "Fault-tolerant oracle substitutions.";
     /// Training epochs completed ([`Event::EpochDone`]).
-    pub epochs_done: u64,
+    epochs_done => "ferrocim_epochs_done_total", ungated,
+        "Training epochs completed.";
     /// Scoped timers closed ([`Event::SpanEnd`]).
-    pub spans: u64,
+    spans => "ferrocim_spans_total", ungated,
+        "Scoped timers closed.";
     /// Run manifests seen ([`Event::Manifest`]).
-    pub manifests: u64,
+    manifests => "ferrocim_manifests_total", ungated,
+        "Run manifests seen.";
     /// Requests admitted by `ferrocim-serve` ([`Event::ServeAdmitted`]).
-    pub serve_admitted: u64,
+    serve_admitted => "ferrocim_serve_admitted_total", gated,
+        "Requests admitted into the serve worker queue.";
     /// Requests shed with a typed `429` ([`Event::ServeShed`]).
-    pub serve_shed: u64,
+    serve_shed => "ferrocim_serve_shed_total", gated,
+        "Requests shed with a typed 429 Overloaded.";
     /// Backoff retries of transient solve failures
     /// ([`Event::ServeRetry`]).
-    pub serve_retries: u64,
+    serve_retries => "ferrocim_serve_retries_total", gated,
+        "Backoff retries of transient solve failures.";
     /// Responses answered from the degraded transfer-curve fallback
     /// ([`Event::ServeDegraded`]).
-    pub serve_degraded: u64,
+    serve_degraded => "ferrocim_serve_degraded_total", gated,
+        "Responses answered from the degraded transfer-curve fallback.";
     /// Circuit-breaker closed-to-open trips
     /// ([`Event::ServeBreakerOpen`]).
-    pub serve_breaker_open: u64,
+    serve_breaker_open => "ferrocim_serve_breaker_open_total", gated,
+        "Circuit-breaker closed-to-open trips.";
     /// Requests finished with a typed outcome ([`Event::ServeDone`]).
     /// Absent from traces recorded before the flight-recorder release,
     /// hence the serde default.
     #[serde(default)]
-    pub serve_done: u64,
+    serve_done => "ferrocim_serve_done_total", gated,
+        "Requests finished with a typed outcome.";
     /// SLO burn-rate breaches latched ([`Event::SloBreach`]).
     #[serde(default)]
-    pub slo_breaches: u64,
+    slo_breaches => "ferrocim_slo_breaches_total", gated,
+        "SLO burn-rate breaches latched.";
     /// Surrogate-store lookups answered from a calibrated curve
     /// ([`Event::SurrogateLookup`] with `hit: true`).
-    pub surrogate_hits: u64,
+    surrogate_hits => "ferrocim_surrogate_hits_total", gated,
+        "Surrogate lookups answered from a calibrated curve.";
     /// Surrogate-store lookups that missed and triggered a live
     /// calibration ([`Event::SurrogateLookup`] with `hit: false`).
-    pub surrogate_misses: u64,
+    surrogate_misses => "ferrocim_surrogate_misses_total", gated,
+        "Surrogate lookups that triggered a live calibration.";
     /// Check-mode live re-solves of surrogate-answered queries
     /// ([`Event::SurrogateCheck`]).
-    pub surrogate_checks: u64,
+    surrogate_checks => "ferrocim_surrogate_checks_total", gated,
+        "Check-mode live re-solves of surrogate answers.";
     /// Check-mode re-solves whose deviation exceeded the certified
     /// envelope ([`Event::SurrogateCheck`] with `ok: false`).
-    pub surrogate_check_failures: u64,
+    surrogate_check_failures => "ferrocim_surrogate_check_failures_total", gated,
+        "Check-mode deviations exceeding the certified envelope.";
 }
 
 /// A lock-free in-memory [`Recorder`]: atomic counters per event kind
@@ -391,39 +518,7 @@ pub struct Counts {
 /// its own and combine them with [`Aggregator::merge_from`].
 #[derive(Debug)]
 pub struct Aggregator {
-    newton_iters: AtomicU64,
-    newton_residuals: AtomicU64,
-    newton_converged: AtomicU64,
-    solver_solves: AtomicU64,
-    solver_symbolic: AtomicU64,
-    solves_refined: AtomicU64,
-    solves_degraded: AtomicU64,
-    steps_accepted: AtomicU64,
-    steps_rejected: AtomicU64,
-    rescue_attempts: AtomicU64,
-    rescues_succeeded: AtomicU64,
-    budget_newton: AtomicU64,
-    budget_steps: AtomicU64,
-    mc_runs_started: AtomicU64,
-    mc_runs_ok: AtomicU64,
-    mc_runs_failed: AtomicU64,
-    mac_jobs: AtomicU64,
-    mac_solves: AtomicU64,
-    faults_substituted: AtomicU64,
-    epochs_done: AtomicU64,
-    spans: AtomicU64,
-    manifests: AtomicU64,
-    serve_admitted: AtomicU64,
-    serve_shed: AtomicU64,
-    serve_retries: AtomicU64,
-    serve_degraded: AtomicU64,
-    serve_breaker_open: AtomicU64,
-    serve_done: AtomicU64,
-    slo_breaches: AtomicU64,
-    surrogate_hits: AtomicU64,
-    surrogate_misses: AtomicU64,
-    surrogate_checks: AtomicU64,
-    surrogate_check_failures: AtomicU64,
+    counters: [AtomicU64; COUNTER_COUNT],
     newton_histogram: Histogram,
     span_histogram: Histogram,
     serve_tenant_cap: usize,
@@ -450,43 +545,29 @@ const SERVE_LATENCY_BOUNDS_MS: &[f64] = &[
 /// metrics (see [`Aggregator::with_serve_tenant_cap`]).
 const SERVE_TENANT_CAP: usize = 16;
 
+/// The per-tenant latency histogram `tenant` records into, created on
+/// first use under the tenant cap.
+fn latency_series<'s>(
+    series: &'s mut Vec<(String, Histogram)>,
+    tenant: &str,
+    cap: usize,
+) -> &'s Histogram {
+    let name = capped_tenant(tenant, series.iter().map(|(t, _)| t.as_str()), cap);
+    let slot = match series.iter().position(|(t, _)| t == name) {
+        Some(i) => i,
+        None => {
+            series.push((name.to_string(), Histogram::new(SERVE_LATENCY_BOUNDS_MS)));
+            series.len() - 1
+        }
+    };
+    &series[slot].1
+}
+
 impl Aggregator {
     /// An empty aggregator with the default histogram buckets.
     pub fn new() -> Aggregator {
         Aggregator {
-            newton_iters: AtomicU64::new(0),
-            newton_residuals: AtomicU64::new(0),
-            newton_converged: AtomicU64::new(0),
-            solver_solves: AtomicU64::new(0),
-            solver_symbolic: AtomicU64::new(0),
-            solves_refined: AtomicU64::new(0),
-            solves_degraded: AtomicU64::new(0),
-            steps_accepted: AtomicU64::new(0),
-            steps_rejected: AtomicU64::new(0),
-            rescue_attempts: AtomicU64::new(0),
-            rescues_succeeded: AtomicU64::new(0),
-            budget_newton: AtomicU64::new(0),
-            budget_steps: AtomicU64::new(0),
-            mc_runs_started: AtomicU64::new(0),
-            mc_runs_ok: AtomicU64::new(0),
-            mc_runs_failed: AtomicU64::new(0),
-            mac_jobs: AtomicU64::new(0),
-            mac_solves: AtomicU64::new(0),
-            faults_substituted: AtomicU64::new(0),
-            epochs_done: AtomicU64::new(0),
-            spans: AtomicU64::new(0),
-            manifests: AtomicU64::new(0),
-            serve_admitted: AtomicU64::new(0),
-            serve_shed: AtomicU64::new(0),
-            serve_retries: AtomicU64::new(0),
-            serve_degraded: AtomicU64::new(0),
-            serve_breaker_open: AtomicU64::new(0),
-            serve_done: AtomicU64::new(0),
-            slo_breaches: AtomicU64::new(0),
-            surrogate_hits: AtomicU64::new(0),
-            surrogate_misses: AtomicU64::new(0),
-            surrogate_checks: AtomicU64::new(0),
-            surrogate_check_failures: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             newton_histogram: Histogram::new(NEWTON_BOUNDS),
             span_histogram: Histogram::new(SPAN_BOUNDS),
             serve_tenant_cap: SERVE_TENANT_CAP,
@@ -520,42 +601,12 @@ impl Aggregator {
 
     /// Snapshot of every counter.
     pub fn counts(&self) -> Counts {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Counts {
-            newton_iters: load(&self.newton_iters),
-            newton_residuals: load(&self.newton_residuals),
-            newton_converged: load(&self.newton_converged),
-            solver_solves: load(&self.solver_solves),
-            solver_symbolic: load(&self.solver_symbolic),
-            solves_refined: load(&self.solves_refined),
-            solves_degraded: load(&self.solves_degraded),
-            steps_accepted: load(&self.steps_accepted),
-            steps_rejected: load(&self.steps_rejected),
-            rescue_attempts: load(&self.rescue_attempts),
-            rescues_succeeded: load(&self.rescues_succeeded),
-            budget_newton: load(&self.budget_newton),
-            budget_steps: load(&self.budget_steps),
-            mc_runs_started: load(&self.mc_runs_started),
-            mc_runs_ok: load(&self.mc_runs_ok),
-            mc_runs_failed: load(&self.mc_runs_failed),
-            mac_jobs: load(&self.mac_jobs),
-            mac_solves: load(&self.mac_solves),
-            faults_substituted: load(&self.faults_substituted),
-            epochs_done: load(&self.epochs_done),
-            spans: load(&self.spans),
-            manifests: load(&self.manifests),
-            serve_admitted: load(&self.serve_admitted),
-            serve_shed: load(&self.serve_shed),
-            serve_retries: load(&self.serve_retries),
-            serve_degraded: load(&self.serve_degraded),
-            serve_breaker_open: load(&self.serve_breaker_open),
-            serve_done: load(&self.serve_done),
-            slo_breaches: load(&self.slo_breaches),
-            surrogate_hits: load(&self.surrogate_hits),
-            surrogate_misses: load(&self.surrogate_misses),
-            surrogate_checks: load(&self.surrogate_checks),
-            surrogate_check_failures: load(&self.surrogate_check_failures),
-        }
+        Counts::load(&self.counters)
+    }
+
+    /// Adds `n` to one counter.
+    fn add(&self, id: Id, n: u64) {
+        self.counters[id as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// The histogram of Newton iterations per converged solve.
@@ -604,29 +655,6 @@ impl Aggregator {
         lock(&self.slo).pending.take()
     }
 
-    /// Records one finished request's latency into its tenant's
-    /// histogram, applying the tenant cardinality cap.
-    fn record_serve_latency(&self, tenant: &str, latency_ms: f64) {
-        let mut series = lock(&self.serve_latency);
-        let slot = if let Some(i) = series.iter().position(|(t, _)| t == tenant) {
-            i
-        } else {
-            let name = if series.len() >= self.serve_tenant_cap {
-                "other"
-            } else {
-                tenant
-            };
-            match series.iter().position(|(t, _)| t == name) {
-                Some(i) => i,
-                None => {
-                    series.push((name.to_string(), Histogram::new(SERVE_LATENCY_BOUNDS_MS)));
-                    series.len() - 1
-                }
-            }
-        };
-        series[slot].1.record(latency_ms);
-    }
-
     /// Feeds one request outcome into the SLO sliding window, latching
     /// a breach on the threshold's rising edge.
     fn observe_slo(&self, bad: bool) {
@@ -656,72 +684,17 @@ impl Aggregator {
     /// Adds `other`'s counters and histograms into `self` (the
     /// per-thread `fan_out` merge pattern).
     pub fn merge_from(&self, other: &Aggregator) {
-        let add = |mine: &AtomicU64, theirs: &AtomicU64| {
+        for (mine, theirs) in self.counters.iter().zip(&other.counters) {
             mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        };
-        add(&self.newton_iters, &other.newton_iters);
-        add(&self.newton_residuals, &other.newton_residuals);
-        add(&self.newton_converged, &other.newton_converged);
-        add(&self.solver_solves, &other.solver_solves);
-        add(&self.solver_symbolic, &other.solver_symbolic);
-        add(&self.solves_refined, &other.solves_refined);
-        add(&self.solves_degraded, &other.solves_degraded);
-        add(&self.steps_accepted, &other.steps_accepted);
-        add(&self.steps_rejected, &other.steps_rejected);
-        add(&self.rescue_attempts, &other.rescue_attempts);
-        add(&self.rescues_succeeded, &other.rescues_succeeded);
-        add(&self.budget_newton, &other.budget_newton);
-        add(&self.budget_steps, &other.budget_steps);
-        add(&self.mc_runs_started, &other.mc_runs_started);
-        add(&self.mc_runs_ok, &other.mc_runs_ok);
-        add(&self.mc_runs_failed, &other.mc_runs_failed);
-        add(&self.mac_jobs, &other.mac_jobs);
-        add(&self.mac_solves, &other.mac_solves);
-        add(&self.faults_substituted, &other.faults_substituted);
-        add(&self.epochs_done, &other.epochs_done);
-        add(&self.spans, &other.spans);
-        add(&self.manifests, &other.manifests);
-        add(&self.serve_admitted, &other.serve_admitted);
-        add(&self.serve_shed, &other.serve_shed);
-        add(&self.serve_retries, &other.serve_retries);
-        add(&self.serve_degraded, &other.serve_degraded);
-        add(&self.serve_breaker_open, &other.serve_breaker_open);
-        add(&self.serve_done, &other.serve_done);
-        add(&self.slo_breaches, &other.slo_breaches);
-        add(&self.surrogate_hits, &other.surrogate_hits);
-        add(&self.surrogate_misses, &other.surrogate_misses);
-        add(
-            &self.surrogate_check_failures,
-            &other.surrogate_check_failures,
-        );
-        add(&self.surrogate_checks, &other.surrogate_checks);
+        }
         self.newton_histogram.merge_from(&other.newton_histogram);
         self.span_histogram.merge_from(&other.span_histogram);
         self.serve_requests.merge_from(&other.serve_requests);
         let theirs = lock(&other.serve_latency);
         let mut series = lock(&self.serve_latency);
         for (tenant, hist) in theirs.iter() {
-            let slot = match series.iter().position(|(t, _)| t == tenant) {
-                Some(i) => i,
-                None => {
-                    let name = if series.len() >= self.serve_tenant_cap {
-                        "other".to_string()
-                    } else {
-                        tenant.clone()
-                    };
-                    match series.iter().position(|(t, _)| *t == name) {
-                        Some(i) => i,
-                        None => {
-                            series.push((name, Histogram::new(SERVE_LATENCY_BOUNDS_MS)));
-                            series.len() - 1
-                        }
-                    }
-                }
-            };
-            series[slot].1.merge_from(hist);
+            latency_series(&mut series, tenant, self.serve_tenant_cap).merge_from(hist);
         }
-        drop(series);
-        drop(theirs);
         // The SLO sliding window is deliberately not merged: it is a
         // time-ordered sample sequence, and interleaving two windows
         // after the fact would fabricate an ordering that never
@@ -729,181 +702,17 @@ impl Aggregator {
     }
 
     /// Renders every counter and histogram in the Prometheus text
-    /// exposition format (`# TYPE` + sample lines), for future serving.
+    /// exposition format (`# HELP`/`# TYPE` + sample lines); this is
+    /// the body `ferrocim-serve` answers `GET /metrics` with.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
-        let counts = self.counts();
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
+        for (spec, value) in self.counts().entries() {
+            let name = spec.prometheus;
+            let _ = writeln!(out, "# HELP {name} {}", spec.help);
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
-        };
-        counter(
-            "ferrocim_newton_iterations_total",
-            "Newton-Raphson iterations run.",
-            counts.newton_iters,
-        );
-        counter(
-            "ferrocim_newton_residuals_total",
-            "Per-iteration residual diagnostics recorded.",
-            counts.newton_residuals,
-        );
-        counter(
-            "ferrocim_newton_converged_total",
-            "Newton solves that converged.",
-            counts.newton_converged,
-        );
-        counter(
-            "ferrocim_solver_solves_total",
-            "Linear systems factored and solved.",
-            counts.solver_solves,
-        );
-        counter(
-            "ferrocim_solver_symbolic_total",
-            "Solves that ran a fresh symbolic analysis.",
-            counts.solver_symbolic,
-        );
-        counter(
-            "ferrocim_solves_refined_total",
-            "Certified solves that needed iterative refinement.",
-            counts.solves_refined,
-        );
-        counter(
-            "ferrocim_solves_degraded_total",
-            "Solver degradation-ladder escalations.",
-            counts.solves_degraded,
-        );
-        counter(
-            "ferrocim_steps_accepted_total",
-            "Transient steps accepted.",
-            counts.steps_accepted,
-        );
-        counter(
-            "ferrocim_steps_rejected_total",
-            "Transient steps rejected.",
-            counts.steps_rejected,
-        );
-        counter(
-            "ferrocim_rescue_attempts_total",
-            "Convergence-rescue rung attempts.",
-            counts.rescue_attempts,
-        );
-        counter(
-            "ferrocim_rescues_succeeded_total",
-            "Rescue rungs that converged.",
-            counts.rescues_succeeded,
-        );
-        counter(
-            "ferrocim_budget_newton_total",
-            "Newton iterations charged to a limited budget.",
-            counts.budget_newton,
-        );
-        counter(
-            "ferrocim_budget_steps_total",
-            "Steps charged to a limited budget.",
-            counts.budget_steps,
-        );
-        counter(
-            "ferrocim_mc_runs_started_total",
-            "Monte-Carlo runs started.",
-            counts.mc_runs_started,
-        );
-        counter(
-            "ferrocim_mc_runs_ok_total",
-            "Monte-Carlo runs that produced a sample.",
-            counts.mc_runs_ok,
-        );
-        counter(
-            "ferrocim_mc_runs_failed_total",
-            "Monte-Carlo runs that failed or were skipped.",
-            counts.mc_runs_failed,
-        );
-        counter(
-            "ferrocim_mac_jobs_total",
-            "Row-MAC jobs requested.",
-            counts.mac_jobs,
-        );
-        counter(
-            "ferrocim_mac_solves_total",
-            "Row-MAC transients solved after dedup.",
-            counts.mac_solves,
-        );
-        counter(
-            "ferrocim_faults_substituted_total",
-            "Fault-tolerant oracle substitutions.",
-            counts.faults_substituted,
-        );
-        counter(
-            "ferrocim_epochs_done_total",
-            "Training epochs completed.",
-            counts.epochs_done,
-        );
-        counter(
-            "ferrocim_spans_total",
-            "Scoped timers closed.",
-            counts.spans,
-        );
-        counter(
-            "ferrocim_manifests_total",
-            "Run manifests seen.",
-            counts.manifests,
-        );
-        counter(
-            "ferrocim_serve_admitted_total",
-            "Requests admitted into the serve worker queue.",
-            counts.serve_admitted,
-        );
-        counter(
-            "ferrocim_serve_shed_total",
-            "Requests shed with a typed 429 Overloaded.",
-            counts.serve_shed,
-        );
-        counter(
-            "ferrocim_serve_retries_total",
-            "Backoff retries of transient solve failures.",
-            counts.serve_retries,
-        );
-        counter(
-            "ferrocim_serve_degraded_total",
-            "Responses answered from the degraded transfer-curve fallback.",
-            counts.serve_degraded,
-        );
-        counter(
-            "ferrocim_serve_breaker_open_total",
-            "Circuit-breaker closed-to-open trips.",
-            counts.serve_breaker_open,
-        );
-        counter(
-            "ferrocim_serve_done_total",
-            "Requests finished with a typed outcome.",
-            counts.serve_done,
-        );
-        counter(
-            "ferrocim_slo_breaches_total",
-            "SLO burn-rate breaches latched.",
-            counts.slo_breaches,
-        );
-        counter(
-            "ferrocim_surrogate_hits_total",
-            "Surrogate lookups answered from a calibrated curve.",
-            counts.surrogate_hits,
-        );
-        counter(
-            "ferrocim_surrogate_misses_total",
-            "Surrogate lookups that triggered a live calibration.",
-            counts.surrogate_misses,
-        );
-        counter(
-            "ferrocim_surrogate_checks_total",
-            "Check-mode live re-solves of surrogate answers.",
-            counts.surrogate_checks,
-        );
-        counter(
-            "ferrocim_surrogate_check_failures_total",
-            "Check-mode deviations exceeding the certified envelope.",
-            counts.surrogate_check_failures,
-        );
+        }
         self.newton_histogram.render_prometheus_into(
             "ferrocim_newton_iterations_per_solve",
             "Newton iterations needed per converged solve.",
@@ -933,46 +742,21 @@ impl Aggregator {
                 );
             }
         }
-        {
-            let mut series: Vec<(String, Vec<u64>, Vec<f64>, f64)> = lock(&self.serve_latency)
-                .iter()
-                .map(|(tenant, hist)| {
-                    (
-                        tenant.clone(),
-                        hist.counts(),
-                        hist.bounds().to_vec(),
-                        hist.sum(),
-                    )
-                })
-                .collect();
-            series.sort_by(|a, b| a.0.cmp(&b.0));
-            if !series.is_empty() {
-                let name = "ferrocim_serve_request_latency_ms";
-                let _ = writeln!(
-                    out,
-                    "# HELP {name} Serve request latency in milliseconds by tenant."
-                );
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                for (tenant, bucket_counts, bounds, sum) in &series {
-                    let tenant = escape_label(tenant);
-                    let mut cumulative = 0u64;
-                    for (bound, count) in bounds.iter().zip(bucket_counts) {
-                        cumulative += count;
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{{tenant=\"{tenant}\",le=\"{bound}\"}} {cumulative}"
-                        );
-                    }
-                    let total: u64 = bucket_counts.iter().sum();
-                    let _ = writeln!(
-                        out,
-                        "{name}_bucket{{tenant=\"{tenant}\",le=\"+Inf\"}} {total}"
-                    );
-                    let _ = writeln!(out, "{name}_sum{{tenant=\"{tenant}\"}} {sum}");
-                    let _ = writeln!(out, "{name}_count{{tenant=\"{tenant}\"}} {total}");
-                }
+        let series = lock(&self.serve_latency);
+        let mut sorted: Vec<&(String, Histogram)> = series.iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        if !sorted.is_empty() {
+            let name = "ferrocim_serve_request_latency_ms";
+            let _ = writeln!(
+                out,
+                "# HELP {name} Serve request latency in milliseconds by tenant."
+            );
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            for (tenant, hist) in sorted {
+                hist.render_samples_into(name, Some(&escape_label(tenant)), &mut out);
             }
         }
+        drop(series);
         let _ = writeln!(
             out,
             "# HELP ferrocim_serve_slo_burn Error-budget burn fraction over the sliding SLO window."
@@ -992,93 +776,56 @@ impl Default for Aggregator {
 impl Recorder for Aggregator {
     fn record(&self, event: &Event) {
         match event {
-            Event::NewtonIter { .. } => {
-                self.newton_iters.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::NewtonResidual { .. } => {
-                self.newton_residuals.fetch_add(1, Ordering::Relaxed);
-            }
+            Event::NewtonIter { .. } => self.add(Id::newton_iters, 1),
+            Event::NewtonResidual { .. } => self.add(Id::newton_residuals, 1),
             Event::NewtonConverged { iterations } => {
-                self.newton_converged.fetch_add(1, Ordering::Relaxed);
+                self.add(Id::newton_converged, 1);
                 self.newton_histogram.record(*iterations as f64);
             }
             Event::SolverSolved { symbolic, .. } => {
-                self.solver_solves.fetch_add(1, Ordering::Relaxed);
+                self.add(Id::solver_solves, 1);
                 if *symbolic {
-                    self.solver_symbolic.fetch_add(1, Ordering::Relaxed);
+                    self.add(Id::solver_symbolic, 1);
                 }
             }
-            Event::SolveRefined { .. } => {
-                self.solves_refined.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::SolveDegraded { .. } => {
-                self.solves_degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::StepAccepted { .. } => {
-                self.steps_accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::StepRejected { .. } => {
-                self.steps_rejected.fetch_add(1, Ordering::Relaxed);
-            }
+            Event::SolveRefined { .. } => self.add(Id::solves_refined, 1),
+            Event::SolveDegraded { .. } => self.add(Id::solves_degraded, 1),
+            Event::StepAccepted { .. } => self.add(Id::steps_accepted, 1),
+            Event::StepRejected { .. } => self.add(Id::steps_rejected, 1),
             Event::RescueAttempt { converged, .. } => {
-                self.rescue_attempts.fetch_add(1, Ordering::Relaxed);
+                self.add(Id::rescue_attempts, 1);
                 if *converged {
-                    self.rescues_succeeded.fetch_add(1, Ordering::Relaxed);
+                    self.add(Id::rescues_succeeded, 1);
                 }
             }
             Event::BudgetSpend { resource, amount } => match resource {
                 crate::event::ResourceKind::NewtonIterations => {
-                    self.budget_newton.fetch_add(*amount, Ordering::Relaxed);
+                    self.add(Id::budget_newton, *amount)
                 }
-                crate::event::ResourceKind::Steps => {
-                    self.budget_steps.fetch_add(*amount, Ordering::Relaxed);
-                }
+                crate::event::ResourceKind::Steps => self.add(Id::budget_steps, *amount),
             },
-            Event::McRunStarted { .. } => {
-                self.mc_runs_started.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::McRunDone { ok, .. } => {
-                if *ok {
-                    self.mc_runs_ok.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.mc_runs_failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            Event::McRunStarted { .. } => self.add(Id::mc_runs_started, 1),
+            Event::McRunDone { ok: true, .. } => self.add(Id::mc_runs_ok, 1),
+            Event::McRunDone { ok: false, .. } => self.add(Id::mc_runs_failed, 1),
             Event::MacIssued { jobs, solves } => {
-                self.mac_jobs.fetch_add(*jobs, Ordering::Relaxed);
-                self.mac_solves.fetch_add(*solves, Ordering::Relaxed);
+                self.add(Id::mac_jobs, *jobs);
+                self.add(Id::mac_solves, *solves);
             }
-            Event::FaultSubstituted { .. } => {
-                self.faults_substituted.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::EpochDone { .. } => {
-                self.epochs_done.fetch_add(1, Ordering::Relaxed);
-            }
+            Event::FaultSubstituted { .. } => self.add(Id::faults_substituted, 1),
+            Event::EpochDone { .. } => self.add(Id::epochs_done, 1),
             // Only the close is counted: a SpanEnd proves the full
             // begin/end pair, and its duration feeds the histogram.
             Event::SpanBegin { .. } => {}
             Event::SpanEnd { micros, .. } => {
-                self.spans.fetch_add(1, Ordering::Relaxed);
+                self.add(Id::spans, 1);
                 self.span_histogram.record(*micros);
             }
-            Event::Manifest { .. } => {
-                self.manifests.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ServeAdmitted { .. } => {
-                self.serve_admitted.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ServeShed { .. } => {
-                self.serve_shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ServeRetry { .. } => {
-                self.serve_retries.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ServeDegraded { .. } => {
-                self.serve_degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ServeBreakerOpen { .. } => {
-                self.serve_breaker_open.fetch_add(1, Ordering::Relaxed);
-            }
+            Event::Manifest { .. } => self.add(Id::manifests, 1),
+            Event::ServeAdmitted { .. } => self.add(Id::serve_admitted, 1),
+            Event::ServeShed { .. } => self.add(Id::serve_shed, 1),
+            Event::ServeRetry { .. } => self.add(Id::serve_retries, 1),
+            Event::ServeDegraded { .. } => self.add(Id::serve_degraded, 1),
+            Event::ServeBreakerOpen { .. } => self.add(Id::serve_breaker_open, 1),
             Event::ServeDone {
                 tenant,
                 outcome,
@@ -1086,27 +833,24 @@ impl Recorder for Aggregator {
                 latency_ms,
                 ..
             } => {
-                self.serve_done.fetch_add(1, Ordering::Relaxed);
+                self.add(Id::serve_done, 1);
                 self.serve_requests
                     .add(tenant, outcome.label(), backend.label());
-                self.record_serve_latency(tenant, *latency_ms);
+                latency_series(
+                    &mut lock(&self.serve_latency),
+                    tenant,
+                    self.serve_tenant_cap,
+                )
+                .record(*latency_ms);
                 self.observe_slo(outcome.burns_error_budget());
             }
-            Event::SloBreach { .. } => {
-                self.slo_breaches.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::SurrogateLookup { hit } => {
-                if *hit {
-                    self.surrogate_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.surrogate_misses.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            Event::SloBreach { .. } => self.add(Id::slo_breaches, 1),
+            Event::SurrogateLookup { hit: true } => self.add(Id::surrogate_hits, 1),
+            Event::SurrogateLookup { hit: false } => self.add(Id::surrogate_misses, 1),
             Event::SurrogateCheck { ok, .. } => {
-                self.surrogate_checks.fetch_add(1, Ordering::Relaxed);
+                self.add(Id::surrogate_checks, 1);
                 if !*ok {
-                    self.surrogate_check_failures
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.add(Id::surrogate_check_failures, 1);
                 }
             }
         }

@@ -66,7 +66,8 @@ mod recorder;
 mod sink;
 
 pub use aggregate::{
-    Aggregator, Counts, Histogram, LabeledCount, LabeledCounts, SloBreachInfo, SloPolicy,
+    Aggregator, CounterSpec, Counts, Histogram, LabeledCount, LabeledCounts, SloBreachInfo,
+    SloPolicy,
 };
 pub use event::{
     DegradeStageKind, Event, ResourceKind, RungKind, ServeBackendKind, ServeOutcome, SolverBackend,

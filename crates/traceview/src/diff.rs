@@ -1,8 +1,12 @@
 //! Two-trace comparison with a regression threshold (the CI perf gate).
 //!
-//! Only deterministic *count* metrics are gated: Newton iterations,
-//! step accept/rejects, rescues, MAC job/solve counts, and linear-solver
-//! factorization counts. Wall-clock span
+//! Only deterministic *count* metrics are gated: the counters marked
+//! `gated` in `ferrocim-telemetry`'s counter table. They cover Newton
+//! and step work, rescues, Monte-Carlo failures, MAC job/solve counts,
+//! linear-solver factorizations and symbolic analyses (a symbolic rise
+//! means pattern reuse broke), refinement passes and degradation-ladder
+//! escalations (systems got harder to solve), serve outcomes, and
+//! surrogate hits, misses, and envelope check failures. Wall-clock span
 //! times vary run-to-run and machine-to-machine, so they are reported
 //! by `trace summary` but never gated — a baseline trace recorded on
 //! one host must gate identically on another.
@@ -13,7 +17,7 @@
 //! `baselines/`), and [`metrics_from_json`] reads it back for `trace
 //! diff`, which accepts either representation on each side.
 
-use ferrocim_telemetry::{Aggregator, Counts, Event, Recorder as _};
+use ferrocim_telemetry::{Aggregator, Event, Recorder as _};
 use serde_json::Value;
 
 /// Default regression threshold (percent increase) for
@@ -94,60 +98,19 @@ pub struct DiffReport {
     pub warnings: Vec<DiffWarning>,
 }
 
-/// The deterministic count metrics the gate compares, in render order.
+/// The deterministic count metrics the gate compares: every
+/// [`CounterSpec::gated`](ferrocim_telemetry::CounterSpec::gated)
+/// counter, in counter-table order.
 pub fn extract_metrics(events: &[Event]) -> Vec<(&'static str, u64)> {
     let agg = Aggregator::new();
     for event in events {
         agg.record(event);
     }
-    let c: Counts = agg.counts();
-    vec![
-        ("newton_iters", c.newton_iters),
-        ("newton_converged", c.newton_converged),
-        ("steps_accepted", c.steps_accepted),
-        ("steps_rejected", c.steps_rejected),
-        ("rescue_attempts", c.rescue_attempts),
-        ("rescues_succeeded", c.rescues_succeeded),
-        ("mc_runs_started", c.mc_runs_started),
-        ("mc_runs_failed", c.mc_runs_failed),
-        ("mac_jobs", c.mac_jobs),
-        ("mac_solves", c.mac_solves),
-        ("faults_substituted", c.faults_substituted),
-        // Linear-solver work: total factor+solve passes, and how many of
-        // them re-ran a sparse symbolic analysis. A symbolic increase
-        // means pattern reuse broke (every Newton iteration re-analyzing
-        // the matrix), which is exactly the regression the gate exists
-        // to catch.
-        ("solver_solves", c.solver_solves),
-        ("solver_symbolic", c.solver_symbolic),
-        // Numerical-health work: refinement passes mean solves came back
-        // over the residual tolerance, degradations mean a whole solver
-        // configuration was abandoned mid-run. A rise in either says the
-        // change made systems harder to solve, even if wall-clock and
-        // Newton counts look flat.
-        ("solves_refined", c.solves_refined),
-        ("solves_degraded", c.solves_degraded),
-        // Serving-layer robustness outcomes: admissions, typed sheds,
-        // backoff retries, degraded fallbacks, and breaker trips. These
-        // gate the serve smoke traces; on solver-only probes they are
-        // simply zero on both sides.
-        ("serve_admitted", c.serve_admitted),
-        ("serve_shed", c.serve_shed),
-        ("serve_retries", c.serve_retries),
-        ("serve_degraded", c.serve_degraded),
-        ("serve_breaker_open", c.serve_breaker_open),
-        ("serve_done", c.serve_done),
-        ("slo_breaches", c.slo_breaches),
-        // Surrogate fast-path outcomes: cache hits/misses plus the
-        // check-mode subsample and its envelope violations. A hit count
-        // falling (or a miss count rising) means the content-addressed
-        // keys stopped matching; any check failure means the certified
-        // error envelope was violated in production.
-        ("surrogate_hits", c.surrogate_hits),
-        ("surrogate_misses", c.surrogate_misses),
-        ("surrogate_checks", c.surrogate_checks),
-        ("surrogate_check_failures", c.surrogate_check_failures),
-    ]
+    agg.counts()
+        .entries()
+        .filter(|(spec, _)| spec.gated)
+        .map(|(spec, value)| (spec.name, value))
+        .collect()
 }
 
 /// Renders extracted metrics as the standalone baseline JSON object

@@ -159,43 +159,13 @@ impl Summary {
     /// Renders the human-readable summary (the `trace summary` output).
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
-        let c = &self.counts;
         let mut out = String::new();
         let _ = writeln!(out, "events                {}", self.events);
-        let mut count = |name: &str, value: u64| {
+        for (spec, value) in self.counts.entries() {
             if value > 0 {
-                let _ = writeln!(out, "{name:<22}{value}");
+                let _ = writeln!(out, "{:<22}{value}", spec.name);
             }
-        };
-        count("newton_iters", c.newton_iters);
-        count("newton_residuals", c.newton_residuals);
-        count("newton_converged", c.newton_converged);
-        count("steps_accepted", c.steps_accepted);
-        count("steps_rejected", c.steps_rejected);
-        count("rescue_attempts", c.rescue_attempts);
-        count("rescues_succeeded", c.rescues_succeeded);
-        count("budget_newton", c.budget_newton);
-        count("budget_steps", c.budget_steps);
-        count("mc_runs_started", c.mc_runs_started);
-        count("mc_runs_ok", c.mc_runs_ok);
-        count("mc_runs_failed", c.mc_runs_failed);
-        count("mac_jobs", c.mac_jobs);
-        count("mac_solves", c.mac_solves);
-        count("faults_substituted", c.faults_substituted);
-        count("epochs_done", c.epochs_done);
-        count("spans", c.spans);
-        count("manifests", c.manifests);
-        count("serve_admitted", c.serve_admitted);
-        count("serve_shed", c.serve_shed);
-        count("serve_retries", c.serve_retries);
-        count("serve_degraded", c.serve_degraded);
-        count("serve_breaker_open", c.serve_breaker_open);
-        count("serve_done", c.serve_done);
-        count("slo_breaches", c.slo_breaches);
-        count("surrogate_hits", c.surrogate_hits);
-        count("surrogate_misses", c.surrogate_misses);
-        count("surrogate_checks", c.surrogate_checks);
-        count("surrogate_check_failures", c.surrogate_check_failures);
+        }
         if self.open_spans > 0 {
             let _ = writeln!(out, "open_spans            {}", self.open_spans);
         }
@@ -288,6 +258,38 @@ mod tests {
         assert!(summary
             .render_prometheus()
             .contains("ferrocim_newton_iterations_total 1"));
+    }
+
+    #[test]
+    fn summary_text_lists_solver_counters() {
+        use ferrocim_telemetry::{DegradeStageKind, SolverBackend};
+        let solved = |symbolic| Event::SolverSolved {
+            backend: SolverBackend::Sparse,
+            symbolic,
+        };
+        let events = vec![
+            Event::NewtonIter { iteration: 1 },
+            solved(true),
+            solved(false),
+            Event::SolveRefined {
+                passes: 1,
+                residual: 1e-12,
+            },
+            Event::SolveDegraded {
+                stage: DegradeStageKind::FreshSymbolic,
+                residual: 1e-3,
+            },
+        ];
+        let text = Summary::of(&events).render_text();
+        for line in [
+            "newton_iters          1",
+            "solver_solves         2",
+            "solver_symbolic       1",
+            "solves_refined        1",
+            "solves_degraded       1",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line:?} missing:\n{text}");
+        }
     }
 
     #[test]

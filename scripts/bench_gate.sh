@@ -30,7 +30,8 @@
 #   --update            rewrite baselines/ from this run instead of gating
 #
 # Environment:
-#   BENCH_GATE_SOFT=1   report regressions but exit 0 (CI soft-fail mode)
+#   BENCH_GATE_SOFT=1   report regressions but exit 0 (local inspection;
+#                       CI runs the gate hard)
 #   BENCH_GATE_OUT=dir  where traces/logs/summaries land
 #                       (default target/bench-gate)
 #

@@ -26,6 +26,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
 
+echo "==> telemetry + traceview suites (Prometheus golden, render proptest, trace CLI)"
+cargo test -q --offline -p ferrocim-telemetry -p ferrocim-traceview
+
 echo "==> failure-injection suite (full backtraces)"
 RUST_BACKTRACE=1 cargo test -q --offline -p ferrocim-spice --test failure_injection
 
