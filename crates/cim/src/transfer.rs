@@ -163,6 +163,12 @@ impl TransferConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferModel {
     confusion: Vec<Vec<f64>>,
+    /// Running sums of each confusion row, added left to right, which
+    /// [`TransferModel::sample`] searches instead of re-summing the row
+    /// on every read. Derived from `confusion`, yet serialized with it
+    /// (the vendored `serde_derive` has no field-skip attribute); no
+    /// caller deserializes a `TransferModel`.
+    cumulative: Vec<Vec<f64>>,
     /// Worst observed |read − true| per true level.
     max_abs_error: Vec<usize>,
     temp: Celsius,
@@ -235,6 +241,7 @@ impl TransferModel {
             }
         }
         Ok(TransferModel {
+            cumulative: cumulative_rows(&confusion),
             confusion,
             max_abs_error,
             temp: config.temp,
@@ -263,22 +270,16 @@ impl TransferModel {
         *self.max_abs_error.iter().max().unwrap_or(&0) as f64 / n as f64
     }
 
-    /// Samples a readout for a true MAC value.
+    /// Samples a readout for a true MAC value: the first read whose
+    /// cumulative probability exceeds one uniform draw `u`, or the top
+    /// level when rounding leaves the row sum at or below `u`.
     ///
     /// # Panics
     ///
     /// Panics if `k` exceeds the modelled range.
     pub fn sample<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> usize {
-        let row = &self.confusion[k];
         let u: f64 = rng.random();
-        let mut acc = 0.0;
-        for (read, &p) in row.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return read;
-            }
-        }
-        row.len() - 1
+        read_at(&self.cumulative[k], u)
     }
 
     /// The expected readout for a true MAC value.
@@ -291,10 +292,80 @@ impl TransferModel {
     }
 }
 
+/// The number of running sums at or below `u`, clamped to the top
+/// level: the first read whose cumulative probability exceeds `u`.
+fn read_at(cumulative: &[f64], u: f64) -> usize {
+    // A branch-free count over the short row beats a binary search.
+    cumulative
+        .iter()
+        .filter(|&&c| c <= u)
+        .count()
+        .min(cumulative.len() - 1)
+}
+
+/// The running sums of every row, each added left to right.
+fn cumulative_rows(confusion: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    confusion
+        .iter()
+        .map(|row| {
+            row.iter()
+                .scan(0.0, |acc, &p| {
+                    *acc += p;
+                    Some(*acc)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ferrocim_device::variation::seeded_rng;
+    use proptest::prelude::*;
+
+    /// The sequential scan `sample` used before the cumulative rows:
+    /// re-sum the row on every read and stop at the first partial sum
+    /// above `u`.
+    fn scan_sample(row: &[f64], u: f64) -> usize {
+        let mut acc = 0.0;
+        for (read, &p) in row.iter().enumerate() {
+            acc += p;
+            if u < acc {
+                return read;
+            }
+        }
+        row.len() - 1
+    }
+
+    /// A probability row of 1..=9 levels built from raw draws: `kind`
+    /// 0 normalizes the weights (zeroed where flagged), 1 does the same
+    /// and then nudges the top nonzero entry down until the float sum
+    /// falls short of 1, and 2 is one-hot at `hot`.
+    fn confusion_row(kind: u8, raw: &[(bool, f64)], hot: usize) -> Vec<f64> {
+        let hot = hot % raw.len();
+        if kind == 2 {
+            let mut row = vec![0.0; raw.len()];
+            row[hot] = 1.0;
+            return row;
+        }
+        let mut row: Vec<f64> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(zero, p))| if zero && i != hot { 0.0 } else { p })
+            .collect();
+        let total: f64 = row.iter().sum();
+        for p in &mut row {
+            *p /= total;
+        }
+        if kind == 1 {
+            let top = row.iter().rposition(|&p| p > 0.0).unwrap_or(hot);
+            while row.iter().fold(0.0, |acc, p| acc + p) >= 1.0 {
+                row[top] = row[top].next_down();
+            }
+        }
+        row
+    }
 
     #[test]
     fn adc_quantizes_to_nearest_level() {
@@ -315,12 +386,14 @@ mod tests {
 
     #[test]
     fn transfer_model_sampling_follows_confusion() {
+        let confusion = vec![
+            vec![0.8, 0.2, 0.0],
+            vec![0.1, 0.8, 0.1],
+            vec![0.0, 0.3, 0.7],
+        ];
         let model = TransferModel {
-            confusion: vec![
-                vec![0.8, 0.2, 0.0],
-                vec![0.1, 0.8, 0.1],
-                vec![0.0, 0.3, 0.7],
-            ],
+            cumulative: cumulative_rows(&confusion),
+            confusion,
             max_abs_error: vec![1, 1, 1],
             temp: Celsius::ROOM,
         };
@@ -333,5 +406,50 @@ mod tests {
         assert!((model.expected(0) - 0.2).abs() < 1e-12);
         assert_eq!(model.max_relative_error(), 0.5);
         assert_eq!(model.correct_probability(2), 0.7);
+    }
+
+    proptest! {
+        /// The cumulative-row `sample` returns the sequential scan's
+        /// read for every draw, one draw per read; at and around every
+        /// partial sum, where `u < acc` flips; and for draws above a
+        /// row sum that falls short of 1, where both clamp to the top
+        /// level.
+        #[test]
+        fn cumulative_sample_matches_sequential_scan(
+            raw_rows in prop::collection::vec(
+                (0u8..3, prop::collection::vec((any::<bool>(), 0.01f64..1.0), 1..=9), 0usize..9),
+                1..=4,
+            ),
+            pick in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let rows: Vec<Vec<f64>> = raw_rows
+                .iter()
+                .map(|(kind, raw, hot)| confusion_row(*kind, raw, *hot))
+                .collect();
+            let k = pick % rows.len();
+            let model = TransferModel {
+                cumulative: cumulative_rows(&rows),
+                max_abs_error: vec![0; rows.len()],
+                confusion: rows,
+                temp: Celsius::ROOM,
+            };
+            let row = &model.confusion()[k];
+            let mut rng = seeded_rng(seed);
+            let mut draws = seeded_rng(seed);
+            for _ in 0..64 {
+                let u: f64 = draws.random();
+                prop_assert_eq!(model.sample(k, &mut rng), scan_sample(row, u));
+            }
+            prop_assert_eq!(rng.random::<u64>(), draws.random::<u64>());
+            let cumulative = &model.cumulative[k];
+            let edges = cumulative
+                .iter()
+                .flat_map(|&c| [c.next_down(), c, c.next_up()])
+                .chain([0.0, 1.0f64.next_down()]);
+            for u in edges {
+                prop_assert_eq!(read_at(cumulative, u), scan_sample(row, u), "u = {}", u);
+            }
+        }
     }
 }

@@ -14,12 +14,17 @@
 //!    `ferrocim_cim::transfer::TransferModel`) enters,
 //! 4. recombine with power-of-two shifts and the quantization scales.
 //!
+//! Step 3 runs on bit planes: each weight vector is packed once, at map
+//! time, into one `u64` mask per (row chunk, magnitude bit, sign), each
+//! activation vector into one mask per (row chunk, activation bit), and
+//! a partial count is the popcount of two masks ANDed.
+//!
 //! The [`MacOracle`] trait decouples this crate from the circuit layer:
 //! [`IdealMac`] reads back the true count (pure quantization baseline),
 //! while the blanket impl over `TransferModel` samples the measured
 //! confusion matrix.
 
-use crate::layers::{Layer, MaxPool2d};
+use crate::layers::Layer;
 use crate::network::Network;
 use crate::quant::{quantize_activations, quantize_weights, QuantizedWeights};
 use crate::tensor::Tensor;
@@ -223,19 +228,165 @@ impl Default for CimMapping {
     }
 }
 
-/// Reusable buffers for the bit-serial decomposition, so the inner
-/// loops of a convolution pay no per-dot-product allocation.
+/// The widest row the packed kernel supports: one `u64` bit per cell.
+const MAX_CELLS_PER_ROW: usize = 64;
+
+/// Reusable packing and readout buffers for [`cim_dot_in`], so repeated
+/// dot products pay no per-call allocation.
 #[derive(Debug, Clone, Default)]
 pub struct DotScratch {
+    weights: WeightPlanes,
+    activations: Vec<u64>,
+    reads: ReadBuffers,
+}
+
+/// The partial counts of one dot product, their signed power-of-two
+/// weights, and the oracle's readouts of them.
+#[derive(Debug, Clone, Default)]
+struct ReadBuffers {
     counts: Vec<usize>,
     terms: Vec<i64>,
     reads: Vec<usize>,
+}
+
+/// Quantized weights packed into sign-split magnitude bit planes: per
+/// row chunk and magnitude bit, a `[positive, negative]` pair of masks
+/// of the cells whose weight has that sign and that bit set.
+#[derive(Debug, Clone, Default)]
+struct WeightPlanes {
+    planes: Vec<[u64; 2]>,
+    magnitude_bits: u8,
+    scale: f32,
+}
+
+impl WeightPlanes {
+    fn pack(w: &QuantizedWeights, cells_per_row: usize) -> WeightPlanes {
+        let mut packed = WeightPlanes::default();
+        packed.repack(w, cells_per_row);
+        packed
+    }
+
+    /// Packs `w` in place, reusing the plane buffer.
+    fn repack(&mut self, w: &QuantizedWeights, cells_per_row: usize) {
+        self.planes.clear();
+        for chunk in w.values.chunks(cells_per_row) {
+            for wb in 0..w.magnitude_bits() {
+                let mut sign_planes = [0u64; 2];
+                for (cell, &wv) in chunk.iter().enumerate() {
+                    if (wv.unsigned_abs() >> wb) & 1 == 1 {
+                        sign_planes[usize::from(wv < 0)] |= 1u64 << cell;
+                    }
+                }
+                self.planes.push(sign_planes);
+            }
+        }
+        self.magnitude_bits = w.magnitude_bits();
+        self.scale = w.scale;
+    }
+}
+
+/// Packs activations into `planes` (cleared first): per chunk of
+/// `cells_per_row` elements, one mask per activation bit.
+fn pack_activations(
+    values: &[u8],
+    activation_bits: u8,
+    cells_per_row: usize,
+    planes: &mut Vec<u64>,
+) {
+    planes.clear();
+    for chunk in values.chunks(cells_per_row) {
+        for ab in 0..activation_bits {
+            let mut plane = 0u64;
+            for (cell, &av) in chunk.iter().enumerate() {
+                plane |= u64::from((av >> ab) & 1) << cell;
+            }
+            planes.push(plane);
+        }
+    }
+}
+
+/// Set bits per byte value.
+const BYTE_ONES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = (byte as u8).count_ones() as u8;
+        byte += 1;
+    }
+    table
+};
+
+/// Population count of a row mask by byte table. The baseline x86-64
+/// target has no `popcnt` instruction, and there `u64::count_ones`
+/// costs several times the one lookup an 8-cell row needs; the first
+/// byte is looked up unconditionally, so zero masks take no branch.
+fn ones(mask: u64) -> usize {
+    let mut count = usize::from(BYTE_ONES[(mask & 0xff) as usize]);
+    let mut rest = mask >> 8;
+    while rest != 0 {
+        count += usize::from(BYTE_ONES[(rest & 0xff) as usize]);
+        rest >>= 8;
+    }
+    count
+}
+
+/// The bit-serial dot product of packed operands: one partial count per
+/// (chunk, weight bit, activation bit, sign) by popcount, pushed in
+/// that order with zero counts skipped, then read out through the
+/// oracle as one batch and recombined with power-of-two shifts.
+fn packed_dot<O: MacOracle>(
+    weights: &WeightPlanes,
+    activations: &[u64],
+    activation_bits: u8,
+    oracle: &O,
+    rng: &mut StdRng,
+    buf: &mut ReadBuffers,
+) -> i64 {
+    // Every slot is written and kept only if its count is nonzero, so
+    // data-dependent zeros cost no branch.
+    let slots = 2 * weights.planes.len() * usize::from(activation_bits);
+    if buf.counts.len() < slots {
+        buf.counts.resize(slots, 0);
+        buf.terms.resize(slots, 0);
+    }
+    let mut len = 0;
+    // A zero-bit operand has no planes, so it reads nothing; `max(1)`
+    // only keeps `chunks` from panicking on it.
+    let chunks = weights
+        .planes
+        .chunks(usize::from(weights.magnitude_bits).max(1))
+        .zip(activations.chunks(usize::from(activation_bits).max(1)));
+    for (w_chunk, a_chunk) in chunks {
+        for (wb, &[pos_plane, neg_plane]) in w_chunk.iter().enumerate() {
+            for (ab, &a_plane) in a_chunk.iter().enumerate() {
+                let term = 1i64 << (wb + ab);
+                for (plane, term) in [(pos_plane, term), (neg_plane, -term)] {
+                    let count = ones(plane & a_plane);
+                    buf.counts[len] = count;
+                    buf.terms[len] = term;
+                    len += usize::from(count > 0);
+                }
+            }
+        }
+    }
+    oracle.read_batch(&buf.counts[..len], &mut buf.reads, rng);
+    debug_assert_eq!(buf.reads.len(), len);
+    buf.terms[..len]
+        .iter()
+        .zip(&buf.reads)
+        .map(|(&term, &read)| term * read as i64)
+        .sum()
 }
 
 /// Executes one signed dot product through the CIM row decomposition.
 ///
 /// Returns the *integer* accumulation (to be scaled by
 /// `w.scale · a_scale`).
+///
+/// # Panics
+///
+/// Panics if the operand lengths differ, the oracle's row width differs
+/// from the mapping's, or a row is wider than 64 cells.
 pub fn cim_dot<O: MacOracle>(
     w: &QuantizedWeights,
     a: &[u8],
@@ -248,11 +399,16 @@ pub fn cim_dot<O: MacOracle>(
 
 /// [`cim_dot`] with caller-owned scratch buffers.
 ///
-/// All row reads of the dot product are gathered first — per operand
-/// chunk, weight bit, activation bit: the positive then the negative
-/// partial count — and issued as one [`MacOracle::read_batch`] call in
-/// exactly that order, which keeps seeded results identical to reading
-/// one at a time.
+/// Both operands are packed into bit planes (one mask per row chunk and
+/// bit), each partial count is a popcount, and all row reads of the dot
+/// product — per operand chunk, weight bit, activation bit: the
+/// positive then the negative partial count — are issued as one
+/// [`MacOracle::read_batch`] call in exactly that order, which keeps
+/// seeded results identical to reading one at a time.
+///
+/// # Panics
+///
+/// As [`cim_dot`].
 pub fn cim_dot_in<O: MacOracle>(
     w: &QuantizedWeights,
     a: &[u8],
@@ -267,62 +423,45 @@ pub fn cim_dot_in<O: MacOracle>(
         mapping.cells_per_row,
         "oracle row width does not match the mapping"
     );
-    let n = mapping.cells_per_row;
-    scratch.counts.clear();
-    scratch.terms.clear();
-    for (wc, ac) in w.values.chunks(n).zip(a.chunks(n)) {
-        for wb in 0..w.magnitude_bits() {
-            for ab in 0..mapping.activation_bits {
-                let mut pos = 0usize;
-                let mut neg = 0usize;
-                for (&wv, &av) in wc.iter().zip(ac) {
-                    if (av >> ab) & 1 == 0 {
-                        continue;
-                    }
-                    let mag = wv.unsigned_abs();
-                    if (mag >> wb) & 1 == 1 {
-                        if wv > 0 {
-                            pos += 1;
-                        } else {
-                            neg += 1;
-                        }
-                    }
-                }
-                let shift = (wb + ab) as u32;
-                if pos > 0 {
-                    scratch.counts.push(pos);
-                    scratch.terms.push(1i64 << shift);
-                }
-                if neg > 0 {
-                    scratch.counts.push(neg);
-                    scratch.terms.push(-(1i64 << shift));
-                }
-            }
-        }
-    }
-    oracle.read_batch(&scratch.counts, &mut scratch.reads, rng);
-    debug_assert_eq!(scratch.reads.len(), scratch.counts.len());
-    scratch
-        .terms
-        .iter()
-        .zip(&scratch.reads)
-        .map(|(&term, &read)| term * read as i64)
-        .sum()
+    assert_row_width(mapping.cells_per_row);
+    scratch.weights.repack(w, mapping.cells_per_row);
+    pack_activations(
+        a,
+        mapping.activation_bits,
+        mapping.cells_per_row,
+        &mut scratch.activations,
+    );
+    packed_dot(
+        &scratch.weights,
+        &scratch.activations,
+        mapping.activation_bits,
+        oracle,
+        rng,
+        &mut scratch.reads,
+    )
 }
 
-/// Pre-quantized weights of one network layer (rows of the weight
+fn assert_row_width(cells_per_row: usize) {
+    assert!(
+        cells_per_row <= MAX_CELLS_PER_ROW,
+        "rows wider than {MAX_CELLS_PER_ROW} cells are not supported (got {cells_per_row})"
+    );
+}
+
+/// Bit-plane-packed weights of one network layer (rows of the weight
 /// matrix for linears; one filter per output channel for convolutions).
 #[derive(Debug, Clone)]
 enum MappedLayer {
     Conv {
-        /// Per-output-channel quantized 27·k-element filters.
-        filters: Vec<QuantizedWeights>,
+        /// Per-output-channel packed 9·`in_channels`-element filters.
+        filters: Vec<WeightPlanes>,
         bias: Vec<f32>,
         in_channels: usize,
     },
     Linear {
-        rows: Vec<QuantizedWeights>,
+        rows: Vec<WeightPlanes>,
         bias: Vec<f32>,
+        in_dim: usize,
     },
     /// Non-MAC layer executed digitally.
     Passthrough(Layer),
@@ -338,23 +477,28 @@ pub struct CimNetwork {
 }
 
 impl CimNetwork {
-    /// Quantizes and maps a trained network.
+    /// Quantizes and maps a trained network, packing every filter and
+    /// weight-matrix row into sign-split magnitude bit planes once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping.cells_per_row` exceeds 64 (the packed kernel
+    /// holds one row chunk per `u64` mask).
     pub fn map(network: &Network, mapping: CimMapping) -> CimNetwork {
+        assert_row_width(mapping.cells_per_row);
+        let pack = |weights: &[f32]| {
+            WeightPlanes::pack(
+                &quantize_weights(weights, mapping.weight_bits),
+                mapping.cells_per_row,
+            )
+        };
         let layers = network
             .layers()
             .iter()
             .map(|layer| match layer {
                 Layer::Conv2d(conv) => {
-                    let (in_c, out_c) = conv.channels();
-                    let per_filter = in_c * 9;
-                    let filters = (0..out_c)
-                        .map(|o| {
-                            quantize_weights(
-                                &conv.weight.data()[o * per_filter..(o + 1) * per_filter],
-                                mapping.weight_bits,
-                            )
-                        })
-                        .collect();
+                    let (in_c, _) = conv.channels();
+                    let filters = conv.weight.data().chunks(in_c * 9).map(pack).collect();
                     MappedLayer::Conv {
                         filters,
                         bias: conv.bias.data().to_vec(),
@@ -362,18 +506,11 @@ impl CimNetwork {
                     }
                 }
                 Layer::Linear(lin) => {
-                    let (in_d, out_d) = lin.dims();
-                    let rows = (0..out_d)
-                        .map(|o| {
-                            quantize_weights(
-                                &lin.weight.data()[o * in_d..(o + 1) * in_d],
-                                mapping.weight_bits,
-                            )
-                        })
-                        .collect();
+                    let (in_dim, _) = lin.dims();
                     MappedLayer::Linear {
-                        rows,
+                        rows: lin.weight.data().chunks(in_dim).map(pack).collect(),
                         bias: lin.bias.data().to_vec(),
+                        in_dim,
                     }
                 }
                 other => MappedLayer::Passthrough(other.clone()),
@@ -402,7 +539,16 @@ impl CimNetwork {
 
     /// Runs inference with all inner products executed through the
     /// oracle. `seed` makes the stochastic readout reproducible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the oracle's row width differs from the mapping's.
     pub fn forward<O: MacOracle>(&self, x: &Tensor, oracle: &O, seed: u64) -> Tensor {
+        assert_eq!(
+            oracle.cells_per_row(),
+            self.mapping.cells_per_row,
+            "oracle row width does not match the mapping"
+        );
         // The per-image root: layer spans (and their MAC batches and
         // solves) nest under it, forming the network → layer → MAC
         // tree trace viewers reconstruct.
@@ -419,8 +565,9 @@ impl CimNetwork {
                     let _timer = self.telemetry.span("cim.conv2d");
                     self.conv_forward(&h, filters, bias, *in_channels, oracle, &mut rng)
                 }
-                MappedLayer::Linear { rows, bias } => {
+                MappedLayer::Linear { rows, bias, in_dim } => {
                     let _timer = self.telemetry.span("cim.linear");
+                    assert_eq!(h.len(), *in_dim, "linear input dim mismatch");
                     self.linear_forward(&h, rows, bias, oracle, &mut rng)
                 }
                 MappedLayer::Passthrough(l) => {
@@ -548,7 +695,7 @@ impl CimNetwork {
     fn conv_forward<O: MacOracle>(
         &self,
         x: &Tensor,
-        filters: &[QuantizedWeights],
+        filters: &[WeightPlanes],
         bias: &[f32],
         in_channels: usize,
         oracle: &O,
@@ -564,7 +711,9 @@ impl CimNetwork {
         let mut out = Tensor::zeros(&[filters.len(), h, w]);
         // Gather the quantized 3×3 patch per output pixel (im2col row).
         let mut patch = vec![0u8; in_channels * 9];
-        let mut scratch = DotScratch::default();
+        let mut patch_planes = Vec::new();
+        let mut reads = ReadBuffers::default();
+        let activation_bits = self.mapping.activation_bits;
         // One span per output row at Iterations detail only: per-pixel
         // MAC timing is diagnostic-grade and would multiply trace size.
         let fine_grained = self.telemetry.wants_iterations();
@@ -589,8 +738,22 @@ impl CimNetwork {
                         }
                     }
                 }
+                // Pack the patch once; every filter shares its planes.
+                pack_activations(
+                    &patch,
+                    activation_bits,
+                    self.mapping.cells_per_row,
+                    &mut patch_planes,
+                );
                 for (o, filter) in filters.iter().enumerate() {
-                    let acc = cim_dot_in(filter, &patch, &self.mapping, oracle, rng, &mut scratch);
+                    let acc = packed_dot(
+                        filter,
+                        &patch_planes,
+                        activation_bits,
+                        oracle,
+                        rng,
+                        &mut reads,
+                    );
                     *out.at3_mut(o, oy, ox) = acc as f32 * filter.scale * qa.scale + bias[o];
                 }
             }
@@ -601,29 +764,38 @@ impl CimNetwork {
     fn linear_forward<O: MacOracle>(
         &self,
         x: &Tensor,
-        rows: &[QuantizedWeights],
+        rows: &[WeightPlanes],
         bias: &[f32],
         oracle: &O,
         rng: &mut StdRng,
     ) -> Tensor {
         let _mac_span = self.telemetry.span("nn.mac_batch");
         let qa = quantize_activations(x.data(), self.mapping.activation_bits);
+        let mut input_planes = Vec::new();
+        pack_activations(
+            &qa.values,
+            self.mapping.activation_bits,
+            self.mapping.cells_per_row,
+            &mut input_planes,
+        );
         let mut out = Tensor::zeros(&[rows.len()]);
-        let mut scratch = DotScratch::default();
+        let mut reads = ReadBuffers::default();
         let fine_grained = self.telemetry.wants_iterations();
         for (o, row) in rows.iter().enumerate() {
             let _row_span = fine_grained.then(|| self.telemetry.span("nn.linear_row"));
-            let acc = cim_dot_in(row, &qa.values, &self.mapping, oracle, rng, &mut scratch);
+            let acc = packed_dot(
+                row,
+                &input_planes,
+                self.mapping.activation_bits,
+                oracle,
+                rng,
+                &mut reads,
+            );
             out.data_mut()[o] = acc as f32 * row.scale * qa.scale + bias[o];
         }
         out
     }
 }
-
-/// Keeps pools usable in [`MappedLayer::Passthrough`] without exposing
-/// layer internals.
-#[allow(dead_code)]
-fn _pool_type_check(_: MaxPool2d) {}
 
 #[cfg(test)]
 mod tests {
@@ -906,6 +1078,61 @@ mod tests {
             &CimMapping::default(),
             &IdealMac(4),
             &mut rng,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rows wider than 64 cells")]
+    fn map_rejects_rows_wider_than_a_plane() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let net = Network::new(vec![Layer::Linear(Linear::new(80, 2, &mut rng))]);
+        let mapping = CimMapping {
+            cells_per_row: 65,
+            ..CimMapping::default()
+        };
+        let _ = CimNetwork::map(&net, mapping);
+    }
+
+    #[test]
+    #[should_panic(expected = "oracle row width")]
+    fn forward_rejects_a_mismatched_oracle() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let net = Network::new(vec![Layer::Linear(Linear::new(16, 2, &mut rng))]);
+        let cim = CimNetwork::map(&net, CimMapping::default());
+        let _ = cim.forward(&Tensor::from_vec(&[16], vec![0.5; 16]), &IdealMac(4), 0);
+    }
+
+    #[test]
+    fn byte_table_popcount_matches_count_ones() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for width in 0..=64u32 {
+            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            let x = rng.random::<u64>() & mask;
+            assert_eq!(ones(x), x.count_ones() as usize, "{x:#x}");
+            assert_eq!(ones(mask), width as usize);
+        }
+    }
+
+    #[test]
+    fn zero_bit_operands_read_nothing() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let one_bit = QuantizedWeights {
+            values: vec![1, -1, 0, 1],
+            scale: 1.0,
+            bits: 1,
+        };
+        assert_eq!(
+            cim_dot(&one_bit, &[3; 4], &CimMapping::default(), &Noisy, &mut rng),
+            0
+        );
+        let no_activation_bits = CimMapping {
+            activation_bits: 0,
+            ..CimMapping::default()
+        };
+        let qw = quantize_weights(&[0.5, -0.25, 1.0, 0.1], 4);
+        assert_eq!(
+            cim_dot(&qw, &[3; 4], &no_activation_bits, &Noisy, &mut rng),
+            0
         );
     }
 }

@@ -29,6 +29,9 @@ cargo test -q --offline
 echo "==> telemetry + traceview suites (Prometheus golden, render proptest, trace CLI)"
 cargo test -q --offline -p ferrocim-telemetry -p ferrocim-traceview
 
+echo "==> nn + cim suites (CIM parity goldens, packed-kernel and sampling proptests)"
+cargo test -q --offline -p ferrocim-nn -p ferrocim-cim
+
 echo "==> failure-injection suite (full backtraces)"
 RUST_BACKTRACE=1 cargo test -q --offline -p ferrocim-spice --test failure_injection
 
