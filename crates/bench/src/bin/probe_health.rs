@@ -26,7 +26,9 @@ use ferrocim_bench::schema::{CertifiedQuality, GuardrailDemo, HealthOverhead, He
 use ferrocim_bench::{dump_json, Trace};
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::{mac_operands, ArrayConfig, CimArray};
-use ferrocim_spice::{Circuit, DcAnalysis, HealthPolicy, SolverConfig, SpiceError, Workspace};
+use ferrocim_spice::{
+    Circuit, DcAnalysis, HealthPolicy, RunContext, SolverConfig, SpiceError, Workspace,
+};
 use ferrocim_telemetry::{Aggregator, Recorder, Tee, Telemetry};
 use ferrocim_units::Farad;
 use std::sync::Arc;
@@ -79,13 +81,19 @@ fn time_dc_pair(ckt: &Circuit) -> Result<(f64, f64, ferrocim_spice::SolveQuality
         let mut ws = Workspace::with_solver(SolverConfig::sparse());
         let start = Instant::now();
         DcAnalysis::new(ckt)
-            .with_health(HealthPolicy::off())
+            .with_context(RunContext {
+                health: HealthPolicy::off(),
+                ..RunContext::default()
+            })
             .solve_in(&mut ws)?;
         best_off = best_off.min(start.elapsed().as_secs_f64());
         let mut ws = Workspace::with_solver(SolverConfig::sparse());
         let start = Instant::now();
         DcAnalysis::new(ckt)
-            .with_health(HealthPolicy::default())
+            .with_context(RunContext {
+                health: HealthPolicy::default(),
+                ..RunContext::default()
+            })
             .solve_in(&mut ws)?;
         best_on = best_on.min(start.elapsed().as_secs_f64());
         quality = ws.last_solve_quality();
@@ -154,8 +162,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut ws = Workspace::with_solver(SolverConfig::sparse());
     let refusal = DcAnalysis::new(&small_ckt)
-        .with_health(strict)
-        .with_recorder(tele)
+        .with_context(RunContext {
+            telemetry: tele,
+            health: strict,
+            ..RunContext::default()
+        })
         .solve_in(&mut ws);
     let (refused, reported_residual, cond_estimate) = match refusal {
         Err(SpiceError::UncertifiedSolve {

@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .with_recorder(tele.clone());
     let n = array.config().cells_per_row;
     let grid: Vec<Celsius> = GRID_C.iter().map(|&t| Celsius(t)).collect();
-    let surrogate = MacSurrogate::new(array.clone(), &grid)?.with_recorder(tele.clone());
+    let surrogate = MacSurrogate::new(array.clone(), &grid)?;
 
     // Calibrate the timed curve (a mixed weight pattern, so the probe
     // does not ride the all-ones special case) and record its cost.
@@ -175,9 +175,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Check mode: a fresh store (so check-mode live solves never
     // pollute the timing above) replays the mix under
     // `CheckPolicy::every(4)`.
-    let checker = MacSurrogate::new(array.clone(), &grid)?
-        .with_recorder(tele.clone())
-        .with_check(CheckPolicy::every(CHECK_EVERY));
+    let checker =
+        MacSurrogate::new(array.clone(), &grid)?.with_check(CheckPolicy::every(CHECK_EVERY));
     for (inputs, temp) in &mix {
         checker.evaluate(&weights, inputs, *temp)?;
     }

@@ -141,9 +141,9 @@ fn overhead() -> Result<Overhead, Box<dyn std::error::Error>> {
     let inputs: Vec<Vec<bool>> = (0..16)
         .map(|j| if j % 2 == 0 { a.clone() } else { b.clone() })
         .collect();
+    let noop_array = array.clone().with_recorder(Telemetry::to(NoopRecorder));
     let off_engine = ArrayEngine::new(&array, &weights)?;
-    let noop_engine =
-        ArrayEngine::new(&array, &weights)?.with_recorder(Telemetry::to(NoopRecorder));
+    let noop_engine = ArrayEngine::new(&noop_array, &weights)?;
     // Warm both paths (lazy allocations, CPU frequency).
     off_engine.mac_batch(&inputs, Celsius(27.0))?;
     noop_engine.mac_batch(&inputs, Celsius(27.0))?;

@@ -171,8 +171,9 @@ impl Trace {
         })
     }
 
-    /// The handle to thread into simulation builders (`with_recorder`)
-    /// and recorded entry points. Off when `--trace` was not given.
+    /// The handle to put in a run context's `telemetry` field (or pass
+    /// to `with_recorder`) and to recorded entry points. Off when
+    /// `--trace` was not given.
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
     }

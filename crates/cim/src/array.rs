@@ -24,8 +24,7 @@ use crate::cells::{CellContext, CellDesign, CellOffsets, CellWeight};
 use crate::fault::CellFault;
 use crate::CimError;
 use ferrocim_spice::{
-    Budget, Circuit, Element, HealthPolicy, NodeId, SolverConfig, SwitchSchedule,
-    TransientAnalysis, Waveform, Workspace,
+    Circuit, Element, NodeId, RunContext, SwitchSchedule, TransientAnalysis, Waveform, Workspace,
 };
 use ferrocim_telemetry::Telemetry;
 use ferrocim_units::{Celsius, Farad, Joule, Ohm, Second, Volt};
@@ -276,14 +275,9 @@ pub struct CimArray<C> {
     config: ArrayConfig,
     /// Per-column injected hardware faults (all `None` by default).
     faults: Vec<Option<CellFault>>,
-    /// Resource budget threaded into every underlying transient solve.
-    budget: Budget,
-    /// Telemetry handle threaded into every underlying solve.
-    telemetry: Telemetry,
-    /// Linear-solver selection for every workspace this array creates.
-    solver: SolverConfig,
-    /// Numerical-health policy threaded into every underlying solve.
-    health: HealthPolicy,
+    /// Budget, telemetry, solver selection and health policy threaded
+    /// into every underlying solve.
+    ctx: RunContext,
 }
 
 impl<C: CellDesign> CimArray<C> {
@@ -300,73 +294,39 @@ impl<C: CellDesign> CimArray<C> {
             cell,
             config,
             faults,
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: SolverConfig::auto(),
-            health: HealthPolicy::default(),
+            ctx: RunContext::default(),
         })
     }
 
-    /// Attaches a resource [`Budget`]: every underlying transient solve
-    /// charges Newton iterations and time steps against it, so a
-    /// deadline or cancellation aborts a MAC mid-solve with a typed
-    /// [`ferrocim_spice::SpiceError`] wrapped in [`CimError::Spice`].
-    /// Clones of the budget share one spend pool, so the same budget
-    /// can govern a whole fleet of arrays and engines.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+    /// Replaces the whole [`RunContext`] threaded into every underlying
+    /// solve (see [`RunContext`]). Batch layers built on this array
+    /// ([`crate::ArrayEngine`], [`crate::Crossbar`], the surrogate) run
+    /// under the same context. An exhausted budget or a cancellation
+    /// aborts a MAC mid-solve with a typed
+    /// [`ferrocim_spice::SpiceError`] wrapped in [`CimError::Spice`];
+    /// clones of one budget share a spend pool, so the same budget can
+    /// govern a whole fleet of arrays. A `solver: None` keeps
+    /// [`ferrocim_spice::SolverConfig::auto`], which keeps the paper's
+    /// 8-cell rows on the dense path and switches wide rows to the
+    /// sparse KLU-style backend.
+    pub fn with_context(mut self, ctx: RunContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
-    /// The attached resource budget (unlimited by default).
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// Attaches a telemetry handle: every underlying transient solve
-    /// reports its Newton iterations and accepted steps through it, and
-    /// batch layers built on this array additionally emit
-    /// [`ferrocim_telemetry::Event::MacIssued`] per batch. The default handle is off and
-    /// adds no measurable cost.
+    /// Replaces only the context's telemetry handle: every underlying
+    /// transient solve reports its Newton iterations and accepted steps
+    /// through it, and batch layers built on this array additionally
+    /// emit [`ferrocim_telemetry::Event::MacIssued`] per batch. The
+    /// default handle is off and adds no measurable cost.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.ctx.telemetry = telemetry;
         self
     }
 
-    /// The attached telemetry handle (off by default).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Selects the linear-solver backend (see
-    /// [`ferrocim_spice::SolverConfig`]) for every workspace this array
-    /// allocates. The default is [`SolverConfig::auto`], which keeps
-    /// the paper's 8-cell rows on the dense path and switches wide rows
-    /// (hundreds of cells, VGG-scale layers) to the sparse KLU-style
-    /// backend. Batch layers built on this array inherit the choice.
-    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// The configured linear-solver selection.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.solver
-    }
-
-    /// Overrides the numerical-health policy (see
-    /// [`ferrocim_spice::HealthPolicy`]): per-solve residual
-    /// certification, bounded iterative refinement, and the solver
-    /// degradation ladder. The default policy is on; batch layers
-    /// built on this array inherit the choice.
-    pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// The configured numerical-health policy.
-    pub fn health_policy(&self) -> HealthPolicy {
-        self.health
+    /// The context threaded into this array's solves.
+    pub fn context(&self) -> &RunContext {
+        &self.ctx
     }
 
     /// Installs per-column hardware faults (one entry per cell; `None`
@@ -453,7 +413,7 @@ impl<C: CellDesign> CimArray<C> {
     /// weights, inputs, or offsets do not match the row width, or
     /// propagates simulation failures.
     pub fn run(&self, request: &MacRequest) -> Result<MacOutput, CimError> {
-        self.run_in(request, &mut Workspace::with_solver(self.solver))
+        self.run_in(request, &mut Workspace::new())
     }
 
     /// [`CimArray::run`] with a caller-owned solver [`Workspace`], so
@@ -648,17 +608,14 @@ impl<C: CellDesign> CimArray<C> {
         weights: &[CellWeight],
         inputs: &[bool],
         temp: Celsius,
-        budget: &Budget,
-        tele: &Telemetry,
+        ctx: &RunContext,
         ws: &mut Workspace,
     ) -> Result<MacOutput, CimError> {
         let t_stop = self.config.latency();
         let result = TransientAnalysis::over(ckt, t_stop)
             .with_fixed_step(self.config.dt)
             .at(temp)
-            .with_budget(budget.clone())
-            .with_recorder(tele.clone())
-            .with_health(self.health)
+            .with_context(ctx.clone())
             .run_in(ws)?;
         // Cell voltages at the end of the charge phase (the sample
         // closest to t_charge from below).
@@ -693,17 +650,7 @@ impl<C: CellDesign> CimArray<C> {
         ws: &mut Workspace,
     ) -> Result<MacOutput, CimError> {
         let (ckt, outs, acc) = self.build_row_circuit(weights, inputs, offsets)?;
-        self.eval_row_transient(
-            &ckt,
-            &outs,
-            acc,
-            weights,
-            inputs,
-            temp,
-            &self.budget,
-            &self.telemetry,
-            ws,
-        )
+        self.eval_row_transient(&ckt, &outs, acc, weights, inputs, temp, &self.ctx, ws)
     }
 
     /// The fast path behind [`MacPath::Analytic`]: each cell is
@@ -791,7 +738,7 @@ impl<C: CellDesign> CimArray<C> {
     /// Propagates simulation failures.
     pub fn level_voltages(&self, temp: Celsius) -> Result<Vec<Volt>, CimError> {
         let n = self.config.cells_per_row;
-        let mut ws = Workspace::with_solver(self.solver);
+        let mut ws = Workspace::new();
         let (v_on, _) =
             self.single_cell_charge(true, true, temp, &CellOffsets::NOMINAL, &mut ws)?;
         let (v_off, _) =
@@ -830,7 +777,7 @@ impl<C: CellDesign> CimArray<C> {
             },
         ];
         let mut var = [0.0f64; 2];
-        let mut ws = Workspace::with_solver(self.solver);
+        let mut ws = Workspace::new();
         for (slot, &on) in [true, false].iter().enumerate() {
             for plus in &axes {
                 let minus = CellOffsets {
@@ -898,9 +845,7 @@ impl<C: CellDesign> CimArray<C> {
         let result = TransientAnalysis::over(&ckt, self.config.t_charge)
             .with_fixed_step(self.config.dt)
             .at(temp)
-            .with_budget(self.budget.clone())
-            .with_recorder(self.telemetry.clone())
-            .with_health(self.health)
+            .with_context(self.ctx.clone())
             .run_in(ws)?;
         Ok((
             result.final_voltage(out).value() - bias.v_sl.value(),

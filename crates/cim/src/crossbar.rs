@@ -14,7 +14,8 @@ use crate::fault::{CellFault, FaultPlan};
 use crate::transfer::Adc;
 use crate::CimError;
 use ferrocim_spice::{
-    apply_policy, try_fan_out, Budget, FailurePolicy, FanOutError, FanOutReport, JobError,
+    apply_policy, try_fan_out, FailurePolicy, FanOutError, FanOutReport, JobError, RunContext,
+    Workspace,
 };
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Celsius, Joule, Volt};
@@ -41,10 +42,6 @@ pub struct Crossbar<C> {
     /// Faulted hardware clones for rows the plan touches; fault-free
     /// rows stay `None` and share `array`.
     row_arrays: Vec<Option<CimArray<C>>>,
-    /// Resource budget governing every matrix–vector product.
-    budget: Budget,
-    /// Telemetry handle shared with the row hardware.
-    telemetry: Telemetry,
 }
 
 impl<C: CellDesign> Crossbar<C> {
@@ -69,74 +66,37 @@ impl<C: CellDesign> Crossbar<C> {
         Ok(Crossbar {
             faults: FaultPlan::none(rows, n),
             row_arrays: (0..rows).map(|_| None).collect(),
-            budget: array.budget().clone(),
-            telemetry: array.telemetry().clone(),
             array,
             rows: vec![vec![CellWeight::Bit(false); n]; rows],
             adc,
         })
     }
 
-    /// Attaches a resource [`Budget`]: one step is charged per unique
-    /// row-MAC job, every underlying solver iteration counts against
-    /// the shared pool, and a deadline or cancellation aborts the
-    /// product with a typed error. The budget is propagated to the row
-    /// hardware (including faulted row clones), so solver-level charges
-    /// land in the same pool as the per-job charges.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.array = self.array.with_budget(budget.clone());
+    /// Replaces the whole [`RunContext`] on the row hardware, including
+    /// faulted row clones, so every matrix–vector product runs under it:
+    /// one budget step is charged per unique row-MAC job, solver-level
+    /// charges and events land in the same pool and recorder, and each
+    /// product emits one [`Event::MacIssued`] covering its row-MAC jobs
+    /// (batch paths also report how many unique simulations were
+    /// actually solved).
+    pub fn with_context(mut self, ctx: RunContext) -> Self {
         self.row_arrays = self
             .row_arrays
             .into_iter()
-            .map(|ra| ra.map(|a| a.with_budget(budget.clone())))
+            .map(|ra| ra.map(|a| a.with_context(ctx.clone())))
             .collect();
-        self.budget = budget;
+        self.array = self.array.with_context(ctx);
         self
     }
 
-    /// Attaches a telemetry handle: each matrix–vector product emits one
-    /// [`Event::MacIssued`] covering its row-MAC jobs (batch paths also
-    /// report how many unique simulations were actually solved), and
-    /// the handle is propagated to the row hardware — including faulted
-    /// row clones — so solver-level events land on the same recorder.
-    pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.array = self.array.with_recorder(telemetry.clone());
-        self.row_arrays = self
-            .row_arrays
-            .into_iter()
-            .map(|ra| ra.map(|a| a.with_recorder(telemetry.clone())))
-            .collect();
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Selects the linear-solver backend (see
-    /// [`ferrocim_spice::SolverConfig`]) for every row-MAC workspace,
-    /// propagated to the row hardware — including faulted row clones —
-    /// so each worker's workspace picks the same backend. The default
-    /// is the row array's own selection (auto by size).
-    pub fn with_solver(mut self, solver: ferrocim_spice::SolverConfig) -> Self {
-        self.array = self.array.with_solver(solver);
-        self.row_arrays = self
-            .row_arrays
-            .into_iter()
-            .map(|ra| ra.map(|a| a.with_solver(solver)))
-            .collect();
-        self
-    }
-
-    /// Overrides the numerical-health policy (see
-    /// [`ferrocim_spice::HealthPolicy`]) for every row-MAC solve,
-    /// propagated to the row hardware — including faulted row clones.
-    /// The default policy is on.
-    pub fn with_health(mut self, health: ferrocim_spice::HealthPolicy) -> Self {
-        self.array = self.array.with_health(health);
-        self.row_arrays = self
-            .row_arrays
-            .into_iter()
-            .map(|ra| ra.map(|a| a.with_health(health)))
-            .collect();
-        self
+    /// Replaces only the context's telemetry handle (see
+    /// [`Crossbar::with_context`]).
+    pub fn with_recorder(self, telemetry: Telemetry) -> Self {
+        let ctx = RunContext {
+            telemetry,
+            ..self.array.context().clone()
+        };
+        self.with_context(ctx)
     }
 
     /// Installs a fault plan: every cell fault in `plan` is applied to
@@ -280,18 +240,19 @@ impl<C: CellDesign> Crossbar<C> {
             });
         }
         let row_jobs = self.rows.len() as u64;
-        let _span = self.telemetry.span("cim.matvec");
-        self.telemetry.emit(|| Event::MacIssued {
+        let ctx = self.array.context();
+        let _span = ctx.telemetry.span("cim.matvec");
+        ctx.telemetry.emit(|| Event::MacIssued {
             jobs: row_jobs,
             solves: row_jobs,
         });
         let mut digital = Vec::with_capacity(self.rows.len());
         let mut analog = Vec::with_capacity(self.rows.len());
         let mut energy = 0.0;
-        let mut ws = ferrocim_spice::Workspace::with_solver(self.array.solver_config());
+        let mut ws = Workspace::new();
         for (r, weights) in self.rows.iter().enumerate() {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            ctx.budget.check()?;
+            ctx.budget.charge_steps(1)?;
             let request = MacRequest::new(inputs)
                 .weighted(weights)
                 .at(temp)
@@ -337,28 +298,24 @@ impl<C: CellDesign> Crossbar<C> {
         let (unique, slot_of) = self.dedupe_row_jobs(inputs);
         let job_count = (inputs.len() * self.rows.len()) as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let ctx = self.array.context();
+        let batch_span = ctx.telemetry.span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        ctx.telemetry.emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
-        let solved = ferrocim_spice::fan_out(
-            unique.len(),
-            true,
-            || ferrocim_spice::Workspace::with_solver(self.array.solver_config()),
-            |ws, u| {
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
-                let (i, r) = unique[u];
-                let request = MacRequest::new(&inputs[i])
-                    .weighted(&self.rows[r])
-                    .at(temp)
-                    .path(MacPath::Analytic);
-                self.row_array(r).run_in(&request, ws)
-            },
-        );
+        let solved = ferrocim_spice::fan_out(unique.len(), true, Workspace::new, |ws, u| {
+            let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
+            ctx.budget.check()?;
+            ctx.budget.charge_steps(1)?;
+            let (i, r) = unique[u];
+            let request = MacRequest::new(&inputs[i])
+                .weighted(&self.rows[r])
+                .at(temp)
+                .path(MacPath::Analytic);
+            self.row_array(r).run_in(&request, ws)
+        });
         let mut row_macs = Vec::with_capacity(unique.len());
         for result in solved {
             row_macs.push(result?);
@@ -437,9 +394,10 @@ impl<C: CellDesign> Crossbar<C> {
         let (unique, slot_of) = self.dedupe_row_jobs(inputs);
         let job_count = (inputs.len() * self.rows.len()) as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let ctx = self.array.context();
+        let batch_span = ctx.telemetry.span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        ctx.telemetry.emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
@@ -449,11 +407,11 @@ impl<C: CellDesign> Crossbar<C> {
             &FailurePolicy::SkipAndReport {
                 max_failures: usize::MAX,
             },
-            || ferrocim_spice::Workspace::with_solver(self.array.solver_config()),
+            Workspace::new,
             |ws, u| {
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
+                let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
+                ctx.budget.check()?;
+                ctx.budget.charge_steps(1)?;
                 let (i, r) = unique[u];
                 if inputs[i].len() != self.columns() {
                     return Err(CimError::MismatchedOperands {
@@ -505,7 +463,7 @@ impl<C: CellDesign> Crossbar<C> {
         let report = apply_policy(results, failures, policy)?;
         if matches!(policy, FailurePolicy::Substitute(_)) && report.failures > 0 {
             let substituted = report.failures as u64;
-            self.telemetry.emit(|| Event::FaultSubstituted {
+            ctx.telemetry.emit(|| Event::FaultSubstituted {
                 substitute: substituted,
             });
         }

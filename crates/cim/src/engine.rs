@@ -22,10 +22,10 @@ use crate::array::{CimArray, MacOutput, MacPath, MacRequest};
 use crate::cells::{CellDesign, CellOffsets, CellWeight};
 use crate::CimError;
 use ferrocim_spice::{
-    apply_policy, fan_out, try_fan_out, Budget, Circuit, FailurePolicy, FanOutError, FanOutReport,
-    JobError, NodeId, SolverConfig, Workspace,
+    apply_policy, fan_out, try_fan_out, Circuit, FailurePolicy, FanOutError, FanOutReport,
+    JobError, NodeId, Workspace,
 };
-use ferrocim_telemetry::{Event, Telemetry};
+use ferrocim_telemetry::Event;
 use ferrocim_units::Celsius;
 
 /// A reusable batched-MAC executor over one set of stored weights.
@@ -33,6 +33,13 @@ use ferrocim_units::Celsius;
 /// Build it once per weight vector, then feed it slices of input
 /// vectors with [`ArrayEngine::mac_batch`] (one temperature) or
 /// [`ArrayEngine::mac_batch_grid`] (a temperature grid).
+///
+/// Every path — batch and serial — runs under its array's
+/// [`ferrocim_spice::RunContext`] (see [`CimArray::with_context`]): one
+/// budget step is charged per unique simulation, every Newton iteration
+/// counts against the same pool, and each batch emits one
+/// [`Event::MacIssued`] carrying the requested job count and the number
+/// of unique simulations actually solved.
 ///
 /// # Examples
 ///
@@ -65,9 +72,6 @@ pub struct ArrayEngine<'a, C> {
     outs: Vec<NodeId>,
     acc: NodeId,
     parallel: bool,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: SolverConfig,
 }
 
 impl<'a, C: CellDesign> ArrayEngine<'a, C> {
@@ -117,45 +121,12 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             outs,
             acc,
             parallel: true,
-            budget: array.budget().clone(),
-            telemetry: array.telemetry().clone(),
-            solver: array.solver_config(),
         })
     }
 
     /// Disables the thread fan-out; jobs run on the calling thread.
     pub fn sequential(mut self) -> Self {
         self.parallel = false;
-        self
-    }
-
-    /// Attaches a resource [`Budget`] governing every batch: one step
-    /// is charged per unique simulation, every Newton iteration counts
-    /// against the shared pool, and a deadline or cancellation aborts
-    /// the fan-out with a typed error. By default the engine inherits
-    /// the array's budget (the two then share one spend pool).
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a telemetry handle: each batch emits one
-    /// [`Event::MacIssued`] carrying the requested job count and the
-    /// number of unique simulations actually solved, and every
-    /// underlying transient solve reports through the same handle. By
-    /// default the engine inherits the array's handle.
-    pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Selects the linear-solver backend for every worker-thread
-    /// [`Workspace`] (see [`SolverConfig`]). By default the engine
-    /// inherits the array's selection; the sparse backend runs one
-    /// symbolic analysis per worker and reuses it across the worker's
-    /// whole chunk of jobs — the row topology never changes in a batch.
-    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -248,23 +219,24 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         }
         let job_count = jobs.len() as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let ctx = self.array.context();
+        let batch_span = ctx.telemetry.span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        ctx.telemetry.emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
         let results = fan_out(
             unique.len(),
             self.parallel,
-            || (Workspace::with_solver(self.solver), self.base.clone()),
+            || (Workspace::new(), self.base.clone()),
             |(ws, ckt), u| {
                 // Parent this worker-side solve under the issuing batch
                 // span: fan_out workers run on their own threads, so
                 // the thread-local parent chain must be bridged by id.
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
+                let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
+                ctx.budget.check()?;
+                ctx.budget.charge_steps(1)?;
                 let (i, t) = unique[u];
                 self.array.retarget_inputs(ckt, &inputs[i])?;
                 self.array.eval_row_transient(
@@ -274,8 +246,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
                     &self.weights,
                     &inputs[i],
                     t,
-                    &self.budget,
-                    &self.telemetry,
+                    ctx,
                     ws,
                 )
             },
@@ -326,9 +297,10 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         // deduplicated simulations.
         let job_count = inputs.len() as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let ctx = self.array.context();
+        let batch_span = ctx.telemetry.span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        ctx.telemetry.emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
@@ -338,11 +310,11 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             &FailurePolicy::SkipAndReport {
                 max_failures: usize::MAX,
             },
-            || (Workspace::with_solver(self.solver), self.base.clone()),
+            || (Workspace::new(), self.base.clone()),
             |(ws, ckt), u| {
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
+                let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
+                ctx.budget.check()?;
+                ctx.budget.charge_steps(1)?;
                 let i = unique[u];
                 if inputs[i].len() != n {
                     return Err(CimError::MismatchedOperands {
@@ -359,8 +331,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
                     &self.weights,
                     &inputs[i],
                     temp,
-                    &self.budget,
-                    &self.telemetry,
+                    ctx,
                     ws,
                 )
             },
@@ -373,7 +344,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         let report = apply_policy(results, failures, policy)?;
         if matches!(policy, FailurePolicy::Substitute(_)) && report.failures > 0 {
             let substituted = report.failures as u64;
-            self.telemetry.emit(|| Event::FaultSubstituted {
+            ctx.telemetry.emit(|| Event::FaultSubstituted {
                 substitute: substituted,
             });
         }
@@ -381,7 +352,8 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
     }
 
     /// The per-call reference this engine accelerates: one
-    /// [`CimArray::run`] per job, sharing nothing. Used by the
+    /// [`CimArray::run`] per job, sharing nothing but the array's
+    /// context. Used by the
     /// equivalence tests and the throughput benchmark.
     ///
     /// # Errors

@@ -66,7 +66,13 @@ pub use engine::ArrayEngine;
 pub use error::CimError;
 pub use fault::{CellFault, FaultPlan};
 
-/// Re-exported telemetry handle: [`CimArray`], [`ArrayEngine`], and
-/// [`Crossbar`] all accept one via their `with_recorder` builders (see
-/// [`ferrocim_telemetry`] for recorders, aggregation, and trace sinks).
+/// Re-exported run context: [`CimArray::with_context`] and
+/// [`Crossbar::with_context`] set the budget, telemetry, solver and
+/// health policy every solve below them runs under; [`ArrayEngine`]
+/// runs under its array's context.
+pub use ferrocim_spice::RunContext;
+/// Re-exported telemetry handle: [`CimArray`] and [`Crossbar`] accept
+/// one via `with_recorder`, the shorthand for replacing only the
+/// context's telemetry (see [`ferrocim_telemetry`] for recorders,
+/// aggregation, and trace sinks).
 pub use ferrocim_telemetry::Telemetry;

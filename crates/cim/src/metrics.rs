@@ -208,7 +208,7 @@ impl EnergyReport {
     ) -> Result<EnergyReport, CimError> {
         let n = array.config().cells_per_row;
         let mut per_mac = Vec::with_capacity(n + 1);
-        let mut ws = ferrocim_spice::Workspace::with_solver(array.solver_config());
+        let mut ws = ferrocim_spice::Workspace::new();
         for k in 0..=n {
             let (w, x) = mac_operands(n, k);
             let request = crate::MacRequest::new(&x).weights(&w).at(temp);

@@ -50,7 +50,7 @@ impl Adc {
     ) -> Result<Adc, CimError> {
         // Calibration issues live transient solves; the span keeps them
         // parented in the trace instead of appearing as roots.
-        let _span = array.telemetry().span("cim.adc_calibrate");
+        let _span = array.context().telemetry.span("cim.adc_calibrate");
         let levels: Vec<Volt> = array.level_voltages(reference)?;
         Ok(Self::from_levels(levels))
     }
@@ -66,7 +66,7 @@ impl Adc {
         array: &CimArray<C>,
         temps: &[Celsius],
     ) -> Result<Adc, CimError> {
-        let _span = array.telemetry().span("cim.adc_calibrate");
+        let _span = array.context().telemetry.span("cim.adc_calibrate");
         let table = crate::metrics::RangeTable::measure(array, temps)?;
         Ok(Self::from_range_table(&table))
     }
@@ -200,7 +200,7 @@ impl TransferModel {
         // the trace tree attributes them to the transfer measurement.
         // Samples run on fan-out worker threads, so each one bridges
         // back to this parent explicitly via `span_under`.
-        let measure_span = array.telemetry().span("cim.transfer_measure");
+        let measure_span = array.context().telemetry.span("cim.transfer_measure");
         let measure_id = measure_span.id();
         let adc = match config.tracking {
             AdcTracking::Global => {
@@ -214,7 +214,10 @@ impl TransferModel {
             let (w, x) = mac_operands(n, k);
             let mc = MonteCarlo::new(config.samples_per_level, config.seed ^ (k as u64) << 32);
             let reads: Vec<Result<usize, CimError>> = mc.run(|_, rng| {
-                let _sample_span = array.telemetry().span_under("cim.mac_sample", measure_id);
+                let _sample_span = array
+                    .context()
+                    .telemetry
+                    .span_under("cim.mac_sample", measure_id);
                 let mut sampler = GaussianSampler::new();
                 let offsets: Vec<CellOffsets> = (0..n)
                     .map(|_| CellOffsets {

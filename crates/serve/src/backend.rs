@@ -24,7 +24,9 @@
 
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::transfer::Adc;
-use ferrocim_cim::{mac_operands, ArrayConfig, CimArray, CimError, MacPath, MacRequest};
+use ferrocim_cim::{
+    mac_operands, ArrayConfig, CimArray, CimError, MacPath, MacRequest, RunContext,
+};
 use ferrocim_spice::Budget;
 use ferrocim_surrogate::{CalibratedCurve, CheckPolicy, MacSurrogate, SurrogateError};
 use ferrocim_telemetry::Telemetry;
@@ -178,13 +180,11 @@ impl CimBackend {
             TwoTransistorOneFefet::paper_default(),
             ArrayConfig::paper_default(),
         )?
-        .with_recorder(telemetry.clone());
+        .with_recorder(telemetry);
         let adc = Adc::calibrate(&array, Celsius::ROOM)?;
         let levels = array.level_voltages(Celsius::ROOM)?;
         let grid: Vec<Celsius> = SURROGATE_GRID_C.iter().map(|&t| Celsius(t)).collect();
-        let mut surrogate = MacSurrogate::new(array.clone(), &grid)
-            .map_err(cim_error)?
-            .with_recorder(telemetry);
+        let mut surrogate = MacSurrogate::new(array.clone(), &grid).map_err(cim_error)?;
         if check_every > 0 {
             surrogate = surrogate.with_check(CheckPolicy::every(check_every as u64));
         }
@@ -210,7 +210,10 @@ impl MacBackend for CimBackend {
         // Cloning the array shares nothing mutable (it is a value-type
         // netlist description); attaching the request budget threads
         // the deadline and cancel token into every transient step.
-        let array = self.array.clone().with_budget(request.budget.clone());
+        let array = self.array.clone().with_context(RunContext {
+            budget: request.budget.clone(),
+            ..self.array.context().clone()
+        });
         let output = array.run(
             &MacRequest::new(&request.inputs)
                 .weights(&request.weights)

@@ -1,11 +1,9 @@
 //! DC operating-point analysis.
 
-use crate::health::HealthPolicy;
 use crate::mna::{newton_solve_in, CapMode, Layout, NewtonOptions, SolveSettings};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::rescue::{is_rescuable, rescue_solve, RescuePolicy, RescueReport};
-use crate::solver::SolverConfig;
-use crate::{Budget, SpiceError, Workspace};
+use crate::{RunContext, SpiceError, Workspace};
 use ferrocim_telemetry::Telemetry;
 use ferrocim_units::{Ampere, Celsius, Second, Volt};
 use std::collections::HashMap;
@@ -109,10 +107,7 @@ pub struct DcAnalysis<'a> {
     options: NewtonOptions,
     initial_guess: Option<Vec<f64>>,
     rescue: RescuePolicy,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: Option<SolverConfig>,
-    health: HealthPolicy,
+    ctx: RunContext,
 }
 
 impl<'a> DcAnalysis<'a> {
@@ -125,10 +120,7 @@ impl<'a> DcAnalysis<'a> {
             options: NewtonOptions::default(),
             initial_guess: None,
             rescue: RescuePolicy::default(),
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: None,
-            health: HealthPolicy::default(),
+            ctx: RunContext::default(),
         }
     }
 
@@ -151,35 +143,18 @@ impl<'a> DcAnalysis<'a> {
         self
     }
 
-    /// Attaches a resource [`Budget`]. Newton iterations (including
-    /// rescue-ladder retries) are charged against it, and the solve
-    /// aborts with [`SpiceError::BudgetExceeded`] /
-    /// [`SpiceError::Cancelled`] once it is exhausted.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+    /// Replaces the whole [`RunContext`]: the solve's budget (Newton
+    /// iterations, including rescue-ladder retries, are charged against
+    /// it), telemetry, linear-solver selection and health policy.
+    pub fn with_context(mut self, ctx: RunContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
-    /// Attaches a telemetry handle: the solve emits Newton-iteration
-    /// and rescue-ladder events through it (see `ferrocim_telemetry`).
+    /// Replaces only the context's telemetry handle: the solve emits
+    /// Newton-iteration and rescue-ladder events through it.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Selects the linear-solver backend (see [`SolverConfig`]). When
-    /// not set, a solve leaves its [`Workspace`]'s own configuration in
-    /// force — [`SolverConfig::auto`] for a fresh workspace.
-    pub fn with_solver(mut self, config: SolverConfig) -> Self {
-        self.solver = Some(config);
-        self
-    }
-
-    /// Overrides the numerical-health policy (see [`HealthPolicy`]).
-    /// The default certifies every linear solve; pass
-    /// [`HealthPolicy::off`] for the historical uncertified behaviour.
-    pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
+        self.ctx.telemetry = telemetry;
         self
     }
 
@@ -214,8 +189,8 @@ impl<'a> DcAnalysis<'a> {
     ///
     /// Same as [`DcAnalysis::solve`].
     pub fn solve_in(&self, ws: &mut Workspace) -> Result<OperatingPoint, SpiceError> {
-        let _span = self.telemetry.span("spice.dc");
-        if let Some(config) = self.solver {
+        let _span = self.ctx.telemetry.span("spice.dc");
+        if let Some(config) = self.ctx.solver {
             ws.set_solver(config);
         }
         let layout = Layout::of(self.circuit);
@@ -233,9 +208,7 @@ impl<'a> DcAnalysis<'a> {
             &SolveSettings::NOMINAL,
             &mut x,
             &self.options,
-            &self.budget,
-            &self.telemetry,
-            &self.health,
+            &self.ctx,
             ws,
         ) {
             Ok(iterations) => RescueReport::plain(iterations),
@@ -249,9 +222,7 @@ impl<'a> DcAnalysis<'a> {
                 &initial,
                 &self.options,
                 &self.rescue,
-                &self.budget,
-                &self.telemetry,
-                &self.health,
+                &self.ctx,
                 ws,
                 err,
             )?,

@@ -5,8 +5,7 @@
 use crate::dc::{DcAnalysis, OperatingPoint};
 use crate::mna::NewtonOptions;
 use crate::netlist::{Circuit, Element};
-use crate::solver::SolverConfig;
-use crate::{Budget, SpiceError, Waveform, Workspace};
+use crate::{RunContext, SpiceError, Waveform, Workspace};
 use ferrocim_telemetry::Telemetry;
 use ferrocim_units::{Celsius, Volt};
 
@@ -46,9 +45,7 @@ pub struct DcSweep<'a> {
     values: Vec<Volt>,
     temp: Celsius,
     options: NewtonOptions,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: Option<SolverConfig>,
+    ctx: RunContext,
 }
 
 impl<'a> DcSweep<'a> {
@@ -60,9 +57,7 @@ impl<'a> DcSweep<'a> {
             values,
             temp: Celsius::ROOM,
             options: NewtonOptions::default(),
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: None,
+            ctx: RunContext::default(),
         }
     }
 
@@ -78,28 +73,21 @@ impl<'a> DcSweep<'a> {
         self
     }
 
-    /// Attaches a resource [`Budget`]: one step is charged per sweep
-    /// point and every Newton iteration counts against the pool, so a
-    /// deadline or cancellation aborts mid-sweep with a typed error.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+    /// Replaces the whole [`RunContext`], forwarded to every per-point
+    /// DC solve. One budget step is charged per sweep point on top of
+    /// the solves' Newton iterations; a solver selection applies to the
+    /// sweep's shared [`Workspace`], whose sparse symbolic analysis runs
+    /// once at the first point and is reused for every later one.
+    pub fn with_context(mut self, ctx: RunContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
-    /// Attaches a telemetry handle forwarded to every per-point DC
-    /// solve, so a recorder observes the warm-started Newton work of
-    /// the whole sweep. The default handle is off.
+    /// Replaces only the context's telemetry handle, so a recorder
+    /// observes the warm-started Newton work of the whole sweep. The
+    /// default handle is off.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Selects the linear-solver backend for the sweep's shared
-    /// [`Workspace`] (see [`SolverConfig`]). The sparse backend runs
-    /// its symbolic analysis once at the first point and reuses it for
-    /// every later one — the topology never changes across a sweep.
-    pub fn with_solver(mut self, config: SolverConfig) -> Self {
-        self.solver = Some(config);
+        self.ctx.telemetry = telemetry;
         self
     }
 
@@ -119,17 +107,14 @@ impl<'a> DcSweep<'a> {
                 })
             }
         }
-        let _span = self.telemetry.span("spice.dcsweep");
+        let _span = self.ctx.telemetry.span("spice.dcsweep");
         let mut working = self.circuit.clone();
         let mut results = Vec::with_capacity(self.values.len());
-        let mut ws = match self.solver {
-            Some(config) => Workspace::with_solver(config),
-            None => Workspace::new(),
-        };
+        let mut ws = Workspace::new();
         let mut previous: Option<OperatingPoint> = None;
         for &value in &self.values {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            self.ctx.budget.check()?;
+            self.ctx.budget.charge_steps(1)?;
             if let Some(Element::VoltageSource { waveform, .. }) = working.element_mut(&self.source)
             {
                 *waveform = Waveform::dc(value);
@@ -137,8 +122,7 @@ impl<'a> DcSweep<'a> {
             let cold = DcAnalysis::new(&working)
                 .at(self.temp)
                 .with_options(self.options)
-                .with_budget(self.budget.clone())
-                .with_recorder(self.telemetry.clone());
+                .with_context(self.ctx.clone());
             let op = match &previous {
                 Some(prev) => {
                     match cold.clone().warm_start(prev).solve_in(&mut ws) {

@@ -20,13 +20,13 @@
 //! allocating path.
 
 use crate::dc::{DcAnalysis, OperatingPoint};
-use crate::health::{HealthPolicy, SolveQuality};
+use crate::health::SolveQuality;
 use crate::mna::NewtonOptions;
 use crate::netlist::Circuit;
 use crate::rescue::RescuePolicy;
 use crate::solver::{FillOrdering, LinearSystem, SolverConfig, SolverKind, SolverState};
 use crate::transient::{AdaptiveOptions, Integrator, TransientAnalysis, TransientResult};
-use crate::{Budget, SpiceError};
+use crate::{RunContext, SpiceError};
 use ferrocim_telemetry::{DegradeStageKind, SolverBackend, Telemetry};
 use ferrocim_units::{Celsius, Second};
 
@@ -269,9 +269,7 @@ pub struct SimEngine {
     options: NewtonOptions,
     integrator: Integrator,
     rescue: Option<RescuePolicy>,
-    budget: Budget,
-    telemetry: Telemetry,
-    health: HealthPolicy,
+    ctx: RunContext,
     workspace: Workspace,
     last_op: Option<OperatingPoint>,
 }
@@ -311,59 +309,26 @@ impl SimEngine {
         self
     }
 
-    /// Attaches a resource [`Budget`] governing every solve issued
-    /// through this engine. An exhausted budget surfaces as
-    /// [`SpiceError::BudgetExceeded`] / [`SpiceError::Cancelled`] from
-    /// the analysis in flight.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+    /// Replaces the whole [`RunContext`] forwarded to every DC and
+    /// transient analysis issued through this engine: one budget spans
+    /// a whole warm-started campaign, and a solver selection applies to
+    /// the engine's [`Workspace`].
+    pub fn with_context(mut self, ctx: RunContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
-    /// The budget governing this engine's solves.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// Attaches a telemetry handle forwarded to every DC and transient
-    /// analysis issued through this engine, so one recorder observes a
-    /// whole warm-started campaign. The default handle is off.
+    /// Replaces only the context's telemetry handle, so one recorder
+    /// observes a whole warm-started campaign. The default handle is
+    /// off.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.ctx.telemetry = telemetry;
         self
     }
 
-    /// Overrides the numerical-health policy forwarded to every solve
-    /// issued through this engine. The default certifies every linear
-    /// solve ([`HealthPolicy::default`]); pass [`HealthPolicy::off`]
-    /// for the historical uncertified behaviour.
-    pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// The health policy forwarded to this engine's analyses.
-    pub fn health_policy(&self) -> HealthPolicy {
-        self.health
-    }
-
-    /// Selects the linear-solver backend for every solve issued through
-    /// this engine (applied to the engine's [`Workspace`]). The default
-    /// is [`SolverConfig::auto`]: dense for small circuits, sparse from
-    /// [`SolverConfig::AUTO_SPARSE_THRESHOLD`] unknowns up.
-    pub fn with_solver(mut self, config: SolverConfig) -> Self {
-        self.workspace.set_solver(config);
-        self
-    }
-
-    /// The solver configuration applied to this engine's workspace.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.workspace.solver_config()
-    }
-
-    /// The telemetry handle forwarded to this engine's analyses.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// The context forwarded to this engine's analyses.
+    pub fn context(&self) -> &RunContext {
+        &self.ctx
     }
 
     /// The current simulation temperature.
@@ -409,9 +374,7 @@ impl SimEngine {
         let mut cold = DcAnalysis::new(circuit)
             .at(self.temp)
             .with_options(self.options)
-            .with_budget(self.budget.clone())
-            .with_recorder(self.telemetry.clone())
-            .with_health(self.health);
+            .with_context(self.ctx.clone());
         if let Some(policy) = &self.rescue {
             cold = cold.with_rescue(policy.clone());
         }
@@ -455,9 +418,7 @@ impl SimEngine {
             .at(self.temp)
             .with_options(self.options)
             .with_integrator(self.integrator)
-            .with_budget(self.budget.clone())
-            .with_recorder(self.telemetry.clone())
-            .with_health(self.health)
+            .with_context(self.ctx.clone())
             .start_from(&op)
             .run_in(&mut self.workspace)
     }
@@ -484,9 +445,7 @@ impl SimEngine {
             .at(self.temp)
             .with_options(self.options)
             .with_integrator(self.integrator)
-            .with_budget(self.budget.clone())
-            .with_recorder(self.telemetry.clone())
-            .with_health(self.health)
+            .with_context(self.ctx.clone())
             .start_from(&op);
         if let Some(policy) = &self.rescue {
             analysis = analysis.with_rescue(policy.clone());
@@ -703,7 +662,10 @@ mod tests {
         // With certification off the verdict is never produced.
         let mut ws_off = Workspace::new();
         DcAnalysis::new(&ckt)
-            .with_health(crate::HealthPolicy::off())
+            .with_context(RunContext {
+                health: crate::HealthPolicy::off(),
+                ..RunContext::default()
+            })
             .solve_in(&mut ws_off)
             .unwrap();
         assert!(ws_off.last_solve_quality().is_none());

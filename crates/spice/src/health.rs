@@ -42,9 +42,8 @@ pub struct SolveQuality {
     pub cond_estimate: Option<f64>,
 }
 
-/// Residual-certification policy, threaded through the analysis
-/// builders (`DcAnalysis`/`TransientAnalysis`/`SimEngine`) via their
-/// `with_health` methods.
+/// Residual-certification policy: the `health` field of the
+/// [`crate::RunContext`] every analysis runs under.
 ///
 /// The default policy is **on**: every Newton linear solve is checked,
 /// refined up to twice when it misses tolerance, and escalated down the

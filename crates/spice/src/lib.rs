@@ -46,6 +46,7 @@
 
 mod budget;
 pub mod chaos;
+mod context;
 mod dc;
 mod dcsweep;
 mod engine;
@@ -63,6 +64,7 @@ mod transient;
 mod waveform;
 
 pub use budget::{Budget, BudgetResource, CancelToken, Deadline};
+pub use context::RunContext;
 pub use dc::{DcAnalysis, OperatingPoint};
 pub use dcsweep::DcSweep;
 pub use engine::{SimEngine, Workspace};
@@ -83,7 +85,8 @@ pub use solver::{
 pub use transient::{AdaptiveOptions, Integrator, StepReport, TransientAnalysis, TransientResult};
 pub use waveform::Waveform;
 
-/// Re-exported telemetry handle: every analysis builder in this crate
-/// accepts one via its `with_recorder` method (see
+/// Re-exported telemetry handle: the `telemetry` field of a
+/// [`RunContext`], which every analysis builder in this crate also
+/// accepts alone via its `with_recorder` method (see
 /// [`ferrocim_telemetry`] for recorders, aggregation, and trace sinks).
 pub use ferrocim_telemetry::Telemetry;

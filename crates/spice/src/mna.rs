@@ -1,11 +1,11 @@
 //! Modified nodal analysis: system layout, stamping, and the shared
 //! Newton–Raphson solve used by both DC and transient analyses.
 
-use crate::health::{certify, HealthPolicy};
+use crate::health::certify;
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::solver::LinearSystem;
 use crate::SpiceError;
-use ferrocim_telemetry::{Event, Telemetry};
+use ferrocim_telemetry::Event;
 use ferrocim_units::{Celsius, Second};
 use std::collections::HashMap;
 
@@ -357,18 +357,18 @@ fn stamp_transistor(
 /// A non-finite entry in the linear-solve result aborts with
 /// [`SpiceError::NumericalBlowup`] rather than iterating on garbage.
 ///
-/// Each iteration is charged against `budget` and the budget's
+/// Each iteration is charged against `ctx.budget` and the budget's
 /// cancel/deadline state is polled, so even a single pathological solve
 /// honours [`SpiceError::BudgetExceeded`] / [`SpiceError::Cancelled`].
 ///
 /// Each iteration also emits [`Event::NewtonIter`] (and a converging
-/// solve [`Event::NewtonConverged`]) through `tele`; like the budget
+/// solve [`Event::NewtonConverged`]) through `ctx.telemetry`; like the budget
 /// check, the off state is hoisted to one boolean test per iteration.
 /// At `DetailLevel::Iterations` every iteration additionally emits
 /// [`Event::NewtonResidual`] with the damped residual norm and the
 /// damping factor, so a stalled solve is diagnosable from the trace.
 ///
-/// When `health` is enabled every linear solve is *certified*: the
+/// When `ctx.health` is enabled every linear solve is *certified*: the
 /// backward error of the solution is measured against the assembled
 /// system, iterative refinement runs when it misses tolerance
 /// ([`Event::SolveRefined`]), and a still-unacceptable solve escalates
@@ -388,11 +388,15 @@ pub(crate) fn newton_solve_in(
     settings: &SolveSettings,
     x: &mut [f64],
     options: &NewtonOptions,
-    budget: &crate::Budget,
-    tele: &Telemetry,
-    health: &HealthPolicy,
+    ctx: &crate::RunContext,
     ws: &mut crate::Workspace,
 ) -> Result<usize, SpiceError> {
+    let crate::RunContext {
+        budget,
+        telemetry: tele,
+        health,
+        ..
+    } = ctx;
     debug_assert_eq!(x.len(), layout.size);
     ws.ensure_size(layout.size);
     let limited = budget.is_limited();

@@ -20,11 +20,10 @@
 //! and non-rescued circuits see bit-identical nominal iteration
 //! sequences.
 
-use crate::health::HealthPolicy;
 use crate::mna::{CapMode, Layout, NewtonOptions, SolveSettings, GMIN};
 use crate::netlist::Circuit;
-use crate::{SpiceError, Workspace};
-use ferrocim_telemetry::{Event, RungKind, Telemetry};
+use crate::{RunContext, SpiceError, Workspace};
+use ferrocim_telemetry::{Event, RungKind};
 use ferrocim_units::{Celsius, Second};
 
 /// One rung of the rescue ladder.
@@ -181,12 +180,12 @@ pub(crate) fn is_rescuable(err: &SpiceError) -> bool {
 /// On success the report's last attempt names the winning rung and the
 /// preceding entries record the failed ones (including the plain solve).
 ///
-/// Rescue retries are charged against `budget` like any other Newton
+/// Rescue retries are charged against `ctx.budget` like any other Newton
 /// work; a budget/cancellation failure aborts the ladder immediately
 /// rather than being mistaken for a failed rung.
 ///
 /// Every rung attempt recorded in the report is mirrored as an
-/// [`Event::RescueAttempt`] through `tele` (including the failed plain
+/// [`Event::RescueAttempt`] through `ctx.telemetry` (including the failed plain
 /// solve that started the ladder), so an aggregator's attempt counts
 /// match the report's `attempts` exactly.
 #[allow(clippy::too_many_arguments)]
@@ -200,9 +199,7 @@ pub(crate) fn rescue_solve(
     initial_guess: &[f64],
     options: &NewtonOptions,
     policy: &RescuePolicy,
-    budget: &crate::Budget,
-    tele: &Telemetry,
-    health: &HealthPolicy,
+    ctx: &RunContext,
     ws: &mut Workspace,
     plain_error: SpiceError,
 ) -> Result<RescueReport, SpiceError> {
@@ -210,7 +207,7 @@ pub(crate) fn rescue_solve(
         let kind = rung_kind(&a.rung);
         let iterations = a.iterations as u64;
         let converged = a.converged;
-        tele.emit(|| Event::RescueAttempt {
+        ctx.telemetry.emit(|| Event::RescueAttempt {
             rung: kind,
             iterations,
             converged,
@@ -242,9 +239,7 @@ pub(crate) fn rescue_solve(
             &SolveSettings::NOMINAL,
             x,
             &damped,
-            budget,
-            tele,
-            health,
+            ctx,
             ws,
         ) {
             Ok(iters) => {
@@ -281,7 +276,7 @@ pub(crate) fn rescue_solve(
                 source_scale: 1.0,
             };
             match crate::mna::newton_solve_in(
-                circuit, layout, t, temp, caps, &settings, x, options, budget, tele, health, ws,
+                circuit, layout, t, temp, caps, &settings, x, options, ctx, ws,
             ) {
                 Ok(iters) => iterations += iters,
                 Err(e) if !is_rescuable(&e) => return Err(e),
@@ -315,7 +310,7 @@ pub(crate) fn rescue_solve(
                 source_scale: k as f64 / policy.source_steps as f64,
             };
             match crate::mna::newton_solve_in(
-                circuit, layout, t, temp, caps, &settings, x, options, budget, tele, health, ws,
+                circuit, layout, t, temp, caps, &settings, x, options, ctx, ws,
             ) {
                 Ok(iters) => iterations += iters,
                 Err(e) if !is_rescuable(&e) => return Err(e),

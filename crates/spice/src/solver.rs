@@ -66,10 +66,10 @@ pub enum FillOrdering {
     Natural,
 }
 
-/// Linear-solver selection, threaded through the analysis builders
-/// (`DcAnalysis`/`TransientAnalysis`/`DcSweep`/`SimEngine`) via their
-/// `with_solver` methods and applied to the [`crate::Workspace`] a
-/// solve runs in.
+/// Linear-solver selection: set on a [`crate::Workspace`] directly
+/// ([`crate::Workspace::with_solver`]) or as the `solver` field of the
+/// [`crate::RunContext`] an analysis runs under, which applies it to
+/// the workspace the solve runs in.
 ///
 /// # Examples
 ///

@@ -17,12 +17,10 @@
 //!   solution is always the more accurate half-step one.
 
 use crate::dc::OperatingPoint;
-use crate::health::HealthPolicy;
 use crate::mna::{newton_solve_in, CapMode, CapState, Layout, NewtonOptions};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::rescue::{is_rescuable, rescue_solve, RescuePolicy};
-use crate::solver::SolverConfig;
-use crate::{Budget, SpiceError, Workspace};
+use crate::{RunContext, SpiceError, Workspace};
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Ampere, Celsius, Joule, Second, Volt};
 use std::collections::HashMap;
@@ -299,10 +297,7 @@ pub struct TransientAnalysis<'a> {
     options: NewtonOptions,
     start_from: Option<&'a OperatingPoint>,
     rescue: RescuePolicy,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: Option<SolverConfig>,
-    health: HealthPolicy,
+    ctx: RunContext,
 }
 
 impl<'a> TransientAnalysis<'a> {
@@ -322,10 +317,7 @@ impl<'a> TransientAnalysis<'a> {
             options: NewtonOptions::default(),
             start_from: None,
             rescue: RescuePolicy::default(),
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: None,
-            health: HealthPolicy::default(),
+            ctx: RunContext::default(),
         }
     }
 
@@ -339,14 +331,6 @@ impl<'a> TransientAnalysis<'a> {
     /// (plus breakpoints).
     pub fn with_fixed_step(mut self, dt: Second) -> Self {
         self.stepping = Stepping::Fixed(dt);
-        self
-    }
-
-    /// Selects the linear-solver backend (see [`SolverConfig`]). When
-    /// not set, a run leaves its [`Workspace`]'s own configuration in
-    /// force — [`SolverConfig::auto`] for a fresh workspace.
-    pub fn with_solver(mut self, config: SolverConfig) -> Self {
-        self.solver = Some(config);
         self
     }
 
@@ -376,29 +360,21 @@ impl<'a> TransientAnalysis<'a> {
         self
     }
 
-    /// Overrides the numerical-health policy (see [`HealthPolicy`]):
-    /// per-step residual certification, bounded iterative refinement,
-    /// and the solver degradation ladder. The default policy is on.
-    pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
+    /// Replaces the whole [`RunContext`]: the run's budget (one step is
+    /// charged per attempted time step and every Newton iteration
+    /// counts against the pool), telemetry, linear-solver selection and
+    /// health policy.
+    pub fn with_context(mut self, ctx: RunContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
-    /// Attaches a resource [`Budget`]: one step is charged per
-    /// attempted time step and every Newton iteration counts against
-    /// the pool, so a deadline or cancellation aborts mid-run with
-    /// [`SpiceError::BudgetExceeded`] / [`SpiceError::Cancelled`].
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a telemetry handle: every Newton iteration, accepted or
-    /// rejected step, and rescue-ladder attempt is emitted through it
-    /// (see `ferrocim_telemetry::Event`). The default handle is off and
-    /// adds no measurable cost.
+    /// Replaces only the context's telemetry handle: every Newton
+    /// iteration, accepted or rejected step, and rescue-ladder attempt
+    /// is emitted through it (see `ferrocim_telemetry::Event`). The
+    /// default handle is off and adds no measurable cost.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.ctx.telemetry = telemetry;
         self
     }
 
@@ -418,7 +394,7 @@ impl<'a> TransientAnalysis<'a> {
     /// * [`SpiceError::NoConvergence`] / [`SpiceError::SingularMatrix`]
     ///   from the per-step Newton solve.
     /// * [`SpiceError::BudgetExceeded`] / [`SpiceError::Cancelled`]
-    ///   when an attached [`Budget`] runs out.
+    ///   when the context's [`crate::Budget`] runs out.
     pub fn run(&self) -> Result<TransientResult, SpiceError> {
         self.run_in(&mut Workspace::new())
     }
@@ -433,8 +409,8 @@ impl<'a> TransientAnalysis<'a> {
     ///
     /// Same as [`TransientAnalysis::run`].
     pub fn run_in(&self, ws: &mut Workspace) -> Result<TransientResult, SpiceError> {
-        let _span = self.telemetry.span("spice.transient");
-        if let Some(config) = self.solver {
+        let _span = self.ctx.telemetry.span("spice.transient");
+        if let Some(config) = self.ctx.solver {
             ws.set_solver(config);
         }
         match &self.stepping {
@@ -454,9 +430,7 @@ impl<'a> TransientAnalysis<'a> {
             None => crate::DcAnalysis::new(self.circuit)
                 .at(self.temp)
                 .with_options(self.options)
-                .with_budget(self.budget.clone())
-                .with_recorder(self.telemetry.clone())
-                .with_health(self.health)
+                .with_context(self.ctx.clone())
                 .solve_in(ws)?,
         };
         let mut cap_states: HashMap<usize, CapState> = HashMap::new();
@@ -542,8 +516,8 @@ impl<'a> TransientAnalysis<'a> {
 
         let mut t_prev = 0.0;
         for &t_now in &times {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            self.ctx.budget.check()?;
+            self.ctx.budget.charge_steps(1)?;
             let step = t_now - t_prev;
             let caps = CapMode::Companion {
                 dt: step,
@@ -559,12 +533,10 @@ impl<'a> TransientAnalysis<'a> {
                 &crate::mna::SolveSettings::NOMINAL,
                 &mut x,
                 &self.options,
-                &self.budget,
-                &self.telemetry,
-                &self.health,
+                &self.ctx,
                 ws,
             )?;
-            self.telemetry.emit(|| Event::StepAccepted {
+            self.ctx.telemetry.emit(|| Event::StepAccepted {
                 time: t_now,
                 dt: step,
             });
@@ -631,8 +603,8 @@ impl<'a> TransientAnalysis<'a> {
         let mut t = 0.0;
 
         while t < t_stop - 1e-18 {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            self.ctx.budget.check()?;
+            self.ctx.budget.charge_steps(1)?;
 
             while bp_idx < bps.len() && bps[bp_idx] <= t + 1e-18 {
                 bp_idx += 1;
@@ -655,9 +627,7 @@ impl<'a> TransientAnalysis<'a> {
                 &layout,
                 self.temp,
                 &self.options,
-                &self.budget,
-                &self.telemetry,
-                &self.health,
+                &self.ctx,
                 trapezoidal,
                 t,
                 h,
@@ -681,7 +651,7 @@ impl<'a> TransientAnalysis<'a> {
                         std::mem::swap(&mut cap_states, &mut states_half);
                         rec.accumulate_energy(&layout, target, &x, h);
                         rec.record(&layout, target, &x);
-                        self.telemetry.emit(|| Event::StepAccepted {
+                        self.ctx.telemetry.emit(|| Event::StepAccepted {
                             time: target,
                             dt: h,
                         });
@@ -703,7 +673,8 @@ impl<'a> TransientAnalysis<'a> {
                         }
                         .clamp(dt_min, dt_max);
                     } else {
-                        self.telemetry
+                        self.ctx
+                            .telemetry
                             .emit(|| Event::StepRejected { time: t, dt: h });
                         report.rejected += 1;
                         dt = (0.5 * h).max(dt_min);
@@ -711,7 +682,8 @@ impl<'a> TransientAnalysis<'a> {
                 }
                 StepTrial::Diverged(err) => {
                     if !at_floor {
-                        self.telemetry
+                        self.ctx
+                            .telemetry
                             .emit(|| Event::StepRejected { time: t, dt: h });
                         report.rejected += 1;
                         dt = (0.5 * h).max(dt_min);
@@ -734,9 +706,7 @@ impl<'a> TransientAnalysis<'a> {
                             &x,
                             &self.options,
                             &self.rescue,
-                            &self.budget,
-                            &self.telemetry,
-                            &self.health,
+                            &self.ctx,
                             ws,
                             err,
                         )?;
@@ -751,7 +721,7 @@ impl<'a> TransientAnalysis<'a> {
                         std::mem::swap(&mut x, &mut x_full);
                         rec.accumulate_energy(&layout, target, &x, h);
                         rec.record(&layout, target, &x);
-                        self.telemetry.emit(|| Event::StepAccepted {
+                        self.ctx.telemetry.emit(|| Event::StepAccepted {
                             time: target,
                             dt: h,
                         });
@@ -791,9 +761,7 @@ fn attempt_step(
     layout: &Layout,
     temp: Celsius,
     options: &NewtonOptions,
-    budget: &Budget,
-    tele: &Telemetry,
-    health: &HealthPolicy,
+    ctx: &RunContext,
     trapezoidal: bool,
     t: f64,
     h: f64,
@@ -819,9 +787,7 @@ fn attempt_step(
         &crate::mna::SolveSettings::NOMINAL,
         x_full,
         options,
-        budget,
-        tele,
-        health,
+        ctx,
         ws,
     ) {
         return if is_rescuable(&e) {
@@ -850,9 +816,7 @@ fn attempt_step(
             &crate::mna::SolveSettings::NOMINAL,
             x_half,
             options,
-            budget,
-            tele,
-            health,
+            ctx,
             ws,
         ) {
             return if is_rescuable(&e) {

@@ -21,7 +21,7 @@ use ferrocim_spice::chaos::{corrupt_checkpoint, ChaosRng, FileFault, MatrixFault
 use ferrocim_spice::{
     certify_solution, fan_out, try_fan_out, Budget, BudgetResource, Circuit, Deadline, DenseLu,
     Element, FailurePolicy, HealthPolicy, JobError, LinearSystem, McError, MonteCarlo, NodeId,
-    SparseLu, SpiceError, Telemetry, TransientAnalysis, Waveform,
+    RunContext, SparseLu, SpiceError, Telemetry, TransientAnalysis, Waveform,
 };
 use ferrocim_units::{Farad, Ohm, Second, Volt};
 use std::path::PathBuf;
@@ -365,7 +365,10 @@ fn expired_deadlines_abort_with_typed_errors() {
         let dt = Second(1e-12 * (1.0 + seed as f64 / 30.0));
         let err = TransientAnalysis::over(&ckt, Second(1e-9))
             .with_fixed_step(dt)
-            .with_budget(budget)
+            .with_context(RunContext {
+                budget,
+                ..RunContext::default()
+            })
             .run()
             .unwrap_err();
         assert!(

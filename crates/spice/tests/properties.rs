@@ -358,7 +358,7 @@ proptest! {
         v in -2.0f64..2.0,
         tie in 0usize..7,
     ) {
-        use ferrocim_spice::{FillOrdering, SolverConfig};
+        use ferrocim_spice::{FillOrdering, RunContext, SolverConfig};
         let mut ckt = resistor_network(n, &chords, &rs, v);
         // A second source on an internal node adds another branch row
         // (zero diagonal) somewhere in the middle of the matrix.
@@ -370,7 +370,10 @@ proptest! {
                 .expect("add second source");
         }
         let dense = DcAnalysis::new(&ckt)
-            .with_solver(SolverConfig::dense())
+            .with_context(RunContext {
+                solver: Some(SolverConfig::dense()),
+                ..RunContext::default()
+            })
             .solve()
             .expect("dense dc");
         for ordering in [FillOrdering::MinDegree, FillOrdering::Natural] {
@@ -379,7 +382,10 @@ proptest! {
                     .with_ordering(ordering)
                     .with_parallel_blocks(parallel);
                 let sparse = DcAnalysis::new(&ckt)
-                    .with_solver(config)
+                    .with_context(RunContext {
+                        solver: Some(config),
+                        ..RunContext::default()
+                    })
                     .solve()
                     .expect("sparse dc");
                 for i in 0..n {

@@ -5,8 +5,8 @@
 
 use ferrocim_spice::{
     AdaptiveOptions, Budget, BudgetResource, CancelToken, Circuit, DcAnalysis, DcSweep, Deadline,
-    Element, Integrator, McError, MonteCarlo, NewtonOptions, NodeId, SimEngine, SpiceError,
-    TransientAnalysis,
+    Element, HealthPolicy, Integrator, McError, MonteCarlo, NewtonOptions, NodeId, RunContext,
+    SimEngine, SolverConfig, SpiceError, TransientAnalysis,
 };
 use ferrocim_units::{Celsius, Farad, Ohm, Second, Volt};
 use proptest::prelude::*;
@@ -54,6 +54,14 @@ fn nonlinear_circuit() -> Circuit {
     ))
     .expect("add mosfet");
     ckt
+}
+
+/// A context carrying only `budget`.
+fn budgeted(budget: Budget) -> RunContext {
+    RunContext {
+        budget,
+        ..RunContext::default()
+    }
 }
 
 fn scratch_path(tag: &str) -> PathBuf {
@@ -163,7 +171,7 @@ fn newton_budget_aborts_a_dc_solve_with_a_typed_error() {
     let ckt = nonlinear_circuit();
     let budget = Budget::unlimited().with_max_newton_iterations(2);
     let err = DcAnalysis::new(&ckt)
-        .with_budget(budget.clone())
+        .with_context(budgeted(budget.clone()))
         .solve()
         .unwrap_err();
     assert!(
@@ -185,7 +193,7 @@ fn step_budget_aborts_a_transient_mid_run() {
     let budget = Budget::unlimited().with_max_steps(5);
     let err = TransientAnalysis::over(&ckt, Second(1e-7))
         .with_fixed_step(Second(1e-10))
-        .with_budget(budget)
+        .with_context(budgeted(budget))
         .run()
         .unwrap_err();
     assert!(
@@ -212,23 +220,23 @@ fn expired_deadline_aborts_every_entry_point() {
         )
     };
     let err = DcAnalysis::new(&ckt)
-        .with_budget(Budget::unlimited().with_deadline(deadline))
+        .with_context(budgeted(Budget::unlimited().with_deadline(deadline)))
         .solve()
         .unwrap_err();
     assert!(wall(&err), "dc: {err}");
     let err = TransientAnalysis::over(&ckt, Second(1e-8))
         .with_fixed_step(Second(1e-10))
-        .with_budget(Budget::unlimited().with_deadline(deadline))
+        .with_context(budgeted(Budget::unlimited().with_deadline(deadline)))
         .run()
         .unwrap_err();
     assert!(wall(&err), "transient: {err}");
     let err = TransientAnalysis::over(&ckt, Second(1e-8))
-        .with_budget(Budget::unlimited().with_deadline(deadline))
+        .with_context(budgeted(Budget::unlimited().with_deadline(deadline)))
         .run()
         .unwrap_err();
     assert!(wall(&err), "adaptive: {err}");
     let err = DcSweep::new(&ckt, "V1", vec![Volt(0.0), Volt(0.5)])
-        .with_budget(Budget::unlimited().with_deadline(deadline))
+        .with_context(budgeted(Budget::unlimited().with_deadline(deadline)))
         .solve()
         .unwrap_err();
     assert!(wall(&err), "sweep: {err}");
@@ -240,7 +248,7 @@ fn cancel_token_aborts_a_dc_sweep() {
     let token = CancelToken::new();
     token.cancel();
     let err = DcSweep::new(&ckt, "VDD", vec![Volt(0.2), Volt(0.4)])
-        .with_budget(Budget::unlimited().with_cancel_token(&token))
+        .with_context(budgeted(Budget::unlimited().with_cancel_token(&token)))
         .solve()
         .unwrap_err();
     assert!(matches!(err, SpiceError::Cancelled), "{err}");
@@ -251,7 +259,8 @@ fn sim_engine_threads_its_budget_into_every_analysis() {
     let (ckt, _) = rc_circuit(1e5, 1e-13, 1.0);
     let token = CancelToken::new();
     token.cancel();
-    let mut engine = SimEngine::new().with_budget(Budget::unlimited().with_cancel_token(&token));
+    let mut engine =
+        SimEngine::new().with_context(budgeted(Budget::unlimited().with_cancel_token(&token)));
     let err = engine.dc(&ckt).unwrap_err();
     assert!(matches!(err, SpiceError::Cancelled), "dc: {err}");
     let err = engine
@@ -269,6 +278,36 @@ fn sim_engine_threads_its_budget_into_every_analysis() {
 }
 
 #[test]
+fn sweep_and_engine_forward_the_whole_context_to_the_leaf_solve() {
+    let ckt = nonlinear_circuit();
+    // An unmeetable certification tolerance on the sparse backend: every
+    // rung of the degradation ladder fails and the solve refuses.
+    let strict = RunContext {
+        solver: Some(SolverConfig::sparse()),
+        health: HealthPolicy {
+            residual_tol: 1e-30,
+            ..HealthPolicy::default()
+        },
+        ..RunContext::default()
+    };
+    let bare = DcAnalysis::new(&ckt)
+        .with_context(strict.clone())
+        .solve()
+        .unwrap_err();
+    assert!(
+        matches!(bare, SpiceError::UncertifiedSolve { .. }),
+        "{bare}"
+    );
+    let swept = DcSweep::new(&ckt, "VDD", vec![Volt(1.0)])
+        .with_context(strict.clone())
+        .solve()
+        .unwrap_err();
+    assert_eq!(swept, bare, "sweep");
+    let engined = SimEngine::new().with_context(strict).dc(&ckt).unwrap_err();
+    assert_eq!(engined, bare, "engine");
+}
+
+#[test]
 fn budget_clones_share_one_spend_pool() {
     let (ckt, _) = rc_circuit(1e5, 1e-13, 1.0);
     // 12 time steps fit under the limit once, but not twice: the second
@@ -276,7 +315,7 @@ fn budget_clones_share_one_spend_pool() {
     let budget = Budget::unlimited().with_max_steps(18);
     let analysis = TransientAnalysis::over(&ckt, Second(1e-8))
         .with_fixed_step(Second(1e-9))
-        .with_budget(budget.clone());
+        .with_context(budgeted(budget.clone()));
     analysis.clone().run().expect("first run fits");
     let err = analysis.run().unwrap_err();
     assert!(
@@ -295,7 +334,7 @@ fn unlimited_budget_changes_nothing() {
         .expect("plain");
     let governed = TransientAnalysis::over(&ckt, Second(1e-8))
         .with_fixed_step(Second(1e-10))
-        .with_budget(Budget::unlimited())
+        .with_context(budgeted(Budget::unlimited()))
         .run()
         .expect("governed");
     assert_eq!(plain.times(), governed.times());

@@ -14,7 +14,7 @@ use crate::fingerprint::{fingerprint, CellState};
 use crate::SurrogateError;
 use ferrocim_cim::cells::CellDesign;
 use ferrocim_cim::{CimArray, MacOutput, MacPath, MacRequest};
-use ferrocim_telemetry::{Event, Telemetry};
+use ferrocim_telemetry::Event;
 use ferrocim_units::Celsius;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,14 +143,16 @@ impl SurrogateStore {
 /// and a store of curves keyed by programmed state.
 ///
 /// Construction is cheap (one netlist build for the topology hash); all
-/// live solving happens lazily on the first query per key.
+/// live solving happens lazily on the first query per key. Lookups emit
+/// [`Event::SurrogateLookup`] and check-mode re-solves emit
+/// [`Event::SurrogateCheck`] through the array's telemetry handle (see
+/// [`CimArray::with_recorder`]), alongside the live solves' own events.
 #[derive(Debug)]
 pub struct MacSurrogate<C> {
     array: CimArray<C>,
     temps: Vec<Celsius>,
     topology: u64,
     store: SurrogateStore,
-    telemetry: Telemetry,
     check: Option<CheckPolicy>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -196,7 +198,6 @@ impl<C: CellDesign> MacSurrogate<C> {
             temps: temps.to_vec(),
             topology,
             store: SurrogateStore::new(),
-            telemetry: Telemetry::off(),
             check: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -204,15 +205,6 @@ impl<C: CellDesign> MacSurrogate<C> {
             check_failures: AtomicU64::new(0),
             queries: AtomicU64::new(0),
         })
-    }
-
-    /// Attaches a telemetry handle: lookups emit
-    /// [`Event::SurrogateLookup`], check-mode re-solves emit
-    /// [`Event::SurrogateCheck`].
-    #[must_use]
-    pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Enables check mode: a deterministic subsample of hit-path
@@ -306,11 +298,16 @@ impl<C: CellDesign> MacSurrogate<C> {
         let key = self.key_for(weights)?;
         if let Some(curve) = self.store.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.telemetry.emit(|| Event::SurrogateLookup { hit: true });
+            self.array
+                .context()
+                .telemetry
+                .emit(|| Event::SurrogateLookup { hit: true });
             return Ok(curve);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.telemetry
+        self.array
+            .context()
+            .telemetry
             .emit(|| Event::SurrogateLookup { hit: false });
         let curve = self.calibrate(key, weights)?;
         Ok(self.store.insert(curve))
@@ -346,10 +343,13 @@ impl<C: CellDesign> MacSurrogate<C> {
                     if !ok {
                         self.check_failures.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.telemetry.emit(|| Event::SurrogateCheck {
-                        ok,
-                        deviation: deviation_v,
-                    });
+                    self.array
+                        .context()
+                        .telemetry
+                        .emit(|| Event::SurrogateCheck {
+                            ok,
+                            deviation: deviation_v,
+                        });
                     answer.check = Some(CheckOutcome { deviation_v, ok });
                 }
             }
@@ -494,7 +494,7 @@ mod tests {
     use super::*;
     use ferrocim_cim::cells::TwoTransistorOneFefet;
     use ferrocim_cim::{ArrayConfig, CellFault};
-    use ferrocim_telemetry::Aggregator;
+    use ferrocim_telemetry::{Aggregator, Telemetry};
     use ferrocim_units::Second;
 
     fn small_array() -> CimArray<TwoTransistorOneFefet> {
@@ -657,9 +657,9 @@ mod tests {
     #[test]
     fn lookups_and_checks_flow_into_telemetry_counters() {
         let agg = Arc::new(Aggregator::new());
-        let surrogate = MacSurrogate::new(small_array(), &grid())
+        let array = small_array().with_recorder(Telemetry::new(agg.clone()));
+        let surrogate = MacSurrogate::new(array, &grid())
             .expect("valid grid")
-            .with_recorder(Telemetry::new(agg.clone()))
             .with_check(CheckPolicy::every(1));
         let weights = [true, true, false, false];
         for _ in 0..3 {

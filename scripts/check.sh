@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: formatting, lints, then the tier-1 build+test
-# sweep from ROADMAP.md. Run from anywhere inside the repo.
+# Full pre-merge gate: formatting, lints, docs, the release build, then
+# every test suite of the workspace's own crates. Run from anywhere
+# inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,17 +23,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
   -p ferrocim-spice -p ferrocim-cim -p ferrocim-surrogate -p ferrocim-nn -p ferrocim-traceview \
   -p ferrocim-serve -p ferrocim-bench -p ferrocim
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> release build"
 cargo build --release --offline
-cargo test -q --offline
 
-echo "==> telemetry + traceview suites (Prometheus golden, render proptest, trace CLI)"
-cargo test -q --offline -p ferrocim-telemetry -p ferrocim-traceview
-
-echo "==> nn + cim suites (CIM parity goldens, packed-kernel and sampling proptests)"
-cargo test -q --offline -p ferrocim-nn -p ferrocim-cim
-
-echo "==> failure-injection suite (full backtraces)"
-RUST_BACKTRACE=1 cargo test -q --offline -p ferrocim-spice --test failure_injection
+echo "==> every workspace test suite, vendored crates excluded (full backtraces)"
+RUST_BACKTRACE=1 cargo test -q --offline --workspace --exclude criterion --exclude proptest \
+  --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
 
 echo "==> all checks passed"
