@@ -10,12 +10,12 @@
 
 use crate::array::{CimArray, MacPath, MacRequest};
 use crate::cells::{CellDesign, CellWeight};
+use crate::engine::{fail_fast, settle};
 use crate::fault::{CellFault, FaultPlan};
 use crate::transfer::Adc;
 use crate::CimError;
 use ferrocim_spice::{
-    apply_policy, try_fan_out, FailurePolicy, FanOutError, FanOutReport, JobError, RunContext,
-    Workspace,
+    try_fan_out, FailurePolicy, FanOutError, FanOutReport, JobError, RunContext, Workspace,
 };
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Celsius, Joule, Volt};
@@ -275,6 +275,9 @@ impl<C: CellDesign> Crossbar<C> {
     /// onto one simulation. Output `i` equals
     /// [`Crossbar::matvec`]`(&inputs[i], temp)` exactly.
     ///
+    /// This is [`Crossbar::try_matvec_batch`] under
+    /// [`FailurePolicy::FailFast`], folded to plain values.
+    ///
     /// # Errors
     ///
     /// As [`Crossbar::matvec`].
@@ -286,94 +289,47 @@ impl<C: CellDesign> Crossbar<C> {
     where
         C: Sync,
     {
-        for input in inputs {
-            if input.len() != self.columns() {
-                return Err(CimError::MismatchedOperands {
-                    weights: self.columns(),
-                    inputs: input.len(),
-                    cells_per_row: self.columns(),
-                });
-            }
-        }
-        let (unique, slot_of) = self.dedupe_row_jobs(inputs);
-        let job_count = (inputs.len() * self.rows.len()) as u64;
-        let solve_count = unique.len() as u64;
-        let ctx = self.array.context();
-        let batch_span = ctx.telemetry.span("cim.mac_batch");
-        let batch_id = batch_span.id();
-        ctx.telemetry.emit(|| Event::MacIssued {
-            jobs: job_count,
-            solves: solve_count,
-        });
-        let solved = ferrocim_spice::fan_out(unique.len(), true, Workspace::new, |ws, u| {
-            let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
-            ctx.budget.check()?;
-            ctx.budget.charge_steps(1)?;
-            let (i, r) = unique[u];
-            let request = MacRequest::new(&inputs[i])
-                .weighted(&self.rows[r])
-                .at(temp)
-                .path(MacPath::Analytic);
-            self.row_array(r).run_in(&request, ws)
-        });
-        let mut row_macs = Vec::with_capacity(unique.len());
-        for result in solved {
-            row_macs.push(result?);
-        }
-        Ok(inputs
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let mut digital = Vec::with_capacity(self.rows.len());
-                let mut analog = Vec::with_capacity(self.rows.len());
-                let mut energy = 0.0;
-                for r in 0..self.rows.len() {
-                    let out = &row_macs[slot_of[i * self.rows.len() + r]];
-                    digital.push(self.adc.quantize(out.v_acc));
-                    analog.push(out.v_acc);
-                    energy += out.energy.value();
-                }
-                MatVecOutput {
-                    digital,
-                    analog,
-                    energy: Joule(energy),
-                }
-            })
-            .collect())
+        fail_fast(self.try_matvec_batch(inputs, temp, &FailurePolicy::FailFast))
     }
 
-    /// Deduplicates the `inputs × rows` row-MAC jobs: two jobs collapse
-    /// when their input vectors, stored weights, and per-row faults all
-    /// match. Returns the unique `(input, row)` jobs and, for every
-    /// original job in input-major order, its unique-slot index.
-    fn dedupe_row_jobs(&self, inputs: &[Vec<bool>]) -> (Vec<(usize, usize)>, Vec<usize>) {
+    /// Deduplicates the `inputs × rows` row-MAC jobs of the well-formed
+    /// inputs: two jobs collapse when their input vectors, stored
+    /// weights, and per-row faults all match. Returns the unique
+    /// `(input, row)` jobs and, for every original job in input-major
+    /// order, its unique-slot index (`None` for a malformed input).
+    fn dedupe_row_jobs(&self, inputs: &[Vec<bool>]) -> (Vec<(usize, usize)>, Vec<Option<usize>>) {
         let row_faults: Vec<Vec<Option<CellFault>>> = (0..self.rows.len())
             .map(|r| self.row_fault_vec(r))
             .collect();
         let mut unique: Vec<(usize, usize)> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(inputs.len() * self.rows.len());
+        let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(inputs.len() * self.rows.len());
         for i in 0..inputs.len() {
             for r in 0..self.rows.len() {
+                if inputs[i].len() != self.columns() {
+                    slot_of.push(None);
+                    continue;
+                }
                 let found = unique.iter().position(|&(j, s)| {
                     inputs[j] == inputs[i]
                         && self.rows[s] == self.rows[r]
                         && row_faults[s] == row_faults[r]
                 });
-                slot_of.push(found.unwrap_or_else(|| {
+                slot_of.push(Some(found.unwrap_or_else(|| {
                     unique.push((i, r));
                     unique.len() - 1
-                }));
+                })));
             }
         }
         (unique, slot_of)
     }
 
-    /// Fault-tolerant variant of [`Crossbar::matvec_batch`]: each input
+    /// Fault-tolerant form of [`Crossbar::matvec_batch`]: each input
     /// vector is one job, which succeeds only when every one of its row
     /// MACs succeeds (failures include both typed errors and panics
     /// inside the solver). `policy` decides whether the batch aborts on
     /// the first failed input, reports failures per input, or
-    /// substitutes a fallback output.
+    /// substitutes a fallback output. An input of the wrong width is a
+    /// failed job that is never solved or charged.
     ///
     /// # Errors
     ///
@@ -391,6 +347,22 @@ impl<C: CellDesign> Crossbar<C> {
     where
         C: Sync,
     {
+        let malformed = |i: usize| CimError::MismatchedOperands {
+            weights: self.columns(),
+            inputs: inputs[i].len(),
+            cells_per_row: self.columns(),
+        };
+        // A malformed input is a failed job that is never scheduled;
+        // under FailFast it fails the batch before any solve, span,
+        // event or budget charge.
+        if matches!(policy, FailurePolicy::FailFast) {
+            if let Some(index) = inputs.iter().position(|x| x.len() != self.columns()) {
+                return Err(FanOutError::Job {
+                    index,
+                    error: JobError::Failed(malformed(index)),
+                });
+            }
+        }
         let (unique, slot_of) = self.dedupe_row_jobs(inputs);
         let job_count = (inputs.len() * self.rows.len()) as u64;
         let solve_count = unique.len() as u64;
@@ -413,13 +385,6 @@ impl<C: CellDesign> Crossbar<C> {
                 ctx.budget.check()?;
                 ctx.budget.charge_steps(1)?;
                 let (i, r) = unique[u];
-                if inputs[i].len() != self.columns() {
-                    return Err(CimError::MismatchedOperands {
-                        weights: self.columns(),
-                        inputs: inputs[i].len(),
-                        cells_per_row: self.columns(),
-                    });
-                }
                 let request = MacRequest::new(&inputs[i])
                     .weighted(&self.rows[r])
                     .at(temp)
@@ -430,44 +395,30 @@ impl<C: CellDesign> Crossbar<C> {
         // One *input vector* is one job from the policy's point of
         // view: it succeeds only when all of its row MACs succeeded,
         // and it fails with the first row failure otherwise.
-        let mut results: Vec<Result<MatVecOutput, JobError<CimError>>> =
-            Vec::with_capacity(inputs.len());
-        for i in 0..inputs.len() {
-            let mut digital = Vec::with_capacity(self.rows.len());
-            let mut analog = Vec::with_capacity(self.rows.len());
-            let mut energy = 0.0;
-            let mut error: Option<JobError<CimError>> = None;
-            for r in 0..self.rows.len() {
-                match &solved.results[slot_of[i * self.rows.len() + r]] {
-                    Ok(out) => {
-                        digital.push(self.adc.quantize(out.v_acc));
-                        analog.push(out.v_acc);
-                        energy += out.energy.value();
-                    }
-                    Err(e) => {
-                        error = Some(e.clone());
-                        break;
-                    }
+        let results: Vec<Result<MatVecOutput, JobError<CimError>>> = slot_of
+            .chunks(self.rows.len())
+            .enumerate()
+            .map(|(i, slots)| {
+                let mut digital = Vec::with_capacity(slots.len());
+                let mut analog = Vec::with_capacity(slots.len());
+                let mut energy = 0.0;
+                for &u in slots {
+                    let mac = match u {
+                        Some(u) => solved.results[u].as_ref().map_err(Clone::clone)?,
+                        None => return Err(JobError::Failed(malformed(i))),
+                    };
+                    digital.push(self.adc.quantize(mac.v_acc));
+                    analog.push(mac.v_acc);
+                    energy += mac.energy.value();
                 }
-            }
-            results.push(match error {
-                Some(e) => Err(e),
-                None => Ok(MatVecOutput {
+                Ok(MatVecOutput {
                     digital,
                     analog,
                     energy: Joule(energy),
-                }),
-            });
-        }
-        let failures = results.iter().filter(|r| r.is_err()).count();
-        let report = apply_policy(results, failures, policy)?;
-        if matches!(policy, FailurePolicy::Substitute(_)) && report.failures > 0 {
-            let substituted = report.failures as u64;
-            ctx.telemetry.emit(|| Event::FaultSubstituted {
-                substitute: substituted,
-            });
-        }
-        Ok(report)
+                })
+            })
+            .collect();
+        settle(results, policy, &ctx.telemetry)
     }
 }
 

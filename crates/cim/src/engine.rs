@@ -9,8 +9,9 @@
 //! * the row netlist is built **once** per engine and retargeted to
 //!   each input vector by rewriting the word-line waveforms in place;
 //! * each worker thread reuses a single solver [`Workspace`] and one
-//!   circuit clone across its whole chunk of jobs (the scoped-thread
-//!   fan-out shared with [`ferrocim_spice::MonteCarlo`]);
+//!   circuit clone across its whole chunk of jobs (the panic-isolating
+//!   [`ferrocim_spice::try_fan_out`] shared with
+//!   [`ferrocim_spice::MonteCarlo`]);
 //! * duplicate `(inputs, temperature)` jobs are simulated once and the
 //!   result is fanned back out to every requesting slot.
 //!
@@ -22,11 +23,12 @@ use crate::array::{CimArray, MacOutput, MacPath, MacRequest};
 use crate::cells::{CellDesign, CellOffsets, CellWeight};
 use crate::CimError;
 use ferrocim_spice::{
-    apply_policy, fan_out, try_fan_out, Circuit, FailurePolicy, FanOutError, FanOutReport,
-    JobError, NodeId, Workspace,
+    apply_policy, try_fan_out, Circuit, FailurePolicy, FanOutError, FanOutReport, JobError, NodeId,
+    Workspace,
 };
-use ferrocim_telemetry::Event;
+use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::Celsius;
+use std::panic::resume_unwind;
 
 /// A reusable batched-MAC executor over one set of stored weights.
 ///
@@ -139,16 +141,21 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
     /// temperature. Output `i` corresponds to `inputs[i]` and is
     /// bitwise identical to the equivalent [`CimArray::run`] call.
     ///
+    /// This is [`ArrayEngine::try_mac_batch`] under
+    /// [`FailurePolicy::FailFast`], folded to plain values: the first
+    /// failed job returns its error, and a job that panicked re-raises
+    /// its message.
+    ///
     /// # Errors
     ///
     /// Returns [`CimError::MismatchedOperands`] for an input vector of
-    /// the wrong width, or propagates simulation failures.
+    /// the wrong width (before anything is solved or charged), or
+    /// propagates simulation failures.
     pub fn mac_batch(&self, inputs: &[Vec<bool>], temp: Celsius) -> Result<Vec<MacOutput>, CimError>
     where
         C: Sync,
     {
-        let jobs: Vec<(usize, Celsius)> = (0..inputs.len()).map(|i| (i, temp)).collect();
-        self.run_jobs(inputs, &jobs)
+        fail_fast(self.try_mac_batch(inputs, temp, &FailurePolicy::FailFast))
     }
 
     /// Runs the full `temps × inputs` grid: `grid[t][i]` is the MAC of
@@ -175,95 +182,21 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             .iter()
             .flat_map(|&t| (0..inputs.len()).map(move |i| (i, t)))
             .collect();
-        let mut flat = self.run_jobs(inputs, &jobs)?.into_iter();
+        let mut flat =
+            fail_fast(self.run_jobs(inputs, &jobs, &FailurePolicy::FailFast))?.into_iter();
         Ok(temps
             .iter()
             .map(|_| flat.by_ref().take(inputs.len()).collect())
             .collect())
     }
 
-    /// Validates, deduplicates, and executes `(input, temperature)`
-    /// jobs, scattering each unique simulation result back to every
-    /// slot that requested it.
-    fn run_jobs(
-        &self,
-        inputs: &[Vec<bool>],
-        jobs: &[(usize, Celsius)],
-    ) -> Result<Vec<MacOutput>, CimError>
-    where
-        C: Sync,
-    {
-        let n = self.array.config().cells_per_row;
-        for input in inputs {
-            if input.len() != n {
-                return Err(CimError::MismatchedOperands {
-                    weights: self.weights.len(),
-                    inputs: input.len(),
-                    cells_per_row: n,
-                });
-            }
-        }
-        // Identical (inputs, temperature) pairs collapse onto one
-        // simulation — on repetitive workloads (bit-serial NN inputs,
-        // level tables) this is where the batch throughput comes from.
-        let mut unique: Vec<(usize, Celsius)> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(jobs.len());
-        for &(i, t) in jobs {
-            let found = unique
-                .iter()
-                .position(|&(j, u)| u.0.to_bits() == t.0.to_bits() && inputs[j] == inputs[i]);
-            slot_of.push(found.unwrap_or_else(|| {
-                unique.push((i, t));
-                unique.len() - 1
-            }));
-        }
-        let job_count = jobs.len() as u64;
-        let solve_count = unique.len() as u64;
-        let ctx = self.array.context();
-        let batch_span = ctx.telemetry.span("cim.mac_batch");
-        let batch_id = batch_span.id();
-        ctx.telemetry.emit(|| Event::MacIssued {
-            jobs: job_count,
-            solves: solve_count,
-        });
-        let results = fan_out(
-            unique.len(),
-            self.parallel,
-            || (Workspace::new(), self.base.clone()),
-            |(ws, ckt), u| {
-                // Parent this worker-side solve under the issuing batch
-                // span: fan_out workers run on their own threads, so
-                // the thread-local parent chain must be bridged by id.
-                let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
-                ctx.budget.check()?;
-                ctx.budget.charge_steps(1)?;
-                let (i, t) = unique[u];
-                self.array.retarget_inputs(ckt, &inputs[i])?;
-                self.array.eval_row_transient(
-                    ckt,
-                    &self.outs,
-                    self.acc,
-                    &self.weights,
-                    &inputs[i],
-                    t,
-                    ctx,
-                    ws,
-                )
-            },
-        );
-        let mut solved: Vec<MacOutput> = Vec::with_capacity(unique.len());
-        for result in results {
-            solved.push(result?);
-        }
-        Ok(slot_of.into_iter().map(|u| solved[u].clone()).collect())
-    }
-
-    /// Fault-tolerant variant of [`ArrayEngine::mac_batch`]: each input
+    /// Fault-tolerant form of [`ArrayEngine::mac_batch`]: each input
     /// vector is one job, failures (typed errors *or* panics inside the
     /// solver) are collected per job, and `policy` decides whether the
     /// batch aborts, reports, or substitutes a fallback output.
     /// Duplicated input vectors still share one simulation — and share
-    /// its outcome, success or failure.
+    /// its outcome, success or failure. An input of the wrong width is
+    /// a failed job that is never solved or charged.
     ///
     /// # Errors
     ///
@@ -281,21 +214,59 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
     where
         C: Sync,
     {
+        let jobs: Vec<(usize, Celsius)> = (0..inputs.len()).map(|i| (i, temp)).collect();
+        self.run_jobs(inputs, &jobs, policy)
+    }
+
+    /// The one batch body behind every batch entry point: validates
+    /// widths, deduplicates and executes `(input, temperature)` jobs,
+    /// scatters each unique outcome back to every slot that requested
+    /// it, and applies `policy` per job.
+    fn run_jobs(
+        &self,
+        inputs: &[Vec<bool>],
+        jobs: &[(usize, Celsius)],
+        policy: &FailurePolicy<MacOutput>,
+    ) -> Result<FanOutReport<MacOutput, CimError>, FanOutError<CimError>>
+    where
+        C: Sync,
+    {
         let n = self.array.config().cells_per_row;
-        let mut unique: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(inputs.len());
-        for i in 0..inputs.len() {
-            let found = unique.iter().position(|&j| inputs[j] == inputs[i]);
-            slot_of.push(found.unwrap_or_else(|| {
-                unique.push(i);
-                unique.len() - 1
-            }));
+        let malformed = |i: usize| CimError::MismatchedOperands {
+            weights: n,
+            inputs: inputs[i].len(),
+            cells_per_row: n,
+        };
+        // A malformed input is a failed job that is never scheduled;
+        // under FailFast it fails the batch before any solve, span,
+        // event or budget charge.
+        if matches!(policy, FailurePolicy::FailFast) {
+            if let Some(index) = jobs.iter().position(|&(i, _)| inputs[i].len() != n) {
+                return Err(FanOutError::Job {
+                    index,
+                    error: JobError::Failed(malformed(jobs[index].0)),
+                });
+            }
         }
-        // Solve the unique jobs tolerating every failure, then scatter
-        // results back to input slots and apply the caller's policy at
-        // that granularity — so the failure budget counts inputs, not
-        // deduplicated simulations.
-        let job_count = inputs.len() as u64;
+        // Identical (inputs, temperature) pairs collapse onto one
+        // simulation — on repetitive workloads (bit-serial NN inputs,
+        // level tables) this is where the batch throughput comes from.
+        let mut unique: Vec<(usize, Celsius)> = Vec::new();
+        let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(jobs.len());
+        for &(i, t) in jobs {
+            if inputs[i].len() != n {
+                slot_of.push(None);
+                continue;
+            }
+            let found = unique
+                .iter()
+                .position(|&(j, u)| u.0.to_bits() == t.0.to_bits() && inputs[j] == inputs[i]);
+            slot_of.push(Some(found.unwrap_or_else(|| {
+                unique.push((i, t));
+                unique.len() - 1
+            })));
+        }
+        let job_count = jobs.len() as u64;
         let solve_count = unique.len() as u64;
         let ctx = self.array.context();
         let batch_span = ctx.telemetry.span("cim.mac_batch");
@@ -304,6 +275,9 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             jobs: job_count,
             solves: solve_count,
         });
+        // Solve the unique jobs tolerating every failure; the caller's
+        // policy applies after the scatter, so it counts requested
+        // jobs, not deduplicated simulations.
         let solved = try_fan_out(
             unique.len(),
             self.parallel,
@@ -312,17 +286,13 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             },
             || (Workspace::new(), self.base.clone()),
             |(ws, ckt), u| {
+                // Parent this worker-side solve under the issuing batch
+                // span: fan-out workers run on their own threads, so
+                // the thread-local parent chain must be bridged by id.
                 let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
                 ctx.budget.check()?;
                 ctx.budget.charge_steps(1)?;
-                let i = unique[u];
-                if inputs[i].len() != n {
-                    return Err(CimError::MismatchedOperands {
-                        weights: self.weights.len(),
-                        inputs: inputs[i].len(),
-                        cells_per_row: n,
-                    });
-                }
+                let (i, t) = unique[u];
                 self.array.retarget_inputs(ckt, &inputs[i])?;
                 self.array.eval_row_transient(
                     ckt,
@@ -330,25 +300,21 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
                     self.acc,
                     &self.weights,
                     &inputs[i],
-                    temp,
+                    t,
                     ctx,
                     ws,
                 )
             },
         )?;
-        let results: Vec<Result<MacOutput, JobError<CimError>>> = slot_of
-            .into_iter()
-            .map(|u| solved.results[u].clone())
+        let results: Vec<Result<MacOutput, JobError<CimError>>> = jobs
+            .iter()
+            .zip(slot_of)
+            .map(|(&(i, _), u)| match u {
+                Some(u) => solved.results[u].clone(),
+                None => Err(JobError::Failed(malformed(i))),
+            })
             .collect();
-        let failures = results.iter().filter(|r| r.is_err()).count();
-        let report = apply_policy(results, failures, policy)?;
-        if matches!(policy, FailurePolicy::Substitute(_)) && report.failures > 0 {
-            let substituted = report.failures as u64;
-            ctx.telemetry.emit(|| Event::FaultSubstituted {
-                substitute: substituted,
-            });
-        }
-        Ok(report)
+        settle(results, policy, &ctx.telemetry)
     }
 
     /// The per-call reference this engine accelerates: one
@@ -376,6 +342,42 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
                 )
             })
             .collect()
+    }
+}
+
+/// Applies the caller's `policy` to per-job batch results, reporting
+/// substituted jobs as one [`Event::FaultSubstituted`].
+pub(crate) fn settle<T: Clone>(
+    results: Vec<Result<T, JobError<CimError>>>,
+    policy: &FailurePolicy<T>,
+    telemetry: &Telemetry,
+) -> Result<FanOutReport<T, CimError>, FanOutError<CimError>> {
+    let failures = results.iter().filter(|r| r.is_err()).count();
+    let report = apply_policy(results, failures, policy)?;
+    if matches!(policy, FailurePolicy::Substitute(_)) && report.failures > 0 {
+        let substituted = report.failures as u64;
+        telemetry.emit(|| Event::FaultSubstituted {
+            substitute: substituted,
+        });
+    }
+    Ok(report)
+}
+
+/// Folds a batch outcome under [`FailurePolicy::FailFast`] into plain
+/// values: every value when the batch succeeded, else the first failed
+/// job's error. A job that panicked re-raises its message on the
+/// caller's thread, as [`ferrocim_spice::fan_out`] does.
+pub(crate) fn fail_fast<T>(
+    outcome: Result<FanOutReport<T, CimError>, FanOutError<CimError>>,
+) -> Result<Vec<T>, CimError> {
+    let error = match outcome {
+        Ok(report) => return Ok(report.results.into_iter().filter_map(Result::ok).collect()),
+        Err(FanOutError::Job { error, .. }) => error,
+        Err(FanOutError::TooManyFailures { first, .. }) => *first,
+    };
+    match error {
+        JobError::Failed(e) => Err(e),
+        JobError::Panicked { message } => resume_unwind(Box::new(message)),
     }
 }
 

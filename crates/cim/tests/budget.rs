@@ -182,3 +182,47 @@ fn crossbar_forwards_its_context_to_faulted_row_clones() {
         "{err}"
     );
 }
+
+#[test]
+fn malformed_inputs_are_rejected_before_any_budget_charge() {
+    // Every batch form checks widths before it schedules a job, so a
+    // malformed input is never charged to the budget.
+    let budget = Budget::unlimited().with_max_steps(1_000_000);
+    let array = small_array().with_context(budgeted(budget.clone()));
+    let engine = ArrayEngine::new(&array, &[true; 4]).unwrap();
+    let wide = [vec![true; 7]];
+    let report = engine
+        .try_mac_batch(
+            &wide,
+            ROOM,
+            &FailurePolicy::SkipAndReport { max_failures: 1 },
+        )
+        .unwrap();
+    assert_eq!(report.failures, 1);
+    // The plain form fails the whole batch before solving its
+    // well-formed job too.
+    assert!(matches!(
+        engine.mac_batch(&[vec![true; 4], vec![true; 7]], ROOM),
+        Err(CimError::MismatchedOperands { .. })
+    ));
+    assert_eq!(budget.steps_spent(), 0, "engine charged a rejected input");
+
+    let budget = Budget::unlimited().with_max_steps(1_000_000);
+    let xbar = Crossbar::new(small_array(), 2)
+        .unwrap()
+        .with_context(budgeted(budget.clone()));
+    let narrow = [vec![true; 3]];
+    let report = xbar
+        .try_matvec_batch(
+            &narrow,
+            ROOM,
+            &FailurePolicy::SkipAndReport { max_failures: 1 },
+        )
+        .unwrap();
+    assert_eq!(report.failures, 1);
+    assert!(matches!(
+        xbar.matvec_batch(&[vec![true; 4], vec![true; 3]], ROOM),
+        Err(CimError::MismatchedOperands { .. })
+    ));
+    assert_eq!(budget.steps_spent(), 0, "crossbar charged a rejected input");
+}

@@ -170,3 +170,94 @@ mod batch {
         }
     }
 }
+
+/// The paper's central claim: on the tuned 2T-1FeFET row, the
+/// accumulated voltage rises strictly with the MAC count at every
+/// temperature in 0–85 °C, so adjacent output levels never overlap
+/// (NMR_min > 0).
+mod monotonic_mac {
+    use ferrocim_cim::cells::TwoTransistorOneFefet;
+    use ferrocim_cim::{mac_operands, ArrayConfig, ArrayEngine, CimArray, MacPath, MacRequest};
+    use ferrocim_units::Celsius;
+    use proptest::prelude::*;
+
+    fn paper_row() -> CimArray<TwoTransistorOneFefet> {
+        CimArray::new(
+            TwoTransistorOneFefet::paper_default(),
+            ArrayConfig::paper_default(),
+        )
+        .unwrap()
+    }
+
+    /// The `0..=n` MAC-count input vectors against all-'1' weights.
+    fn count_inputs(n: usize) -> Vec<Vec<bool>> {
+        (0..=n).map(|k| mac_operands(n, k).1).collect()
+    }
+
+    fn assert_strictly_rising(v_acc: &[f64], temp_c: f64) -> Result<(), proptest::TestCaseError> {
+        for (k, pair) in v_acc.windows(2).enumerate() {
+            prop_assert!(
+                pair[1] > pair[0],
+                "v_acc({}) = {} V !> v_acc({}) = {} V at {} C",
+                k + 1,
+                pair[1],
+                k,
+                pair[0],
+                temp_c
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn analytic_v_acc_rises_strictly_with_mac_count(temp_c in 0.0f64..85.0) {
+            let array = paper_row();
+            let n = array.config().cells_per_row;
+            let weights = vec![true; n];
+            let v_acc: Vec<f64> = count_inputs(n)
+                .iter()
+                .map(|x| {
+                    array
+                        .run(
+                            &MacRequest::new(x)
+                                .weights(&weights)
+                                .at(Celsius(temp_c))
+                                .path(MacPath::Analytic),
+                        )
+                        .unwrap()
+                        .v_acc
+                        .value()
+                })
+                .collect();
+            assert_strictly_rising(&v_acc, temp_c)?;
+        }
+    }
+
+    proptest! {
+        // Full transients are expensive: one batched grid per case over
+        // the paper's corners plus two drawn temperatures.
+        #![proptest_config(ProptestConfig::with_cases(2))]
+
+        #[test]
+        fn transient_v_acc_rises_strictly_with_mac_count(
+            drawn in prop::collection::vec(0.0f64..85.0, 2),
+        ) {
+            let array = paper_row();
+            let n = array.config().cells_per_row;
+            let engine = ArrayEngine::new(&array, &vec![true; n]).unwrap();
+            let temps: Vec<Celsius> = [0.0, 27.0, 85.0]
+                .into_iter()
+                .chain(drawn)
+                .map(Celsius)
+                .collect();
+            let grid = engine.mac_batch_grid(&count_inputs(n), &temps).unwrap();
+            for (temp, row) in temps.iter().zip(&grid) {
+                let v_acc: Vec<f64> = row.iter().map(|out| out.v_acc.value()).collect();
+                assert_strictly_rising(&v_acc, temp.0)?;
+            }
+        }
+    }
+}

@@ -25,10 +25,10 @@
 //! confusion matrix.
 
 use crate::layers::Layer;
-use crate::network::Network;
+use crate::network::{fail_fast_error, Network};
 use crate::quant::{quantize_activations, quantize_weights, QuantizedWeights};
 use crate::tensor::Tensor;
-use ferrocim_spice::{Budget, SpiceError};
+use ferrocim_spice::{try_fan_out, Budget, FailurePolicy, SpiceError};
 use ferrocim_telemetry::{Event, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -635,60 +635,24 @@ impl CimNetwork {
         if inputs.is_empty() {
             return Ok(0.0);
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(inputs.len());
-        let chunk = inputs.len().div_ceil(threads);
         let sweep_span = self.telemetry.span("nn.accuracy");
         let sweep_id = sweep_span.id();
-        let hits: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .zip(labels.chunks(chunk))
-                .enumerate()
-                .map(|(t, (xs, ys))| {
-                    scope.spawn(move || -> Result<usize, ExecError> {
-                        // Root this worker's per-image forward spans
-                        // under the sweep span across the thread hop.
-                        let _worker_span =
-                            self.telemetry.span_under("nn.accuracy_worker", sweep_id);
-                        let mut hits = 0usize;
-                        for (i, (x, &y)) in xs.iter().zip(ys).enumerate() {
-                            budget.check()?;
-                            budget.charge_steps(1)?;
-                            let image_seed = seed ^ ((t * chunk + i) as u64) << 13;
-                            let predicted =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    self.predict(x, oracle, image_seed)
-                                }))
-                                .map_err(|payload| {
-                                    ExecError::WorkerPanicked {
-                                        message: crate::network::panic_message(payload),
-                                    }
-                                })?;
-                            if predicted == y {
-                                hits += 1;
-                            }
-                        }
-                        Ok(hits)
-                    })
-                })
-                .collect();
-            // Join every handle before surfacing the first failure, so
-            // `scope` never sees an unjoined panicked thread.
-            let joined: Vec<_> = handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(ExecError::WorkerPanicked {
-                            message: crate::network::panic_message(payload),
-                        })
-                    })
-                })
-                .collect();
-            joined.into_iter().sum::<Result<usize, ExecError>>()
-        })?;
+        let report = try_fan_out(
+            inputs.len(),
+            true,
+            &FailurePolicy::FailFast,
+            // Root each worker's per-image forward spans under the
+            // sweep span across the thread hop.
+            || self.telemetry.span_under("nn.accuracy_worker", sweep_id),
+            |_worker_span, i| -> Result<bool, ExecError> {
+                budget.check()?;
+                budget.charge_steps(1)?;
+                let image_seed = seed ^ (i as u64) << 13;
+                Ok(self.predict(&inputs[i], oracle, image_seed) == labels[i])
+            },
+        )
+        .map_err(|e| fail_fast_error(e, |message| ExecError::WorkerPanicked { message }))?;
+        let hits = report.values().filter(|&&hit| hit).count();
         Ok(hits as f64 / inputs.len() as f64)
     }
 

@@ -3,6 +3,7 @@
 
 use crate::layers::{Cache, Layer, Mode, ParamGrads};
 use crate::tensor::Tensor;
+use ferrocim_spice::{try_fan_out, FailurePolicy, FanOutError, JobError};
 use ferrocim_telemetry::{Event, Telemetry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -173,7 +174,10 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// RNG seed (shuffling, dropout).
     pub seed: u64,
-    /// Worker threads for data-parallel gradient computation.
+    /// Number of chunks each minibatch splits into for data-parallel
+    /// gradient computation (each chunk draws its own dropout seed).
+    /// The chunks run on up to `available_parallelism` threads; the
+    /// result depends only on the chunk count, never on the threads.
     pub threads: usize,
 }
 
@@ -329,20 +333,23 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Renders a panic payload for [`TrainError::WorkerPanicked`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+/// Folds a fan-out failure under [`FailurePolicy::FailFast`] into the
+/// crate's error type: a typed failure passes through, and a panicked
+/// job becomes `panicked(message)`.
+pub(crate) fn fail_fast_error<E>(err: FanOutError<E>, panicked: fn(String) -> E) -> E {
+    let error = match err {
+        FanOutError::Job { error, .. } => error,
+        FanOutError::TooManyFailures { first, .. } => *first,
+    };
+    match error {
+        JobError::Failed(e) => e,
+        JobError::Panicked { message } => panicked(message),
     }
 }
 
 /// Trains the network in place with minibatch SGD + momentum, returning
 /// per-epoch statistics. Gradients within a batch are computed in
-/// parallel across `threads` workers.
+/// parallel over [`TrainConfig::threads`] chunks.
 ///
 /// # Panics
 ///
@@ -449,8 +456,10 @@ pub fn try_train_recorded(
     Ok(stats)
 }
 
-/// Computes summed gradients over a batch, fanning examples out across
-/// worker threads (each worker clones the network once per batch).
+/// Computes summed gradients over a batch. The batch splits into
+/// `config.threads` chunks, each one fan-out job with its own dropout
+/// seed; chunk results are summed in chunk order, so the result does
+/// not depend on how many threads actually run the chunks.
 fn batch_grads(
     network: &Network,
     inputs: &[Tensor],
@@ -459,65 +468,27 @@ fn batch_grads(
     rng: &mut StdRng,
     config: &TrainConfig,
 ) -> Result<(f64, Vec<Option<ParamGrads>>), TrainError> {
-    let threads = config.threads.max(1).min(batch.len());
+    let chunks = config.threads.max(1).min(batch.len());
     let dropout_seed: u64 = rng.random();
-    // Both paths contain worker panics so a flaky layer surfaces as a
-    // typed error instead of unwinding through (or aborting) the
-    // trainer.
-    let results: Vec<(f64, Vec<Option<ParamGrads>>)> = if threads <= 1 {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker(network, inputs, labels, batch, dropout_seed)
-        }))
-        .map_err(|payload| TrainError::WorkerPanicked {
-            message: panic_message(payload),
-        })?;
-        vec![result]
-    } else {
-        let chunk = batch.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .enumerate()
-                .map(|(t, part)| {
-                    scope.spawn(move || {
-                        worker(
-                            network,
-                            inputs,
-                            labels,
-                            part,
-                            dropout_seed ^ (t as u64) << 17,
-                        )
-                    })
-                })
-                .collect();
-            // Join every handle before surfacing the first panic, so
-            // `scope` never sees an unjoined panicked thread (which
-            // would re-panic at scope exit).
-            let joined: Vec<_> = handles
-                .into_iter()
-                .map(|h| {
-                    h.join().map_err(|payload| TrainError::WorkerPanicked {
-                        message: panic_message(payload),
-                    })
-                })
-                .collect();
-            joined.into_iter().collect::<Result<Vec<_>, TrainError>>()
-        })?
-    };
+    let parts: Vec<&[usize]> = batch.chunks(batch.len().div_ceil(chunks)).collect();
+    // Worker panics are contained, so a flaky layer surfaces as a typed
+    // error instead of unwinding through the trainer.
+    let report = try_fan_out(
+        parts.len(),
+        true,
+        &FailurePolicy::FailFast,
+        || (),
+        |(), t| {
+            let seed = dropout_seed ^ (t as u64) << 17;
+            Ok(worker(network, inputs, labels, parts[t], seed))
+        },
+    )
+    .map_err(|e| fail_fast_error(e, |message| TrainError::WorkerPanicked { message }))?;
     let mut total_loss = 0.0;
     let mut acc: Vec<Option<ParamGrads>> = vec![None; network.layers().len()];
-    for (loss, grads) in results {
+    for (loss, grads) in report.results.into_iter().filter_map(Result::ok) {
         total_loss += loss;
-        for (slot, g) in acc.iter_mut().zip(grads) {
-            match (slot.as_mut(), g) {
-                (Some(s), Some(g)) => {
-                    s.weight.add_assign(&g.weight);
-                    s.bias.add_assign(&g.bias);
-                }
-                (None, Some(g)) => *slot = Some(g),
-                _ => {}
-            }
-        }
+        add_grads(&mut acc, grads);
     }
     Ok((total_loss, acc))
 }
@@ -535,18 +506,24 @@ fn worker(
     for &idx in part {
         let (loss, grads) = network.grads_for(&inputs[idx], labels[idx], &mut rng);
         total_loss += loss as f64;
-        for (slot, g) in acc.iter_mut().zip(grads) {
-            match (slot.as_mut(), g) {
-                (Some(s), Some(g)) => {
-                    s.weight.add_assign(&g.weight);
-                    s.bias.add_assign(&g.bias);
-                }
-                (None, Some(g)) => *slot = Some(g),
-                _ => {}
-            }
-        }
+        add_grads(&mut acc, grads);
     }
     (total_loss, acc)
+}
+
+/// Adds per-layer gradients into a running sum (layers without
+/// parameters stay `None`).
+fn add_grads(acc: &mut [Option<ParamGrads>], grads: Vec<Option<ParamGrads>>) {
+    for (slot, g) in acc.iter_mut().zip(grads) {
+        match (slot.as_mut(), g) {
+            (Some(s), Some(g)) => {
+                s.weight.add_assign(&g.weight);
+                s.bias.add_assign(&g.bias);
+            }
+            (None, Some(g)) => *slot = Some(g),
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]

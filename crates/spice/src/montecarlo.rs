@@ -79,6 +79,24 @@ impl MonteCarlo {
         ))
     }
 
+    /// One sample: `f(run, rng)` on the run's own RNG, bracketed by
+    /// [`Event::McRunStarted`] and an [`Event::McRunDone`] whose `ok`
+    /// flag is `is_ok(&out)`. The body every runner fans out.
+    fn sample<T, F>(&self, run: usize, f: &F, is_ok: fn(&T) -> bool) -> T
+    where
+        F: Fn(usize, &mut StdRng) -> T,
+    {
+        self.telemetry
+            .emit(|| Event::McRunStarted { run: run as u64 });
+        let out = f(run, &mut self.rng_for(run));
+        let ok = is_ok(&out);
+        self.telemetry.emit(|| Event::McRunDone {
+            run: run as u64,
+            ok,
+        });
+        out
+    }
+
     /// Executes `f(run_index, rng)` for every run and collects the
     /// results in run order.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
@@ -90,17 +108,7 @@ impl MonteCarlo {
             self.runs,
             self.parallel,
             || (),
-            |(), run| {
-                self.telemetry
-                    .emit(|| Event::McRunStarted { run: run as u64 });
-                let mut rng = self.rng_for(run);
-                let out = f(run, &mut rng);
-                self.telemetry.emit(|| Event::McRunDone {
-                    run: run as u64,
-                    ok: true,
-                });
-                out
-            },
+            |(), run| self.sample(run, &f, |_| true),
         )
     }
 
@@ -129,18 +137,7 @@ impl MonteCarlo {
             self.parallel,
             policy,
             || (),
-            |(), run| {
-                self.telemetry
-                    .emit(|| Event::McRunStarted { run: run as u64 });
-                let mut rng = self.rng_for(run);
-                let out = f(run, &mut rng);
-                let ok = out.is_ok();
-                self.telemetry.emit(|| Event::McRunDone {
-                    run: run as u64,
-                    ok,
-                });
-                out
-            },
+            |(), run| self.sample(run, &f, Result::is_ok),
         )
     }
 
@@ -212,18 +209,7 @@ impl MonteCarlo {
                 pending.len(),
                 self.parallel,
                 || (),
-                |(), k| {
-                    let run = pending[k];
-                    self.telemetry
-                        .emit(|| Event::McRunStarted { run: run as u64 });
-                    let mut rng = self.rng_for(run);
-                    let out = f(run, &mut rng);
-                    self.telemetry.emit(|| Event::McRunDone {
-                        run: run as u64,
-                        ok: true,
-                    });
-                    out
-                },
+                |(), k| self.sample(pending[k], &f, |_| true),
             );
             for (k, value) in chunk.into_iter().enumerate() {
                 ckpt.completed[pending[k]] = Some(value);
@@ -704,8 +690,9 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Each worker thread builds one scratch state with `init` and hands it
 /// to `f` for every job in its chunk, so per-job allocations (solver
 /// workspaces, cloned circuits) are paid once per thread rather than
-/// once per job. This is the machinery behind [`MonteCarlo::run`],
-/// exposed for other batch drivers such as the CIM batched MAC engine.
+/// once per job. This is the machinery behind [`MonteCarlo::run`];
+/// batch drivers that need per-job failures (the CIM batch engines,
+/// the NN accuracy sweep and gradient batches) use [`try_fan_out`].
 ///
 /// Results depend only on the job index, never on the thread layout:
 /// `f` must not leak state between jobs through `S` if callers compare

@@ -26,6 +26,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
 echo "==> release build"
 cargo build --release --offline
 
+echo "==> benchmark build (cimbench is its own package, outside the workspace)"
+cargo build --release --offline --manifest-path cimbench/Cargo.toml --bins
+
 echo "==> every workspace test suite, vendored crates excluded (full backtraces)"
 RUST_BACKTRACE=1 cargo test -q --offline --workspace --exclude criterion --exclude proptest \
   --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
