@@ -239,7 +239,7 @@ pub(crate) fn pack_solution(circuit: &Circuit, layout: &Layout, x: Vec<f64>) -> 
     let mut branch_currents = HashMap::new();
     for (idx, e) in circuit.elements().iter().enumerate() {
         if let Element::VoltageSource { name, .. } = e {
-            let row = layout.branch_of_element[&idx];
+            let row = layout.branch_of_element[idx];
             branch_currents.insert(name.clone(), x[row]);
         }
     }

@@ -7,7 +7,6 @@ use crate::solver::LinearSystem;
 use crate::SpiceError;
 use ferrocim_telemetry::Event;
 use ferrocim_units::{Celsius, Second};
-use std::collections::HashMap;
 
 /// Tiny conductance from every node to ground, preventing singular
 /// systems from floating nodes (e.g. capacitor-only nodes in DC).
@@ -65,8 +64,9 @@ impl Default for NewtonOptions {
 pub(crate) struct Layout {
     /// Number of non-ground nodes.
     pub n_nodes: usize,
-    /// Element-vector index → branch-current row for voltage sources.
-    pub branch_of_element: HashMap<usize, usize>,
+    /// Element-vector index → branch-current row for voltage sources
+    /// (`usize::MAX` for every other element).
+    pub branch_of_element: Vec<usize>,
     /// Total unknown count.
     pub size: usize,
 }
@@ -74,11 +74,11 @@ pub(crate) struct Layout {
 impl Layout {
     pub fn of(circuit: &Circuit) -> Layout {
         let n_nodes = circuit.node_count() - 1;
-        let mut branch_of_element = HashMap::new();
+        let mut branch_of_element = vec![usize::MAX; circuit.elements().len()];
         let mut next = n_nodes;
         for (idx, e) in circuit.elements().iter().enumerate() {
             if matches!(e, Element::VoltageSource { .. }) {
-                branch_of_element.insert(idx, next);
+                branch_of_element[idx] = next;
                 next += 1;
             }
         }
@@ -110,7 +110,7 @@ impl Layout {
 }
 
 /// Per-capacitor companion state carried across transient steps.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CapState {
     /// Branch voltage `v(a) − v(b)` at the previous accepted step.
     pub v_prev: f64,
@@ -123,11 +123,11 @@ pub(crate) struct CapState {
 pub(crate) enum CapMode<'a> {
     /// DC: capacitors are open circuits.
     Open,
-    /// Transient step of size `dt` with previous-step states, using the
-    /// given integration method.
+    /// Transient step of size `dt` with previous-step states (indexed
+    /// by element), using the given integration method.
     Companion {
         dt: f64,
-        states: &'a HashMap<usize, CapState>,
+        states: &'a [CapState],
         trapezoidal: bool,
     },
 }
@@ -199,10 +199,7 @@ pub(crate) fn assemble(
                     states,
                     trapezoidal,
                 } => {
-                    let state = states.get(&idx).copied().unwrap_or(CapState {
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
+                    let state = states.get(idx).copied().unwrap_or_default();
                     let c = capacitance.value();
                     // Companion: i = g·v − i_eq, with
                     //   BE:   g = C/dt,   i_eq = g·v_prev
@@ -226,7 +223,7 @@ pub(crate) fn assemble(
             Element::VoltageSource {
                 pos, neg, waveform, ..
             } => {
-                let row = layout.branch_of_element[&idx];
+                let row = layout.branch_of_element[idx];
                 if let Some(rp) = layout.row_of(*pos) {
                     a.add(rp, row, 1.0);
                     a.add(row, rp, 1.0);

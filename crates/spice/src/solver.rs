@@ -389,8 +389,16 @@ struct ColumnValues {
 /// The sparse KLU-style LU backend.
 ///
 /// Stamps are captured into a slot table on the first assembly; the
-/// pattern seals at the first solve, after which [`SparseLu::clear`] /
-/// [`SparseLu::add`] only touch values. The first solve runs the fused
+/// pattern seals at the first solve. [`SparseLu::add`] also records
+/// the slot sequence of each assembly, and [`SparseLu::clear`] rewinds
+/// it: an assembly that stamps the same coordinates in the same order
+/// as the previous one (every Newton iteration of a transient) replays
+/// that sequence, checking each stamp's coordinate against the
+/// recorded slot and adding into it with no hashing. At the first
+/// mismatch (a DC assembly after a transient one, say) the sequence is
+/// cut there and re-recorded through the `(row, col) → slot` map. Each
+/// slot receives the same additions in the same order either way, so
+/// the values are bitwise identical. The first solve runs the fused
 /// symbolic + numeric Gilbert–Peierls factorization (fill-reducing
 /// ordering, DFS reach, threshold pivoting); every later solve
 /// refactors numerically along the stored pattern — no ordering, no
@@ -402,10 +410,17 @@ pub struct SparseLu {
     n: usize,
     ordering: FillOrdering,
     parallel: bool,
+    /// Worker threads of the parallel refactorization, resolved once
+    /// when parallel blocks are switched on (below 2: sequential).
+    threads: usize,
     // --- stamp capture ---
     slot_of: HashMap<(u32, u32), u32>,
     coords: Vec<(u32, u32)>,
     values: Vec<f64>,
+    /// Slot of every stamp of the last assembly, in stamping order.
+    replay: Vec<u32>,
+    /// Position of the next stamp in `replay`; rewound by `clear`.
+    cursor: usize,
     sealed: bool,
     // --- CSC mirror of the stamped pattern (built at seal) ---
     col_ptr: Vec<usize>,
@@ -449,6 +464,13 @@ impl SparseLu {
     /// (builder style).
     pub fn with_parallel_blocks(mut self, parallel: bool) -> SparseLu {
         self.parallel = parallel;
+        self.threads = if parallel {
+            std::thread::available_parallelism()
+                .map(|t| t.get())
+                .unwrap_or(1)
+        } else {
+            1
+        };
         self
     }
 
@@ -706,13 +728,7 @@ impl SparseLu {
             return Err(NumericDegraded);
         };
         let n = self.n;
-        let threads = if self.parallel {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
+        let threads = self.threads;
         let mut buf = ColumnValues {
             k: 0,
             diag: 0.0,
@@ -941,13 +957,27 @@ impl LinearSystem for SparseLu {
 
     fn clear(&mut self) {
         self.values.fill(0.0);
+        self.cursor = 0;
     }
 
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: f64) {
         let key = (row as u32, col as u32);
-        match self.slot_of.get(&key) {
-            Some(&slot) => self.values[slot as usize] += value,
+        if let Some(&slot) = self.replay.get(self.cursor) {
+            if self.coords[slot as usize] == key {
+                self.cursor += 1;
+                self.values[slot as usize] += value;
+                return;
+            }
+            // This assembly diverges from the recorded one: re-record
+            // from here on.
+            self.replay.truncate(self.cursor);
+        }
+        let slot = match self.slot_of.get(&key) {
+            Some(&slot) => {
+                self.values[slot as usize] += value;
+                slot
+            }
             None => {
                 if self.sealed {
                     // A stamp at a new position means the topology
@@ -961,8 +991,11 @@ impl LinearSystem for SparseLu {
                 self.slot_of.insert(key, slot);
                 self.coords.push(key);
                 self.values.push(value);
+                slot
             }
-        }
+        };
+        self.replay.push(slot);
+        self.cursor += 1;
     }
 
     fn solve_into(

@@ -20,7 +20,7 @@ use crate::dc::OperatingPoint;
 use crate::mna::{newton_solve_in, CapMode, CapState, Layout, NewtonOptions};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::rescue::{is_rescuable, rescue_solve, RescuePolicy};
-use crate::{RunContext, SpiceError, Workspace};
+use crate::{RunContext, SpiceError, Waveform, Workspace};
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Ampere, Celsius, Joule, Second, Volt};
 use std::collections::HashMap;
@@ -424,7 +424,7 @@ impl<'a> TransientAnalysis<'a> {
     fn initial_state(
         &self,
         ws: &mut Workspace,
-    ) -> Result<(OperatingPoint, HashMap<usize, CapState>), SpiceError> {
+    ) -> Result<(OperatingPoint, Vec<CapState>), SpiceError> {
         let initial = match self.start_from {
             Some(op) => op.clone(),
             None => crate::DcAnalysis::new(self.circuit)
@@ -433,7 +433,7 @@ impl<'a> TransientAnalysis<'a> {
                 .with_context(self.ctx.clone())
                 .solve_in(ws)?,
         };
-        let mut cap_states: HashMap<usize, CapState> = HashMap::new();
+        let mut cap_states = vec![CapState::default(); self.circuit.elements().len()];
         for (idx, e) in self.circuit.elements().iter().enumerate() {
             if let Element::Capacitor {
                 a, b, initial: ic, ..
@@ -443,13 +443,10 @@ impl<'a> TransientAnalysis<'a> {
                     Some(v) => v.value(),
                     None => initial.voltage(*a).value() - initial.voltage(*b).value(),
                 };
-                cap_states.insert(
-                    idx,
-                    CapState {
-                        v_prev: v,
-                        i_prev: 0.0,
-                    },
-                );
+                cap_states[idx] = CapState {
+                    v_prev: v,
+                    i_prev: 0.0,
+                };
             }
         }
         Ok((initial, cap_states))
@@ -511,8 +508,8 @@ impl<'a> TransientAnalysis<'a> {
         let mut x = initial.raw.clone();
         let trapezoidal = matches!(self.integrator, Integrator::Trapezoidal);
 
-        let mut rec = Recording::new(self.circuit, times.len() + 1);
-        rec.record(&layout, 0.0, &x);
+        let mut rec = Recording::new(self.circuit, &layout, times.len() + 1);
+        rec.record(0.0, &x);
 
         let mut t_prev = 0.0;
         for &t_now in &times {
@@ -548,8 +545,8 @@ impl<'a> TransientAnalysis<'a> {
                 step,
                 trapezoidal,
             );
-            rec.accumulate_energy(&layout, t_now, &x, step);
-            rec.record(&layout, t_now, &x);
+            rec.accumulate_energy(t_now, &x, step);
+            rec.record(t_now, &x);
             t_prev = t_now;
         }
 
@@ -592,9 +589,9 @@ impl<'a> TransientAnalysis<'a> {
         let bps = self.inner_breakpoints(t_stop);
         let mut bp_idx = 0usize;
 
-        let mut rec = Recording::new(self.circuit, 128);
+        let mut rec = Recording::new(self.circuit, &layout, 128);
         let mut x = initial.raw.clone();
-        rec.record(&layout, 0.0, &x);
+        rec.record(0.0, &x);
 
         let mut x_full = x.clone();
         let mut x_half = x.clone();
@@ -649,8 +646,8 @@ impl<'a> TransientAnalysis<'a> {
                         // the run can never livelock.
                         std::mem::swap(&mut x, &mut x_half);
                         std::mem::swap(&mut cap_states, &mut states_half);
-                        rec.accumulate_energy(&layout, target, &x, h);
-                        rec.record(&layout, target, &x);
+                        rec.accumulate_energy(target, &x, h);
+                        rec.record(target, &x);
                         self.ctx.telemetry.emit(|| Event::StepAccepted {
                             time: target,
                             dt: h,
@@ -719,8 +716,8 @@ impl<'a> TransientAnalysis<'a> {
                             trapezoidal,
                         );
                         std::mem::swap(&mut x, &mut x_full);
-                        rec.accumulate_energy(&layout, target, &x, h);
-                        rec.record(&layout, target, &x);
+                        rec.accumulate_energy(target, &x, h);
+                        rec.record(target, &x);
                         self.ctx.telemetry.emit(|| Event::StepAccepted {
                             time: target,
                             dt: h,
@@ -766,10 +763,10 @@ fn attempt_step(
     t: f64,
     h: f64,
     x_prev: &[f64],
-    cap_states: &HashMap<usize, CapState>,
+    cap_states: &[CapState],
     x_full: &mut [f64],
     x_half: &mut [f64],
-    states_half: &mut HashMap<usize, CapState>,
+    states_half: &mut [CapState],
     ws: &mut Workspace,
 ) -> Result<StepTrial, SpiceError> {
     x_full.copy_from_slice(x_prev);
@@ -798,7 +795,7 @@ fn attempt_step(
     }
 
     x_half.copy_from_slice(x_prev);
-    states_half.clone_from(cap_states);
+    states_half.copy_from_slice(cap_states);
     let hh = 0.5 * h;
     for k in 0..2 {
         let t_sub = if k == 0 { t + hh } else { t + h };
@@ -841,11 +838,11 @@ fn update_cap_states(
     circuit: &Circuit,
     layout: &Layout,
     x: &[f64],
-    states: &mut HashMap<usize, CapState>,
+    states: &mut [CapState],
     step: f64,
     trapezoidal: bool,
 ) {
-    for (idx, e) in circuit.elements().iter().enumerate() {
+    for (e, state) in circuit.elements().iter().zip(states) {
         if let Element::Capacitor {
             a, b, capacitance, ..
         } = e
@@ -853,86 +850,85 @@ fn update_cap_states(
             let va = layout.voltage(x, *a);
             let vb = layout.voltage(x, *b);
             let v_new = va - vb;
-            if let Some(state) = states.get_mut(&idx) {
-                let c = capacitance.value();
-                let i_new = if trapezoidal {
-                    2.0 * c / step * (v_new - state.v_prev) - state.i_prev
-                } else {
-                    c / step * (v_new - state.v_prev)
-                };
-                state.v_prev = v_new;
-                state.i_prev = i_new;
-            }
+            let c = capacitance.value();
+            let i_new = if trapezoidal {
+                2.0 * c / step * (v_new - state.v_prev) - state.i_prev
+            } else {
+                c / step * (v_new - state.v_prev)
+            };
+            state.v_prev = v_new;
+            state.i_prev = i_new;
         }
     }
 }
 
 /// Sampled-waveform and energy accumulation shared by both stepping
-/// modes.
+/// modes. Source traces and energies are kept per source ordinal (the
+/// voltage sources in element order) and keyed by name only in
+/// [`Recording::finish`].
 struct Recording<'c> {
     circuit: &'c Circuit,
+    /// Name, waveform and branch-current row of each voltage source.
+    sources: Vec<(&'c str, &'c Waveform, usize)>,
     sample_times: Vec<f64>,
     samples_v: Vec<Vec<f64>>,
-    source_currents: HashMap<String, Vec<f64>>,
-    energy: HashMap<String, f64>,
+    source_currents: Vec<Vec<f64>>,
+    energy: Vec<f64>,
 }
 
 impl<'c> Recording<'c> {
-    fn new(circuit: &'c Circuit, capacity: usize) -> Recording<'c> {
-        let mut source_currents = HashMap::new();
-        let mut energy = HashMap::new();
-        for e in circuit.elements() {
-            if let Element::VoltageSource { name, .. } = e {
-                source_currents.insert(name.clone(), Vec::with_capacity(capacity));
-                energy.insert(name.clone(), 0.0);
-            }
-        }
+    fn new(circuit: &'c Circuit, layout: &Layout, capacity: usize) -> Recording<'c> {
+        let sources: Vec<(&'c str, &'c Waveform, usize)> = circuit
+            .elements()
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, e)| match e {
+                Element::VoltageSource { name, waveform, .. } => {
+                    Some((name.as_str(), waveform, layout.branch_of_element[idx]))
+                }
+                _ => None,
+            })
+            .collect();
         Recording {
             circuit,
+            source_currents: sources
+                .iter()
+                .map(|_| Vec::with_capacity(capacity))
+                .collect(),
+            energy: vec![0.0; sources.len()],
+            sources,
             sample_times: Vec::with_capacity(capacity),
             samples_v: Vec::with_capacity(capacity),
-            source_currents,
-            energy,
         }
     }
 
-    fn record(&mut self, layout: &Layout, t: f64, x: &[f64]) {
+    fn record(&mut self, t: f64, x: &[f64]) {
         self.sample_times.push(t);
         let n = self.circuit.node_count();
         let mut row = vec![0.0; n];
         row[1..n].copy_from_slice(&x[..n - 1]);
         self.samples_v.push(row);
-        for (idx, e) in self.circuit.elements().iter().enumerate() {
-            if let Element::VoltageSource { name, .. } = e {
-                let r = layout.branch_of_element[&idx];
-                if let Some(trace) = self.source_currents.get_mut(name) {
-                    trace.push(x[r]);
-                }
-            }
+        for (&(_, _, r), trace) in self.sources.iter().zip(&mut self.source_currents) {
+            trace.push(x[r]);
         }
     }
 
     /// Energy accounting: E += v·(−i)·dt per voltage source, with the
     /// MNA branch current flowing pos→neg inside the source.
-    fn accumulate_energy(&mut self, layout: &Layout, t: f64, x: &[f64], step: f64) {
-        for (idx, e) in self.circuit.elements().iter().enumerate() {
-            if let Element::VoltageSource { name, waveform, .. } = e {
-                let r = layout.branch_of_element[&idx];
-                let v = waveform.at(Second(t)).value();
-                let delivered = -v * x[r] * step;
-                if let Some(e) = self.energy.get_mut(name) {
-                    *e += delivered;
-                }
-            }
+    fn accumulate_energy(&mut self, t: f64, x: &[f64], step: f64) {
+        for (&(_, waveform, r), e) in self.sources.iter().zip(&mut self.energy) {
+            let v = waveform.at(Second(t)).value();
+            *e += -v * x[r] * step;
         }
     }
 
     fn finish(self, steps: StepReport) -> TransientResult {
+        let names = || self.sources.iter().map(|&(name, _, _)| name.to_string());
         TransientResult {
+            source_currents: names().zip(self.source_currents).collect(),
+            energy: names().zip(self.energy).collect(),
             times: self.sample_times,
             voltages: self.samples_v,
-            source_currents: self.source_currents,
-            energy: self.energy,
             steps,
         }
     }

@@ -402,3 +402,116 @@ proptest! {
         }
     }
 }
+
+/// Stamps `entries` into `s` as one assembly and solves it.
+fn stamp_and_solve(
+    s: &mut ferrocim_spice::SparseLu,
+    entries: &[(usize, usize, f64)],
+    b: &[f64],
+) -> Vec<u64> {
+    use ferrocim_spice::{LinearSystem, Telemetry};
+    s.clear();
+    for &(r, c, v) in entries {
+        s.add(r, c, v);
+    }
+    let mut x = Vec::new();
+    s.solve_into(b, &mut x, &Telemetry::off())
+        .expect("diagonally dominant system");
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A fresh solver stamped once with `entries`: the bits of its first
+/// (symbolic + numeric) solve and of a second, refactor-only solve.
+fn fresh_solves(
+    n: usize,
+    ordering: ferrocim_spice::FillOrdering,
+    entries: &[(usize, usize, f64)],
+    b: &[f64],
+) -> (Vec<u64>, Vec<u64>, u64) {
+    use ferrocim_spice::{LinearSystem, SparseLu, Telemetry};
+    let mut s = SparseLu::with_dim(n).with_ordering(ordering);
+    for &(r, c, v) in entries {
+        s.add(r, c, v);
+    }
+    let (mut first, mut second) = (Vec::new(), Vec::new());
+    s.solve_into(b, &mut first, &Telemetry::off())
+        .expect("diagonally dominant system");
+    s.solve_into(b, &mut second, &Telemetry::off())
+        .expect("diagonally dominant system");
+    let bits = |x: Vec<f64>| x.iter().map(|v| v.to_bits()).collect();
+    (bits(first), bits(second), s.symbolic_analyses())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Stamp replay is invisible: one `SparseLu` reused across
+    /// assemblies that stamp the same entries in the same order, in a
+    /// shuffled order, and as a common prefix followed by a divergence
+    /// (and then with one coordinate that is new after sealing) solves
+    /// bitwise like a fresh solver stamped once, with the same number
+    /// of symbolic analyses. Values are small integers (diagonally
+    /// dominant), so every slot sums exactly in any order and a stamp
+    /// added into the wrong slot always shows.
+    #[test]
+    fn stamp_replay_matches_hashed_stamping(
+        n in 5usize..12,
+        extras in prop::collection::vec((0usize..12, 0usize..12, -8i32..=8), 0..16),
+        swaps in prop::collection::vec((0usize..64, 0usize..64), 1..32),
+        split in 0usize..64,
+        grow in (0usize..144, -8i32..=8),
+    ) {
+        use ferrocim_spice::FillOrdering;
+        let mut base: Vec<(usize, usize, f64)> =
+            (0..n).map(|i| (i, i, 256.0 + i as f64)).collect();
+        base.extend(extras.iter().map(|&(r, c, v)| (r % n, c % n, f64::from(v))));
+        let len = base.len();
+        let mut shuffled = base.clone();
+        for &(i, j) in &swaps {
+            shuffled.swap(i % len, j % len);
+        }
+        let k = split % (len + 1);
+        let mut diverged = base[..k].to_vec();
+        diverged.extend(base[k..].iter().rev());
+        // The first coordinate at or after `grow.0` the pattern lacks
+        // (n² > n + 16, so one always exists).
+        let new_coord = (0..n * n)
+            .map(|d| ((grow.0 + d) % (n * n) / n, (grow.0 + d) % n))
+            .find(|&(r, c)| !base.iter().any(|&(br, bc, _)| (br, bc) == (r, c)))
+            .expect("a free coordinate");
+        let new_entry = (new_coord.0, new_coord.1, f64::from(grow.1));
+        let mut grown = base.clone();
+        grown.push(new_entry);
+        let mut grown_shuffled = shuffled.clone();
+        grown_shuffled.insert(k, new_entry);
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.37).sin()).collect();
+
+        for ordering in [FillOrdering::MinDegree, FillOrdering::Natural] {
+            let (a_first, a_refactor, a_sym) = fresh_solves(n, ordering, &base, &b);
+            let (g_first, g_refactor, g_sym) = fresh_solves(n, ordering, &grown, &b);
+            let mut s = ferrocim_spice::SparseLu::with_dim(n).with_ordering(ordering);
+            prop_assert_eq!(stamp_and_solve(&mut s, &base, &b), a_first.clone());
+            for (name, entries) in [
+                ("same order", &base),
+                ("same order again", &base),
+                ("shuffled", &shuffled),
+                ("shuffled again", &shuffled),
+                ("prefix then divergence", &diverged),
+                ("back to the base order", &base),
+            ] {
+                prop_assert_eq!(
+                    stamp_and_solve(&mut s, entries, &b),
+                    a_refactor.clone(),
+                    "{} ({:?})", name, ordering
+                );
+                prop_assert_eq!(s.symbolic_analyses(), a_sym);
+            }
+            prop_assert_eq!(stamp_and_solve(&mut s, &grown, &b), g_first);
+            prop_assert_eq!(s.symbolic_analyses(), a_sym + g_sym);
+            for entries in [&grown, &grown_shuffled, &grown] {
+                prop_assert_eq!(stamp_and_solve(&mut s, entries, &b), g_refactor.clone());
+            }
+            prop_assert_eq!(s.symbolic_analyses(), a_sym + g_sym);
+        }
+    }
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: formatting, lints, docs, the release build, then
-# every test suite of the workspace's own crates. Run from anywhere
-# inside the repo.
+# Full pre-merge gate: formatting, lints, docs, the release build, a
+# short run of every cimbench workload (each must report correct
+# output), then every test suite of the workspace's own crates. Run
+# from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,15 @@ cargo build --release --offline
 
 echo "==> benchmark build (cimbench is its own package, outside the workspace)"
 cargo build --release --offline --manifest-path cimbench/Cargo.toml --bins
+
+echo "==> benchmark smoke: every cimbench workload must report correct output"
+for workload in row_transient mc_variation vgg_cim serve_mix; do
+  last=$(cimbench/target/release/cimbench --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  case "$last" in
+    '{"correct": true,'*) echo "    $workload: correct" ;;
+    *) echo "    $workload: output check failed: $last" >&2; exit 1 ;;
+  esac
+done
 
 echo "==> every workspace test suite, vendored crates excluded (full backtraces)"
 RUST_BACKTRACE=1 cargo test -q --offline --workspace --exclude criterion --exclude proptest \
