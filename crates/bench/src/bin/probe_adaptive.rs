@@ -6,30 +6,24 @@
 //! wall-clock timings, and dumps `results/probe_adaptive.json`.
 
 use ferrocim_bench::schema::{AdaptiveProbe, PathStats};
+use ferrocim_bench::timing::best_of;
 use ferrocim_bench::{dump_json, print_table};
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::{mac_operands, ArrayConfig, CimArray};
 use ferrocim_spice::{AdaptiveOptions, Circuit, NodeId, TransientAnalysis};
 use ferrocim_units::Second;
-use std::time::Instant;
 
 /// Wall-clock repetitions per stepping mode; the minimum is reported so
 /// a background hiccup on one run does not skew the comparison.
 const REPS: usize = 5;
 
-fn time_run<'a>(
-    make: impl Fn() -> TransientAnalysis<'a>,
+/// Runs `analysis` best-of-[`REPS`] and summarises the last run,
+/// returning its statistics and final `V_acc` in volts.
+fn stepping_stats(
+    analysis: &TransientAnalysis<'_>,
     ckt_acc: NodeId,
 ) -> Result<(PathStats, f64), ferrocim_spice::SpiceError> {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let run = make().run()?;
-        best = best.min(start.elapsed().as_secs_f64());
-        result = Some(run);
-    }
-    let run = result.expect("REPS > 0");
+    let (best, run) = best_of(REPS, || analysis.run())?;
     let report = run.step_report();
     let v_acc = run.final_voltage(ckt_acc).value();
     Ok((
@@ -69,20 +63,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (ckt, acc, t_stop): (Circuit, NodeId, Second) = array.readout_circuit(&weights, &inputs)?;
 
     let opts = AdaptiveOptions::for_duration(t_stop);
-    let (fixed, v_fixed) = time_run(
-        || {
-            TransientAnalysis::over(&ckt, t_stop)
-                .with_fixed_step(config.dt)
-                .with_recorder(trace.telemetry())
-        },
+    let (fixed, v_fixed) = stepping_stats(
+        &TransientAnalysis::over(&ckt, t_stop)
+            .with_fixed_step(config.dt)
+            .with_recorder(trace.telemetry()),
         acc,
     )?;
-    let (adaptive, v_adaptive) = time_run(
-        || {
-            TransientAnalysis::over(&ckt, t_stop)
-                .with_adaptive_options(opts)
-                .with_recorder(trace.telemetry())
-        },
+    let (adaptive, v_adaptive) = stepping_stats(
+        &TransientAnalysis::over(&ckt, t_stop)
+            .with_adaptive_options(opts)
+            .with_recorder(trace.telemetry()),
         acc,
     )?;
 

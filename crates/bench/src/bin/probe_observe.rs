@@ -5,9 +5,9 @@
 //! 1. **Cost** — always-on flight recording must stay under 2%
 //!    wall-clock overhead on the 256-cell row DC readout. The same
 //!    solve is timed at `iterations` detail against a
-//!    [`NoopRecorder`] and against a [`FlightRecorder`] ring, reps
-//!    interleaved so machine-load drift cannot inflate one side
-//!    (exactly the `probe_health` discipline).
+//!    [`NoopRecorder`] and against a [`FlightRecorder`] ring through
+//!    the paired-median estimator every wall-clock gate uses
+//!    ([`paired_overhead`]).
 //! 2. **Incident dump** — a chaos backend with a 100% blowup rate is
 //!    served behind a tight circuit breaker and a flight recorder
 //!    armed with [`DumpOn::BreakerOpen`]. The trip must leave an
@@ -21,8 +21,8 @@
 //!    `_count` latency series for at most cap + 1 labels, with the
 //!    overflow collapsed into `other`.
 //!
-//! The gate bounds live in `baselines/probe_observe.json` (pass with
-//! `--gate <path>`); like the serve gate these are hand-set limits,
+//! The gate bounds live in `baselines/probe_observe.json`, compiled
+//! into the probe; like the serve gate these are hand-set limits,
 //! because wall-clock overhead is machine-dependent. `--dump-dir DIR`
 //! overrides where the incident dump lands (default
 //! `target/flight-dumps/probe_observe`). Dumps
@@ -36,7 +36,8 @@
 use ferrocim_bench::schema::{
     ObserveCardinality, ObserveDump, ObserveGateBounds, ObserveOverhead, ObserveProbe,
 };
-use ferrocim_bench::{dump_json, Trace};
+use ferrocim_bench::timing::paired_overhead;
+use ferrocim_bench::{dump_json, flag_value, Trace};
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::{mac_operands, ArrayConfig, CimArray};
 use ferrocim_serve::{
@@ -65,9 +66,6 @@ const REPS: usize = 9;
 /// `probe_health`'s, so single-solve samples are too jittery to gate
 /// on.
 const BLOCK: usize = 4;
-
-/// Flight-recording overhead bound in percent.
-const OVERHEAD_LIMIT_PCT: f64 = 2.0;
 
 /// Tenant cap configured on the cardinality scenario's aggregator.
 const TENANT_CAP: usize = 4;
@@ -104,25 +102,17 @@ fn unknown_count(ckt: &Circuit) -> usize {
     ckt.node_count() - 1 + sources
 }
 
-/// Times the full DC Newton solve recording into a no-op sink and
-/// into a flight-recorder ring. Each rep clocks a [`BLOCK`]-solve
-/// block per side, the two sides interleaved rep-by-rep with the
-/// in-pair order alternating so machine-load drift and
-/// second-position effects (cache warmth, turbo decay) cannot
-/// systematically charge one side, and the gated overhead is the
-/// median of the per-rep paired ratios — a single load burst lands on
-/// one rep's ratio and is discarded, where a best-of comparison would
-/// let it decide the verdict. One untimed warmup block per side
-/// precedes the clocked reps. Both handles run at `iterations` detail
-/// so the per-event cost is actually exercised. Returns the best
-/// per-solve wall clocks in microseconds, the ring population, and
-/// the median paired overhead in percent.
-fn time_recorder_pair(ckt: &Circuit) -> Result<(f64, f64, usize, f64), SpiceError> {
+/// Times the full DC Newton solve recording into a no-op sink against
+/// a flight-recorder ring through [`paired_overhead`], one
+/// [`BLOCK`]-solve block per side and rep. Both handles run at
+/// `iterations` detail so the per-event cost is actually exercised.
+/// Returns the best per-solve wall clocks in microseconds, the ring
+/// population, and the median paired overhead in percent.
+fn time_recorders(ckt: &Circuit) -> Result<(f64, f64, usize, f64), SpiceError> {
     let noop = Telemetry::to(NoopRecorder).with_detail(DetailLevel::Iterations);
     let ring = Arc::new(FlightRecorder::new(4096));
     let flight = Telemetry::new(ring.clone()).with_detail(DetailLevel::Iterations);
-    let timed_block = |tele: &Telemetry| -> Result<f64, SpiceError> {
-        let start = Instant::now();
+    let block = |tele: &Telemetry| -> Result<(), SpiceError> {
         for _ in 0..BLOCK {
             // A fresh workspace per solve so each timing includes the
             // full symbolic + numeric cost, not a warm rerun.
@@ -131,34 +121,14 @@ fn time_recorder_pair(ckt: &Circuit) -> Result<(f64, f64, usize, f64), SpiceErro
                 .with_recorder(tele.clone())
                 .solve_in(&mut ws)?;
         }
-        Ok(start.elapsed().as_secs_f64())
+        Ok(())
     };
-    timed_block(&noop)?;
-    timed_block(&flight)?;
-    let mut best_noop = f64::INFINITY;
-    let mut best_flight = f64::INFINITY;
-    let mut ratios_pct = Vec::with_capacity(REPS);
-    for rep in 0..REPS {
-        let (t_noop, t_flight) = if rep % 2 == 0 {
-            let t_noop = timed_block(&noop)?;
-            let t_flight = timed_block(&flight)?;
-            (t_noop, t_flight)
-        } else {
-            let t_flight = timed_block(&flight)?;
-            let t_noop = timed_block(&noop)?;
-            (t_noop, t_flight)
-        };
-        best_noop = best_noop.min(t_noop);
-        best_flight = best_flight.min(t_flight);
-        ratios_pct.push((t_flight - t_noop) / t_noop * 100.0);
-    }
-    ratios_pct.sort_by(f64::total_cmp);
-    let median_pct = ratios_pct[REPS / 2];
+    let timing = paired_overhead(REPS, || block(&noop), || block(&flight))?;
     Ok((
-        best_noop / BLOCK as f64 * 1e6,
-        best_flight / BLOCK as f64 * 1e6,
+        timing.base_best_s / BLOCK as f64 * 1e6,
+        timing.test_best_s / BLOCK as f64 * 1e6,
         ring.len(),
-        median_pct,
+        timing.overhead_pct,
     ))
 }
 
@@ -171,35 +141,11 @@ fn mac_body(tenant: &str, path: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// `--flag value` or `--flag=value` from the raw argument list.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == flag {
-            return iter.next().cloned();
-        }
-        if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.to_string());
-        }
-    }
-    None
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = Trace::from_args()?;
     let args: Vec<String> = std::env::args().collect();
-    let gate: ObserveGateBounds = match parse_flag(&args, "--gate") {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(&path)?)
-            .map_err(|e| format!("gate bounds {path}: {e}"))?,
-        None => ObserveGateBounds {
-            max_overhead_pct: OVERHEAD_LIMIT_PCT,
-            min_dump_breaker_opens: 1,
-            max_distinct_tenants: TENANT_CAP + 1,
-        },
-    };
-    let dump_dir = parse_flag(&args, "--dump-dir")
-        .unwrap_or_else(|| "target/flight-dumps/probe_observe".to_string());
+    let gate = ObserveGateBounds::checked_in()?;
+    let dump_dir = flag_value(&args, "--dump-dir")?.unwrap_or("target/flight-dumps/probe_observe");
     println!("# Probe — observability: recording cost, incident dumps, label cardinality\n");
 
     // Claim 1: cost. The 256-cell row DC readout recorded into a no-op
@@ -208,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (weights, inputs) = mac_operands(CELLS, CELLS / 2 + 1);
     let (ckt, _acc, _t_stop) = array.readout_circuit(&weights, &inputs)?;
     let unknowns = unknown_count(&ckt);
-    let (noop_us, flight_us, flight_events, overhead_pct) = time_recorder_pair(&ckt)?;
+    let (noop_us, flight_us, flight_events, overhead_pct) = time_recorders(&ckt)?;
     let overhead = ObserveOverhead {
         cells_per_row: CELLS,
         unknowns,
@@ -232,9 +178,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One calibrated backend shared by both serving scenarios.
     let agg = Arc::new(Aggregator::new());
-    std::fs::create_dir_all(&dump_dir)?;
+    std::fs::create_dir_all(dump_dir)?;
     let flight =
-        Arc::new(FlightRecorder::new(1024).with_dump_dir(&dump_dir, &[DumpOn::BreakerOpen]));
+        Arc::new(FlightRecorder::new(1024).with_dump_dir(dump_dir, &[DumpOn::BreakerOpen]));
     let tele = Telemetry::to(Tee::new(vec![
         agg.clone() as Arc<dyn Recorder>,
         flight.clone() as Arc<dyn Recorder>,

@@ -25,8 +25,8 @@
 //!    solve instead of extrapolating, and the check-mode audit running
 //!    underneath must report zero envelope violations.
 //!
-//! The gate bounds live in `baselines/probe_serve.json` (pass with
-//! `--gate <path>`); unlike the trace-diff baselines these are hand-set
+//! The gate bounds live in `baselines/probe_serve.json`, compiled into
+//! the probe; unlike the trace-diff baselines these are hand-set
 //! limits, because shed and retry counts are load-dependent by design.
 //! Dumps `results/probe_serve.json`.
 
@@ -198,32 +198,9 @@ fn drive(
     })
 }
 
-fn parse_gate_path(args: &[String]) -> Option<String> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--gate" {
-            return iter.next().cloned();
-        }
-        if let Some(path) = arg.strip_prefix("--gate=") {
-            return Some(path.to_string());
-        }
-    }
-    None
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = Trace::from_args()?;
-    let args: Vec<String> = std::env::args().collect();
-    let gate: ServeGateBounds = match parse_gate_path(&args) {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(&path)?)
-            .map_err(|e| format!("gate bounds {path}: {e}"))?,
-        None => ServeGateBounds {
-            max_shed_rate: 0.95,
-            max_p99_ms: 2000.0,
-            min_ok: 2,
-            min_surrogate_rate: 0.9,
-        },
-    };
+    let gate = ServeGateBounds::checked_in()?;
     println!("# Probe — serving robustness: overload, deadlines, chaos, drain, surrogate\n");
 
     let agg = Arc::new(Aggregator::new());

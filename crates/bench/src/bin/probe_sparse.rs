@@ -13,6 +13,7 @@
 //! `results/probe_sparse.json`.
 
 use ferrocim_bench::schema::{LargeRowMac, SparseProbe, SparseWidthPoint};
+use ferrocim_bench::timing::best_of;
 use ferrocim_bench::{dump_json, print_table};
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::{mac_operands, ArrayConfig, CimArray, MacRequest};
@@ -68,27 +69,6 @@ fn unknown_count(ckt: &Circuit) -> usize {
     ckt.node_count() - 1 + sources
 }
 
-/// Times the full DC Newton solve under one backend, returning the
-/// best-of-`reps` wall clock and the converged operating point.
-fn time_dc(
-    ckt: &Circuit,
-    config: SolverConfig,
-    reps: usize,
-) -> Result<(f64, ferrocim_spice::OperatingPoint), ferrocim_spice::SpiceError> {
-    let mut best = f64::INFINITY;
-    let mut op = None;
-    for _ in 0..reps {
-        // A fresh workspace per rep so each timing includes the
-        // backend's full symbolic + numeric cost, not a warm rerun.
-        let mut ws = Workspace::with_solver(config);
-        let start = Instant::now();
-        let solved = DcAnalysis::new(ckt).solve_in(&mut ws)?;
-        best = best.min(start.elapsed().as_secs_f64());
-        op = Some(solved);
-    }
-    Ok((best * 1e6, op.expect("reps > 0")))
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = ferrocim_bench::Trace::from_args()?;
     println!("# Probe — sparse vs. dense MNA factorization over row width\n");
@@ -102,9 +82,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (ckt, _acc, _t_stop) = array.readout_circuit(&weights, &inputs)?;
         let unknowns = unknown_count(&ckt);
         let reps = if cells <= 64 { 3 } else { 1 };
-        let (sparse_us, sparse_op) = time_dc(&ckt, SolverConfig::sparse(), reps)?;
+        // Best-of-`reps` full DC Newton solves per backend, each on a
+        // fresh workspace so the timing includes the backend's full
+        // symbolic + numeric cost, not a warm rerun.
+        let best_dc_us = |config| {
+            best_of(reps, || {
+                DcAnalysis::new(&ckt).solve_in(&mut Workspace::with_solver(config))
+            })
+            .map(|(best_s, op)| (best_s * 1e6, op))
+        };
+        let (sparse_us, sparse_op) = best_dc_us(SolverConfig::sparse())?;
         let (dense_us, max_delta_v) = if cells <= DENSE_LIMIT {
-            let (us, dense_op) = time_dc(&ckt, SolverConfig::dense(), reps)?;
+            let (us, dense_op) = best_dc_us(SolverConfig::dense())?;
             let delta = circuit_nodes(&ckt)
                 .iter()
                 .map(|&n| (dense_op.voltage(n).value() - sparse_op.voltage(n).value()).abs())

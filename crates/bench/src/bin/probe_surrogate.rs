@@ -20,8 +20,9 @@
 //!    typed `OutOfDomain` error, never extrapolated.
 //!
 //! Like `probe_serve`, the gate bounds in
-//! `baselines/probe_surrogate.json` are hand-set limits (wall-clock
-//! ratios are machine-dependent); `--update` never rewrites them.
+//! `baselines/probe_surrogate.json` (compiled into the probe) are
+//! hand-set limits (wall-clock ratios are machine-dependent);
+//! `bench_gate.sh --update` never rewrites them.
 //! Dumps `results/probe_surrogate.json`.
 
 use ferrocim_bench::schema::{
@@ -55,31 +56,9 @@ const MIX_SEED: u64 = 0x05E5_EF17;
 /// Check-mode sampling period.
 const CHECK_EVERY: u64 = 4;
 
-fn parse_gate_path(args: &[String]) -> Option<String> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--gate" {
-            return iter.next().cloned();
-        }
-        if let Some(path) = arg.strip_prefix("--gate=") {
-            return Some(path.to_string());
-        }
-    }
-    None
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = Trace::from_args()?;
-    let args: Vec<String> = std::env::args().collect();
-    let gate: SurrogateGateBounds = match parse_gate_path(&args) {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(&path)?)
-            .map_err(|e| format!("gate bounds {path}: {e}"))?,
-        None => SurrogateGateBounds {
-            min_speedup: 50.0,
-            max_envelope_v: 0.02,
-            max_check_failures: 0,
-        },
-    };
+    let gate = SurrogateGateBounds::checked_in()?;
     println!("# Probe — certified surrogate fast path: speedup, envelope, checks, domain\n");
 
     let agg = Arc::new(Aggregator::new());

@@ -7,12 +7,13 @@
 //! own reports (`StepReport`, `FanOutReport`). With `--overhead` it
 //! additionally times the batched-MAC workload with telemetry off
 //! versus a [`NoopRecorder`] attached — the full event-construction and
-//! dispatch path with nothing behind it — and requires the overhead to
-//! stay under 2 %.
+//! dispatch path with nothing behind it — and requires the median
+//! paired overhead ([`paired_overhead`]) to stay under 2 %.
 //!
 //! Dumps `results/probe_telemetry.json`.
 
 use ferrocim_bench::schema::{CountCheck, Overhead, TelemetryProbe};
+use ferrocim_bench::timing::paired_overhead;
 use ferrocim_bench::{dump_json, print_table, Trace};
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::{mac_operands, ArrayConfig, ArrayEngine, CimArray};
@@ -21,7 +22,6 @@ use ferrocim_telemetry::{Aggregator, NoopRecorder, Recorder, Tee, Telemetry};
 use ferrocim_units::Celsius;
 use rand::Rng as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The acceptance bound on the NoopRecorder dispatch overhead.
 const OVERHEAD_LIMIT_PCT: f64 = 2.0;
@@ -108,28 +108,13 @@ fn consistency(trace: &Trace) -> Result<Vec<CountCheck>, Box<dyn std::error::Err
     Ok(checks)
 }
 
-fn time_batches(
-    engine: &ArrayEngine<'_, TwoTransistorOneFefet>,
-    inputs: &[Vec<bool>],
-    reps: usize,
-    batches: usize,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..batches {
-            engine.mac_batch(inputs, Celsius(27.0))?;
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    Ok(best / batches as f64)
-}
-
-/// Times the `batch_mac` bench workload (16 jobs over 2 distinct
-/// patterns on the 8-cell row) with telemetry off versus a
-/// [`NoopRecorder`] attached.
+/// Times a batched-MAC workload (16 jobs over 2 distinct patterns on
+/// the 8-cell row) with telemetry off against a [`NoopRecorder`]
+/// attached, through [`paired_overhead`].
 fn overhead() -> Result<Overhead, Box<dyn std::error::Error>> {
-    const REPS: usize = 7;
+    // Each batch fans out over threads, so single reps swing by tens of
+    // percent on a loaded host; the gate needs the median of many pairs.
+    const REPS: usize = 21;
     const BATCHES: usize = 3;
     let array = CimArray::new(
         TwoTransistorOneFefet::paper_default(),
@@ -144,18 +129,17 @@ fn overhead() -> Result<Overhead, Box<dyn std::error::Error>> {
     let noop_array = array.clone().with_recorder(Telemetry::to(NoopRecorder));
     let off_engine = ArrayEngine::new(&array, &weights)?;
     let noop_engine = ArrayEngine::new(&noop_array, &weights)?;
-    // Warm both paths (lazy allocations, CPU frequency).
-    off_engine.mac_batch(&inputs, Celsius(27.0))?;
-    noop_engine.mac_batch(&inputs, Celsius(27.0))?;
-    let off = time_batches(&off_engine, &inputs, REPS, BATCHES)?;
-    let noop = time_batches(&noop_engine, &inputs, REPS, BATCHES)?;
+    let block = |engine: &ArrayEngine<'_, TwoTransistorOneFefet>| {
+        (0..BATCHES).try_for_each(|_| engine.mac_batch(&inputs, Celsius(27.0)).map(drop))
+    };
+    let timing = paired_overhead(REPS, || block(&off_engine), || block(&noop_engine))?;
     Ok(Overhead {
         reps: REPS,
         batches_per_rep: BATCHES,
         jobs_per_batch: inputs.len(),
-        off_us_per_batch: off * 1e6,
-        noop_us_per_batch: noop * 1e6,
-        overhead_pct: (noop - off) / off * 100.0,
+        off_us_per_batch: timing.base_best_s / BATCHES as f64 * 1e6,
+        noop_us_per_batch: timing.test_best_s / BATCHES as f64 * 1e6,
+        overhead_pct: timing.overhead_pct,
         limit_pct: OVERHEAD_LIMIT_PCT,
     })
 }
@@ -189,13 +173,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let overhead = if with_overhead {
         let o = overhead()?;
         println!(
-            "\nbatched-MAC dispatch overhead (NoopRecorder vs off, min of {} reps):",
-            o.reps
+            "\nbatched-MAC dispatch overhead (NoopRecorder vs off, {} paired {}-batch blocks):",
+            o.reps, o.batches_per_rep
         );
         println!("  off  : {:.1} us/batch", o.off_us_per_batch);
         println!("  noop : {:.1} us/batch", o.noop_us_per_batch);
         println!(
-            "  overhead = {:.3} % (limit {} %)",
+            "  median paired overhead = {:.3} % (limit {} %)",
             o.overhead_pct, o.limit_pct
         );
         Some(o)

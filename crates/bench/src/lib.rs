@@ -2,8 +2,10 @@
 //!
 //! Each binary under `src/bin/` regenerates one artifact of the paper's
 //! evaluation section (see DESIGN.md §4 for the index). This library
-//! provides the common console-table/series formatting and the JSON
-//! results dump used by EXPERIMENTS.md.
+//! provides the common console-table/series formatting, the JSON
+//! results dump used by EXPERIMENTS.md, the command-line flag parser,
+//! and (in [`timing`]) the wall-clock estimators every probe times
+//! through.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,6 +17,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 pub mod schema;
+pub mod timing;
 
 /// Prints an aligned console table.
 ///
@@ -140,16 +143,23 @@ impl Trace {
     ///
     /// See [`Trace::from_args`].
     pub fn from_arg_list(args: &[String]) -> std::io::Result<Trace> {
-        let detail = parse_trace_detail(args)?;
-        let Some(path) = parse_trace_path(args)? else {
+        let detail = match flag_value(args, "--trace-detail")? {
+            Some(level) => DetailLevel::parse(level).ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("--trace-detail expects off|reports|iterations, got {level:?}"),
+                )
+            })?,
+            None => DetailLevel::Reports,
+        };
+        let Some(path) = flag_value(args, "--trace")? else {
             return Ok(Trace {
                 sink: None,
                 telemetry: Telemetry::off(),
             });
         };
         let sink = Arc::new(JsonlSink::create(path)?);
-        let telemetry =
-            Telemetry::new(sink.clone()).with_detail(detail.unwrap_or(DetailLevel::Reports));
+        let telemetry = Telemetry::new(sink.clone()).with_detail(detail);
         let bin = args
             .first()
             .map(|arg0| {
@@ -200,49 +210,30 @@ impl Trace {
     }
 }
 
-fn parse_trace_path(args: &[String]) -> std::io::Result<Option<PathBuf>> {
+/// The value of `--name value` or `--name=value` in `args` (with
+/// `argv[0]` first), or `None` when the flag is absent.
+///
+/// # Errors
+///
+/// Returns `InvalidInput` when the flag is the last argument, with no
+/// value after it.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> std::io::Result<Option<&'a str>> {
     let mut iter = args.iter().skip(1);
     while let Some(arg) = iter.next() {
-        if arg == "--trace" {
+        if arg == name {
             return match iter.next() {
-                Some(path) => Ok(Some(PathBuf::from(path))),
+                Some(value) => Ok(Some(value)),
                 None => Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
-                    "--trace requires a path argument",
+                    format!("{name} requires a value"),
                 )),
             };
         }
-        if let Some(path) = arg.strip_prefix("--trace=") {
-            return Ok(Some(PathBuf::from(path)));
-        }
-    }
-    Ok(None)
-}
-
-fn parse_trace_detail(args: &[String]) -> std::io::Result<Option<DetailLevel>> {
-    let bad = |value: &str| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("--trace-detail expects off|reports|iterations, got {value:?}"),
-        )
-    };
-    let mut iter = args.iter().skip(1);
-    while let Some(arg) = iter.next() {
-        if arg == "--trace-detail" {
-            return match iter.next() {
-                Some(value) => DetailLevel::parse(value)
-                    .map(Some)
-                    .ok_or_else(|| bad(value)),
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "--trace-detail requires a level argument",
-                )),
-            };
-        }
-        if let Some(value) = arg.strip_prefix("--trace-detail=") {
-            return DetailLevel::parse(value)
-                .map(Some)
-                .ok_or_else(|| bad(value));
+        if let Some(value) = arg
+            .strip_prefix(name)
+            .and_then(|rest| rest.strip_prefix('='))
+        {
+            return Ok(Some(value));
         }
     }
     Ok(None)
@@ -351,6 +342,29 @@ mod tests {
         let args = vec!["bench-bin".to_string(), "--trace-detail".to_string()];
         let err = Trace::from_arg_list(&args).expect_err("missing level");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn flag_value_reads_both_spellings_and_rejects_a_trailing_flag() {
+        let argv = |rest: &[&str]| -> Vec<String> {
+            std::iter::once("bench-bin")
+                .chain(rest.iter().copied())
+                .map(String::from)
+                .collect()
+        };
+        for name in ["--trace", "--trace-detail", "--dump-dir"] {
+            let err = flag_value(&argv(&["--other", name]), name).expect_err("no value");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{name}");
+            let joined = format!("{name}=v");
+            assert_eq!(
+                flag_value(&argv(&[name, "v"]), name).expect(name),
+                Some("v")
+            );
+            assert_eq!(flag_value(&argv(&[&joined]), name).expect(name), Some("v"));
+            assert_eq!(flag_value(&argv(&["--other"]), name).expect(name), None);
+        }
+        let detail_only = argv(&["--trace-detail=off"]);
+        assert_eq!(flag_value(&detail_only, "--trace").expect("absent"), None);
     }
 
     #[test]

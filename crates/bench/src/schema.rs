@@ -319,17 +319,19 @@ pub struct CountCheck {
 /// Overhead measurement of `results/probe_telemetry.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Overhead {
-    /// Timing repetitions.
+    /// Paired timing repetitions (each rep times one block of batches
+    /// per side).
     pub reps: usize,
-    /// MAC batches per repetition.
+    /// MAC batches per timed block.
     pub batches_per_rep: usize,
     /// Jobs per MAC batch.
     pub jobs_per_batch: usize,
-    /// Per-batch time with telemetry off, in microseconds.
+    /// Best per-batch time with telemetry off, in microseconds.
     pub off_us_per_batch: f64,
-    /// Per-batch time against a no-op recorder, in microseconds.
+    /// Best per-batch time against a no-op recorder, in microseconds.
     pub noop_us_per_batch: f64,
-    /// Measured off-path overhead in percent.
+    /// Dispatch overhead in percent: the median over the paired reps of
+    /// each rep's (noop - off) / off ratio.
     pub overhead_pct: f64,
     /// The bound the probe enforces (2%).
     pub limit_pct: f64,
@@ -343,15 +345,19 @@ pub struct HealthOverhead {
     pub cells_per_row: usize,
     /// MNA unknowns of the row netlist.
     pub unknowns: usize,
-    /// Timing repetitions (best-of).
+    /// Paired timing repetitions (each rep times one multi-solve
+    /// block per policy).
     pub reps: usize,
-    /// DC solve wall clock with `HealthPolicy::off()`, in microseconds.
+    /// Best per-solve DC wall clock with `HealthPolicy::off()`, in
+    /// microseconds.
     pub off_us: f64,
-    /// DC solve wall clock with the default policy, in microseconds.
+    /// Best per-solve DC wall clock with the default policy, in
+    /// microseconds.
     pub certified_us: f64,
-    /// Measured certification overhead in percent.
+    /// Certification overhead in percent: the median over the paired
+    /// reps of each rep's (certified - off) / off ratio.
     pub overhead_pct: f64,
-    /// The bound the probe enforces (5%).
+    /// The bound the probe enforces (8%).
     pub limit_pct: f64,
 }
 
@@ -472,6 +478,18 @@ pub struct ServeGateBounds {
     pub min_surrogate_rate: f64,
 }
 
+impl ServeGateBounds {
+    /// The bounds checked into `baselines/probe_serve.json`, compiled into
+    /// the probe so the file is their only spelling.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error of a malformed bounds file.
+    pub fn checked_in() -> Result<ServeGateBounds, serde_json::Error> {
+        serde_json::from_str(include_str!("../../../baselines/probe_serve.json"))
+    }
+}
+
 /// Root of `results/probe_serve.json` (single object).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeProbe {
@@ -573,6 +591,18 @@ pub struct ObserveGateBounds {
     pub max_distinct_tenants: usize,
 }
 
+impl ObserveGateBounds {
+    /// The bounds checked into `baselines/probe_observe.json`, compiled into
+    /// the probe so the file is their only spelling.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error of a malformed bounds file.
+    pub fn checked_in() -> Result<ObserveGateBounds, serde_json::Error> {
+        serde_json::from_str(include_str!("../../../baselines/probe_observe.json"))
+    }
+}
+
 /// Root of `results/probe_observe.json` (single object).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObserveProbe {
@@ -667,6 +697,18 @@ pub struct SurrogateGateBounds {
     pub max_check_failures: u64,
 }
 
+impl SurrogateGateBounds {
+    /// The bounds checked into `baselines/probe_surrogate.json`, compiled into
+    /// the probe so the file is their only spelling.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error of a malformed bounds file.
+    pub fn checked_in() -> Result<SurrogateGateBounds, serde_json::Error> {
+        serde_json::from_str(include_str!("../../../baselines/probe_surrogate.json"))
+    }
+}
+
 /// Root of `results/probe_surrogate.json` (single object).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurrogateProbe {
@@ -695,7 +737,7 @@ pub struct TelemetryProbe {
     pub checks: Vec<CountCheck>,
     /// Whether every check matched.
     pub consistent: bool,
-    /// Overhead measurement (absent under `--skip-overhead`).
+    /// Overhead measurement (present only under `--overhead`).
     pub overhead: Option<Overhead>,
 }
 
@@ -727,6 +769,13 @@ mod tests {
         let text = serde_json::to_string(&mirrored).expect("serialize");
         let back: ComparisonRow = serde_json::from_str(&text).expect("deserialize");
         assert_eq!(back, mirrored);
+    }
+
+    #[test]
+    fn checked_in_gate_bounds_parse() {
+        ServeGateBounds::checked_in().expect("baselines/probe_serve.json");
+        ObserveGateBounds::checked_in().expect("baselines/probe_observe.json");
+        SurrogateGateBounds::checked_in().expect("baselines/probe_surrogate.json");
     }
 
     #[test]

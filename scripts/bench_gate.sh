@@ -22,7 +22,8 @@
 # certified envelope, zero check failures), and
 # baselines/probe_observe.json (max flight-recording overhead, a
 # breaker trip recovered from the incident dump, bounded tenant
-# cardinality). --update never rewrites those files. probe_observe's
+# cardinality). Each probe compiles its bounds file in, so it takes no
+# bounds argument; --update never rewrites those files. probe_observe's
 # incident dumps land under $OUT/flight-dumps so a failing CI run can
 # attach them as artifacts.
 #
@@ -95,7 +96,7 @@ for bench in "${SELF_GATED[@]}"; do
   echo "==> $bench (self-gating against baselines/$bench.json)"
   # shellcheck disable=SC2086 — the per-bench extra args are word-split on purpose.
   if "target/release/$bench" --trace "$OUT/$bench.jsonl" \
-      --gate "baselines/$bench.json" ${SELF_GATED_ARGS[$bench]:-} > "$OUT/$bench.log" 2>&1; then
+      ${SELF_GATED_ARGS[$bench]:-} > "$OUT/$bench.log" 2>&1; then
     "$TRACE" summary "$OUT/$bench.jsonl" > "$OUT/$bench.summary.txt"
     echo "    ok: ${SELF_GATED_OK[$bench]}"
   else

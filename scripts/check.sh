@@ -40,7 +40,7 @@ for workload in row_transient mc_variation vgg_cim serve_mix; do
 done
 
 echo "==> every workspace test suite, vendored crates excluded (full backtraces)"
-RUST_BACKTRACE=1 cargo test -q --offline --workspace --exclude criterion --exclude proptest \
+RUST_BACKTRACE=1 cargo test -q --offline --workspace --exclude proptest \
   --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
 
 echo "==> all checks passed"
