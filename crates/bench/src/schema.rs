@@ -405,104 +405,6 @@ pub struct HealthProbe {
     pub guardrail: GuardrailDemo,
 }
 
-/// One load scenario of `results/probe_serve.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeScenario {
-    /// Scenario label (`overload`, `deadline`, `chaos`, `drain`,
-    /// `surrogate`).
-    pub name: String,
-    /// Requests issued by the probe's client threads.
-    pub requests: usize,
-    /// `200` responses answered by a live solve.
-    pub ok_live: usize,
-    /// `200` responses answered by the certified surrogate fast path
-    /// (`surrogate: true`, `degraded: false`).
-    pub ok_surrogate: usize,
-    /// `200` responses answered by the degraded fallback curve.
-    pub ok_degraded: usize,
-    /// Typed `429 Overloaded` sheds.
-    pub shed: usize,
-    /// Typed `504 Deadline Exceeded` responses.
-    pub deadline_exceeded: usize,
-    /// Transport-level failures (connection refused/reset before any
-    /// response) — only legal in the drain scenario, after the
-    /// listener has closed.
-    pub refused: usize,
-    /// Responses outside the typed taxonomy (must be zero).
-    pub untyped: usize,
-    /// Median client-observed latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile client-observed latency, milliseconds.
-    pub p99_ms: f64,
-}
-
-/// The `serve_*` counters the probe's aggregator accumulated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeCounters {
-    /// Requests admitted past the bounded queue.
-    pub admitted: u64,
-    /// Requests shed (queue full or tenant quota).
-    pub shed: u64,
-    /// Backoff retries spent from the retry budget.
-    pub retries: u64,
-    /// Responses answered by the degraded fallback.
-    pub degraded: u64,
-    /// Circuit-breaker trip events.
-    pub breaker_open: u64,
-    /// Surrogate-store lookups that found a calibrated curve.
-    pub surrogate_hits: u64,
-    /// Surrogate-store lookups that calibrated a new curve.
-    pub surrogate_misses: u64,
-    /// Surrogate answers re-solved live by check mode.
-    pub surrogate_checks: u64,
-    /// Check-mode deviations beyond the certified envelope (must be 0).
-    pub surrogate_check_failures: u64,
-}
-
-/// The gate bounds checked into `baselines/probe_serve.json`. Unlike
-/// the trace-diff baselines, these are hand-set *limits*, not recorded
-/// counter values: shed counts and retry counts are load-dependent, so
-/// the gate pins the robustness contract (typed responses, bounded
-/// tail latency, bounded shed rate) rather than exact numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeGateBounds {
-    /// Maximum tolerated shed fraction in the overload scenario.
-    pub max_shed_rate: f64,
-    /// Maximum tolerated client-observed p99 in the overload scenario,
-    /// milliseconds.
-    pub max_p99_ms: f64,
-    /// Minimum `200` responses the overload scenario must complete.
-    pub min_ok: u64,
-    /// Minimum fraction of the surrogate scenario's requests that must
-    /// be answered by the surrogate fast path (`surrogate: true`).
-    pub min_surrogate_rate: f64,
-}
-
-impl ServeGateBounds {
-    /// The bounds checked into `baselines/probe_serve.json`, compiled into
-    /// the probe so the file is their only spelling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error of a malformed bounds file.
-    pub fn checked_in() -> Result<ServeGateBounds, serde_json::Error> {
-        serde_json::from_str(include_str!("../../../baselines/probe_serve.json"))
-    }
-}
-
-/// Root of `results/probe_serve.json` (single object).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeProbe {
-    /// Per-scenario response censuses.
-    pub scenarios: Vec<ServeScenario>,
-    /// Aggregated `serve_*` counters across all scenarios.
-    pub counters: ServeCounters,
-    /// The gate bounds this run was checked against.
-    pub gate: ServeGateBounds,
-    /// Whether every gate bound held.
-    pub gate_passed: bool,
-}
-
 /// Overhead of always-on flight recording in
 /// `results/probe_observe.json`: the same DC workload timed against a
 /// no-op recorder and a flight-recorder ring.
@@ -577,7 +479,7 @@ pub struct ObserveCardinality {
 }
 
 /// The gate bounds checked into `baselines/probe_observe.json`.
-/// Hand-set limits like the serve gate: wall-clock overhead is
+/// Hand-set limits, not recorded values: wall-clock overhead is
 /// machine-dependent, so the gate pins the observability contract
 /// (cheap recording, a parseable incident dump, bounded cardinality)
 /// rather than exact numbers.
@@ -614,118 +516,6 @@ pub struct ObserveProbe {
     pub cardinality: ObserveCardinality,
     /// The gate bounds this run was checked against.
     pub gate: ObserveGateBounds,
-    /// Whether every gate bound held.
-    pub gate_passed: bool,
-}
-
-/// Calibration cost and certified envelope of
-/// `results/probe_surrogate.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurrogateCalibration {
-    /// Calibrated curves in the store after the workload.
-    pub curves: usize,
-    /// Live solves spent calibrating the timed curve.
-    pub solves: u64,
-    /// Wall clock of the timed curve's calibration, milliseconds.
-    pub wall_ms: f64,
-    /// Certified per-query worst-case error bound, volts.
-    pub envelope_max_v: f64,
-    /// RMS deviation observed while probing the envelope, volts.
-    pub envelope_rms_v: f64,
-    /// Probe evaluations behind the envelope.
-    pub envelope_probes: usize,
-}
-
-/// Cache-hit-vs-live timing comparison of
-/// `results/probe_surrogate.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurrogateSpeedup {
-    /// Queries timed through each path.
-    pub queries: usize,
-    /// Mean live analytic solve time per query, microseconds.
-    pub live_us_per_query: f64,
-    /// Mean surrogate evaluation time per query, microseconds.
-    pub surrogate_us_per_query: f64,
-    /// Live-to-surrogate wall-clock ratio.
-    pub speedup: f64,
-    /// Worst `|v_surrogate − v_live|` across the timed queries, volts.
-    pub max_abs_deviation_v: f64,
-    /// Queries whose surrogate and live readouts disagreed.
-    pub readout_mismatches: usize,
-}
-
-/// Check-mode audit of `results/probe_surrogate.json`: a seeded
-/// subsample of surrogate answers re-solved through the live solver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurrogateCheckAudit {
-    /// The configured sampling period (one in `every`).
-    pub every: u64,
-    /// Queries evaluated under check mode.
-    pub queries: usize,
-    /// Queries the policy selected for a live re-solve.
-    pub checks: u64,
-    /// Deviations beyond the certified envelope (must be 0).
-    pub check_failures: u64,
-}
-
-/// Domain-refusal demonstration of `results/probe_surrogate.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurrogateDomainDemo {
-    /// Lower edge of the calibrated temperature domain, Celsius.
-    pub lo_c: f64,
-    /// Upper edge of the calibrated temperature domain, Celsius.
-    pub hi_c: f64,
-    /// The out-of-domain temperature the probe queried, Celsius.
-    pub rejected_temp_c: f64,
-    /// Whether the query was refused with the typed `OutOfDomain`
-    /// error (it must be — the surrogate never extrapolates).
-    pub rejected_typed: bool,
-}
-
-/// The gate bounds checked into `baselines/probe_surrogate.json`.
-/// Hand-set limits like the serve gate: wall-clock ratios are
-/// machine-dependent, so the gate pins the contract (a real speedup, a
-/// sane envelope, zero check failures) rather than exact numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurrogateGateBounds {
-    /// Minimum tolerated live-to-surrogate speedup.
-    pub min_speedup: f64,
-    /// Maximum tolerated certified envelope, volts.
-    pub max_envelope_v: f64,
-    /// Maximum tolerated check-mode failures (0: the envelope is a
-    /// promise, not a statistic).
-    pub max_check_failures: u64,
-}
-
-impl SurrogateGateBounds {
-    /// The bounds checked into `baselines/probe_surrogate.json`, compiled into
-    /// the probe so the file is their only spelling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error of a malformed bounds file.
-    pub fn checked_in() -> Result<SurrogateGateBounds, serde_json::Error> {
-        serde_json::from_str(include_str!("../../../baselines/probe_surrogate.json"))
-    }
-}
-
-/// Root of `results/probe_surrogate.json` (single object).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurrogateProbe {
-    /// Cells per row of the probed array.
-    pub cells_per_row: usize,
-    /// The calibration temperature grid, Celsius.
-    pub grid_c: Vec<f64>,
-    /// Calibration cost and the certified envelope.
-    pub calibration: SurrogateCalibration,
-    /// Cache-hit timing versus live analytic solves.
-    pub speedup: SurrogateSpeedup,
-    /// The seeded check-mode audit.
-    pub check: SurrogateCheckAudit,
-    /// The out-of-domain refusal demonstration.
-    pub domain: SurrogateDomainDemo,
-    /// The gate bounds this run was checked against.
-    pub gate: SurrogateGateBounds,
     /// Whether every gate bound held.
     pub gate_passed: bool,
 }
@@ -773,9 +563,7 @@ mod tests {
 
     #[test]
     fn checked_in_gate_bounds_parse() {
-        ServeGateBounds::checked_in().expect("baselines/probe_serve.json");
         ObserveGateBounds::checked_in().expect("baselines/probe_observe.json");
-        SurrogateGateBounds::checked_in().expect("baselines/probe_surrogate.json");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 use ferrocim_bench::schema::{
     AblationFeedbackRow, AdaptiveProbe, BaselineOverlap, ComparisonRow, HealthProbe, IvCurve,
     LevelRange, ObserveProbe, ProcessVariationPoint, ProposedArraySummary, ProposedCellRow,
-    RegionResult, ServeProbe, SparseProbe, SurrogateProbe, TelemetryProbe, VggLayerRow,
-    WriteVerifyRow,
+    RegionResult, SparseProbe, TelemetryProbe, VggLayerRow, WriteVerifyRow,
 };
 use std::path::{Path, PathBuf};
 
@@ -35,9 +34,7 @@ fn validate(name: &str, text: &str) -> Option<Result<(), serde_json::Error>> {
         "probe_adaptive" => check::<AdaptiveProbe>(text),
         "probe_health" => check::<HealthProbe>(text),
         "probe_observe" => check::<ObserveProbe>(text),
-        "probe_serve" => check::<ServeProbe>(text),
         "probe_sparse" => check::<SparseProbe>(text),
-        "probe_surrogate" => check::<SurrogateProbe>(text),
         "probe_telemetry" => check::<TelemetryProbe>(text),
         "table1_vgg_structure" => check::<Vec<VggLayerRow>>(text),
         "table2_summary" => check::<Vec<ComparisonRow>>(text),

@@ -3,8 +3,9 @@
 //!
 //! [`MacBackend`] is the seam the server is written against: the real
 //! [`CimBackend`] runs live `ferrocim-cim` transients, while tests and
-//! the `probe_serve` bench wrap it in [`crate::ChaosBackend`] to inject
-//! faults. Two layers sit in front of and behind the live solve:
+//! the `probe_observe` bench wrap a backend in [`crate::ChaosBackend`]
+//! to inject faults. Two layers sit in front of and behind the live
+//! solve:
 //!
 //! - **Surrogate fast path** ([`MacBackend::surrogate`]): the
 //!   content-addressed store from `ferrocim-surrogate`. Analytic

@@ -1,5 +1,5 @@
-//! A blocking single-request HTTP client, for the probe bench, the
-//! `--self-check` smoke mode, and integration tests.
+//! A blocking single-request HTTP client, for the benchmark and probe
+//! harnesses, the `--self-check` smoke mode, and integration tests.
 //!
 //! One request per connection (matching the server's
 //! `Connection: close`), with a read timeout so a wedged server fails a

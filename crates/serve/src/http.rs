@@ -2,9 +2,10 @@
 //!
 //! Only what the service needs: one request per connection
 //! (`Connection: close` on every response), bounded header and body
-//! sizes, and a write path that tolerates the socket being switched to
-//! non-blocking mode mid-request (the connection watchdog and the
-//! worker share the underlying fd — see [`crate::server`]).
+//! sizes, one read deadline per request, and a write path that
+//! tolerates the socket being switched to non-blocking mode
+//! mid-request (the connection watchdog and the worker share the
+//! underlying fd — see [`crate::server`]).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -65,30 +66,46 @@ impl std::fmt::Display for HttpError {
     }
 }
 
-/// Reads one request from the stream. The caller is expected to have
-/// set a read timeout; a timeout surfaces as [`HttpError::Io`].
+/// Reads one request from `stream`.
+///
+/// The whole request, head and body, must arrive within `timeout` of
+/// the call: once it has passed, the next read is refused with
+/// [`HttpError::Io`] (`TimedOut`), so a peer trickling bytes cannot
+/// hold the caller. A socket caller sets the same value as the
+/// socket's read timeout, which bounds the last blocking read too: a
+/// request is settled within twice `timeout`.
 ///
 /// # Errors
 ///
 /// See [`HttpError`].
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+pub fn read_request<R: Read>(stream: &mut R, timeout: Duration) -> Result<Request, HttpError> {
+    let deadline = Instant::now() + timeout;
     let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge("request head"));
+    let mut read_some = |buf: &mut Vec<u8>| {
+        if Instant::now() >= deadline {
+            return Err(HttpError::Io(std::io::Error::new(
+                ErrorKind::TimedOut,
+                "request incomplete at the read deadline",
+            )));
         }
         let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
+        buf.extend_from_slice(&chunk[..n]);
+        Ok(n)
+    };
+    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let head_end = loop {
+        // The head runs through its blank-line terminator.
+        match find_head_end(&buf) {
+            Some(pos) if pos + 4 <= MAX_HEAD_BYTES => break pos,
+            None if buf.len() < MAX_HEAD_BYTES => {}
+            _ => return Err(HttpError::TooLarge("request head")),
+        }
+        if read_some(&mut buf)? == 0 {
             if buf.is_empty() {
                 return Err(HttpError::Disconnected);
             }
             return Err(HttpError::Malformed("connection closed mid-head"));
         }
-        buf.extend_from_slice(&chunk[..n]);
     };
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Malformed("head is not UTF-8"))?;
@@ -133,11 +150,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     }
     let mut body = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
+        if read_some(&mut body)? == 0 {
             return Err(HttpError::Malformed("connection closed mid-body"));
         }
-        body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
     Ok(Request {
@@ -221,6 +236,8 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    const TIMEOUT: Duration = Duration::from_secs(2);
+
     fn round_trip(raw: &str) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -230,10 +247,8 @@ mod tests {
             s.write_all(raw.as_bytes()).expect("write");
         });
         let (mut stream, _) = listener.accept().expect("accept");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .expect("timeout");
-        let result = read_request(&mut stream);
+        stream.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+        let result = read_request(&mut stream, TIMEOUT);
         writer.join().expect("writer thread");
         result
     }
@@ -267,5 +282,52 @@ mod tests {
             round_trip("POST / HTTP/1.1\r\nContent-Length: 999999\r\n\r\n"),
             Err(HttpError::TooLarge(_))
         ));
+    }
+
+    /// A head of exactly [`MAX_HEAD_BYTES`], terminator included,
+    /// parses; one byte more is refused.
+    #[test]
+    fn head_bound_is_exact() {
+        let head = |len: usize| {
+            let mut head = String::from("GET / HTTP/1.1\r\nX-Pad: ");
+            head.push_str(&"a".repeat(len - head.len() - 4));
+            head.push_str("\r\n\r\n");
+            assert_eq!(head.len(), len);
+            head
+        };
+        let at_bound = head(MAX_HEAD_BYTES);
+        assert!(read_request(&mut at_bound.as_bytes(), TIMEOUT).is_ok());
+        let over = head(MAX_HEAD_BYTES + 1);
+        assert!(matches!(
+            read_request(&mut over.as_bytes(), TIMEOUT),
+            Err(HttpError::TooLarge(_))
+        ));
+    }
+
+    /// A client sending one byte every 150 ms never trips a 200 ms
+    /// per-read timeout, but the request deadline still cuts it off.
+    #[test]
+    fn trickling_client_is_cut_off_at_the_request_deadline() {
+        let timeout = Duration::from_millis(200);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            for byte in b"POST /v1/mac HTTP/1.1\r\nContent-Length: 0\r\n\r\n" {
+                if s.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(150));
+            }
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream.set_read_timeout(Some(timeout)).expect("timeout");
+        let started = Instant::now();
+        let result = read_request(&mut stream, timeout);
+        let elapsed = started.elapsed();
+        drop(stream);
+        writer.join().expect("writer thread");
+        assert!(matches!(result, Err(HttpError::Io(_))), "{result:?}");
+        assert!(elapsed < 2 * timeout, "held for {elapsed:?}");
     }
 }

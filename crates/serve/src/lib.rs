@@ -35,9 +35,10 @@
 //!   expose live internals, with `/debug/*` answered by the acceptor
 //!   even when the admission queue is full.
 //!
-//! The `probe_serve` bench in `ferrocim-bench` drives an in-process
-//! server through overload, deadline-expiry, and chaos-injected solver
-//! faults, asserting the robustness contract end to end.
+//! The crate's service tests (`tests/service.rs`) drive an in-process
+//! server through overload, deadline expiry, chaos-injected solver
+//! faults and drain, asserting the robustness contract end to end;
+//! cimbench's `serve_mix` workload times the real backend under load.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

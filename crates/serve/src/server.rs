@@ -80,7 +80,8 @@ pub struct ServeConfig {
     pub default_timeout_ms: u64,
     /// Upper clamp on client-requested deadlines.
     pub max_timeout_ms: u64,
-    /// Per-connection socket read timeout.
+    /// Per-connection socket read timeout, also the deadline for a
+    /// whole request to arrive.
     pub read_timeout: Duration,
     /// The retry ladder for transient solve failures.
     pub retry: RetryPolicy,
@@ -459,6 +460,10 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
     }
 }
 
+/// How long the acceptor waits on a peer: for the request it reads
+/// before shedding, and for the drain after a shed reply.
+const SHED_READ_TIMEOUT: Duration = Duration::from_millis(100);
+
 /// The queue-full path. Introspection must keep working *especially*
 /// under overload, so before shedding, the acceptor reads the request
 /// under a tight bound and answers a `GET /debug/*` inline — the same
@@ -466,10 +471,8 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
 /// full queue must never depend on the wedged worker pool. Anything
 /// else is shed with the typed 429.
 fn shed_or_debug(shared: &Shared, mut job: Job) {
-    let _ = job
-        .stream
-        .set_read_timeout(Some(Duration::from_millis(100)));
-    if let Ok(request) = http::read_request(&mut job.stream) {
+    let _ = job.stream.set_read_timeout(Some(SHED_READ_TIMEOUT));
+    if let Ok(request) = http::read_request(&mut job.stream, SHED_READ_TIMEOUT) {
         if request.method == "GET"
             && request.path.starts_with("/debug/")
             && serve_debug(shared, &mut job.stream, &request.path, job.request_id)
@@ -521,7 +524,7 @@ fn respond_and_drain(mut stream: TcpStream, status: u16, reason: &str, body: &Va
     // to close after reading the response), giving a clean FIN-FIN
     // teardown without letting a slow sender hold the acceptor hostage.
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_read_timeout(Some(SHED_READ_TIMEOUT));
     let mut sink = [0u8; 1024];
     for _ in 0..64 {
         match stream.read(&mut sink) {
@@ -544,7 +547,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn handle_connection(shared: &Shared, mut job: Job) {
-    let request = match http::read_request(&mut job.stream) {
+    let request = match http::read_request(&mut job.stream, shared.config.read_timeout) {
         Ok(request) => request,
         Err(HttpError::Disconnected) => return,
         Err(e @ (HttpError::Malformed(_) | HttpError::TooLarge(_))) => {

@@ -4,8 +4,8 @@
 //! (admission, deadlines, retries, breaker, shutdown) at millisecond
 //! speed; one test runs the real `CimBackend` end to end. Every
 //! response observed anywhere in this file must be one of the typed
-//! bodies — that is the robustness contract the probe bench also
-//! enforces under load.
+//! bodies — that is the robustness contract. The timing of the real
+//! backend under concurrent load is cimbench's `serve_mix` workload.
 
 use ferrocim_cim::CimError;
 use ferrocim_serve::{
@@ -157,6 +157,13 @@ fn ok_request_round_trips_with_health_and_metrics() {
     server.shutdown();
 }
 
+/// Most of an overload burst that may be shed.
+const MAX_SHED_RATE: f64 = 0.95;
+/// Slowest client-observed p99 tolerated under overload.
+const MAX_OVERLOAD_P99: Duration = Duration::from_millis(2000);
+/// Fewest requests an overload burst must still complete.
+const MIN_OVERLOAD_OK: usize = 2;
+
 #[test]
 fn overload_sheds_typed_429_and_never_wedges() {
     let config = ServeConfig {
@@ -173,29 +180,48 @@ fn overload_sheds_typed_429_and_never_wedges() {
     let clients: Vec<_> = (0..10)
         .map(|i| {
             std::thread::spawn(move || {
-                http_request(
+                let started = Instant::now();
+                let resp = http_request(
                     addr,
                     "POST",
                     "/v1/mac",
                     &mac_body(&format!("t{i}"), 5000),
                     CLIENT_TIMEOUT,
-                )
+                );
+                (resp, started.elapsed())
             })
         })
         .collect();
     let mut ok = 0;
     let mut shed = 0;
+    let mut latencies = Vec::new();
     for client in clients {
-        let resp = client.join().expect("client thread").expect("response");
+        let (resp, latency) = client.join().expect("client thread");
+        let resp = resp.expect("response");
         typed_json(resp.status, &resp.body);
         match resp.status {
             200 => ok += 1,
             429 => shed += 1,
             other => panic!("unexpected status under overload: {other}"),
         }
+        latencies.push(latency);
     }
-    assert!(ok >= 1, "some requests complete");
+    assert!(
+        ok >= MIN_OVERLOAD_OK,
+        "only {ok} requests completed (floor {MIN_OVERLOAD_OK})"
+    );
     assert!(shed >= 1, "a 1-worker/2-deep server must shed 10 bursts");
+    let shed_rate = shed as f64 / latencies.len() as f64;
+    assert!(
+        shed_rate <= MAX_SHED_RATE,
+        "shed rate {shed_rate:.2} exceeds {MAX_SHED_RATE}"
+    );
+    // Over ten calls the nearest-rank p99 is the slowest one.
+    let p99 = *latencies.iter().max().expect("ten calls");
+    assert!(
+        p99 <= MAX_OVERLOAD_P99,
+        "client p99 {p99:?} exceeds {MAX_OVERLOAD_P99:?}"
+    );
     let counts = server.aggregator().counts();
     assert_eq!(counts.serve_shed, shed as u64);
     // The server is still healthy after the burst.
@@ -395,6 +421,65 @@ fn injected_panics_are_contained_and_substituted() {
         let doc = typed_json(resp.status, &resp.body);
         assert_eq!(doc.get("degraded"), Some(&Value::Bool(true)));
     }
+    server.shutdown();
+}
+
+/// A mixed plan (blowups, uncertified solves and panics together) from
+/// concurrent tenants: retries, the breaker and the fallback keep every
+/// response a typed 200, live or degraded.
+#[test]
+fn mixed_chaos_plan_answers_every_request_with_a_typed_200() {
+    let config = ServeConfig {
+        workers: 2,
+        queue_capacity: 16,
+        breaker: BreakerConfig {
+            cooldown: Duration::from_millis(100),
+            ..BreakerConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let chaotic = ChaosBackend::new(
+        StubBackend::instant(4),
+        ChaosPlan {
+            seed: 0xC1A0_5EED,
+            blowup_probability: 0.25,
+            uncertified_probability: 0.15,
+            panic_probability: 0.05,
+        },
+    );
+    let server = start(config, Arc::new(chaotic));
+    let addr = server.addr();
+    const REQUESTS: usize = 32;
+    const CLIENTS: usize = 4;
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            std::thread::spawn(move || {
+                (client..REQUESTS)
+                    .step_by(CLIENTS)
+                    .map(|_| {
+                        http_request(
+                            addr,
+                            "POST",
+                            "/v1/mac",
+                            &mac_body(&format!("chaos-{client}"), 10_000),
+                            CLIENT_TIMEOUT,
+                        )
+                        .expect("response")
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut answered = 0;
+    for client in clients {
+        for resp in client.join().expect("client thread") {
+            assert_eq!(resp.status, 200, "a fault leaked out instead of degrading");
+            let doc = typed_json(resp.status, &resp.body);
+            assert_eq!(doc.get("expected"), Some(&Value::Number(2.0)));
+            answered += 1;
+        }
+    }
+    assert_eq!(answered, REQUESTS);
     server.shutdown();
 }
 
@@ -638,6 +723,9 @@ fn debug_endpoints_answer_even_when_the_queue_is_full() {
     server.shutdown();
 }
 
+/// Fewest in-domain analytic requests the surrogate must answer.
+const MIN_SURROGATE_RATE: f64 = 0.9;
+
 #[test]
 fn real_cim_backend_serves_a_live_mac() {
     let aggregator = Arc::new(Aggregator::new());
@@ -691,5 +779,58 @@ fn real_cim_backend_serves_a_live_mac() {
         "startup + first request each calibrated a curve"
     );
     assert!(counts.surrogate_hits >= 1, "the repeat request hit");
+
+    // Across the calibrated 0-85 °C domain the fast path answers with
+    // zero solver attempts; 120 °C lies outside it and must reach a
+    // live solve instead of an extrapolated curve.
+    let at = |temp_c: f64| {
+        let body = format!(
+            r#"{{"tenant":"sweep","inputs":[true,true,true,false,false,true,false,false],
+                "weights":[true,true,false,true,false,true,false,false],
+                "timeout_ms":20000,"path":"analytic","temp_c":{temp_c}}}"#
+        );
+        let resp = http_request(
+            addr,
+            "POST",
+            "/v1/mac",
+            body.as_bytes(),
+            Duration::from_secs(30),
+        )
+        .expect("request");
+        assert_eq!(resp.status, 200, "{temp_c} °C");
+        let doc = typed_json(resp.status, &resp.body);
+        assert_eq!(
+            doc.get("degraded"),
+            Some(&Value::Bool(false)),
+            "{temp_c} °C"
+        );
+        doc
+    };
+    let in_domain = [0.0, 12.5, 27.0, 45.5, 63.0, 85.0];
+    let fast = in_domain
+        .iter()
+        .map(|&t| at(t))
+        .filter(|doc| {
+            doc.get("surrogate") == Some(&Value::Bool(true))
+                && doc.get("attempts") == Some(&Value::Number(0.0))
+        })
+        .count();
+    let fast_rate = fast as f64 / in_domain.len() as f64;
+    assert!(
+        fast_rate >= MIN_SURROGATE_RATE,
+        "fast-path rate {fast_rate:.2} below {MIN_SURROGATE_RATE}"
+    );
+    let outside = at(120.0);
+    assert_eq!(
+        outside.get("surrogate"),
+        Some(&Value::Bool(false)),
+        "120 °C must fall through to a live solve"
+    );
+    let counts = server.aggregator().counts();
+    assert!(counts.surrogate_checks >= 1, "check mode audited the sweep");
+    assert_eq!(
+        counts.surrogate_check_failures, 0,
+        "check-mode deviation beyond the certified envelope"
+    );
     server.shutdown();
 }

@@ -5,6 +5,8 @@
 //! `v_acc` deviates from the live analytic solve by less than the
 //! stored certified envelope — and for any out-of-domain temperature
 //! the surrogate refuses with a typed error instead of extrapolating.
+//! A seeded mix on the paper-default row also pins the point of the
+//! store: cache hits are far faster than the live solves they replace.
 
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::{ArrayConfig, CellFault, CimArray, MacPath, MacRequest};
@@ -122,4 +124,112 @@ proptest! {
             }
         }
     }
+}
+
+/// The paper-default 8-cell array over the 0/27/85 °C grid must answer
+/// a seeded in-domain query mix at least [`MIN_SPEEDUP`]× faster from
+/// cached curves than through live analytic solves, never deviate
+/// beyond its certified envelope (itself at most [`MAX_ENVELOPE_V`]),
+/// and survive a one-in-four check-mode audit with at most
+/// [`MAX_CHECK_FAILURES`] violations.
+#[test]
+fn cache_hits_beat_live_solves_inside_the_certified_envelope() {
+    use ferrocim_surrogate::CheckPolicy;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::time::Instant;
+
+    const MIN_SPEEDUP: f64 = 50.0;
+    const MAX_ENVELOPE_V: f64 = 0.02;
+    const MAX_CHECK_FAILURES: u64 = 0;
+    const QUERIES: usize = 128;
+    const QUERY_TEMPS_C: [f64; 6] = [0.0, 13.5, 27.0, 40.0, 56.0, 85.0];
+
+    let array = CimArray::new(
+        TwoTransistorOneFefet::paper_default(),
+        ArrayConfig::paper_default(),
+    )
+    .expect("paper-default array");
+    let n = array.config().cells_per_row;
+    let grid = [Celsius(T_LO), Celsius(27.0), Celsius(T_HI)];
+    let surrogate = MacSurrogate::new(array.clone(), &grid).expect("valid grid");
+    // A mixed weight pattern, so the curve is not the all-ones case.
+    let weights: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+    let envelope = surrogate.curve_for(&weights).expect("calibrate").envelope();
+    assert!(
+        envelope.max_v.is_finite() && envelope.max_v > 0.0,
+        "certified envelope {} is not usable",
+        envelope.max_v
+    );
+    assert!(
+        envelope.max_v <= MAX_ENVELOPE_V,
+        "certified envelope {:.3} mV exceeds {:.3} mV",
+        envelope.max_v * 1e3,
+        MAX_ENVELOPE_V * 1e3
+    );
+
+    let mut rng = StdRng::seed_from_u64(0x05E5_EF17);
+    let mix: Vec<(Vec<bool>, Celsius)> = (0..QUERIES)
+        .map(|_| {
+            let inputs: Vec<bool> = (0..n).map(|_| rng.random::<bool>()).collect();
+            let temp = Celsius(QUERY_TEMPS_C[rng.random_range(0..QUERY_TEMPS_C.len())]);
+            (inputs, temp)
+        })
+        .collect();
+
+    let started = Instant::now();
+    let fast: Vec<_> = mix
+        .iter()
+        .map(|(x, t)| {
+            surrogate
+                .evaluate(&weights, x, *t)
+                .expect("in-domain query")
+        })
+        .collect();
+    let surrogate_s = started.elapsed().as_secs_f64();
+    let started = Instant::now();
+    let live: Vec<_> = mix
+        .iter()
+        .map(|(x, t)| {
+            array
+                .run(
+                    &MacRequest::new(x)
+                        .weights(&weights)
+                        .at(*t)
+                        .path(MacPath::Analytic),
+                )
+                .expect("live solve")
+        })
+        .collect();
+    let live_s = started.elapsed().as_secs_f64();
+    let speedup = live_s / surrogate_s;
+    assert!(
+        speedup >= MIN_SPEEDUP,
+        "speedup {speedup:.1}x below the {MIN_SPEEDUP}x bound"
+    );
+    let worst_v = fast
+        .iter()
+        .zip(&live)
+        .map(|(f, l)| (f.v_acc.value() - l.v_acc.value()).abs())
+        .fold(0.0f64, f64::max);
+    assert!(
+        worst_v <= envelope.max_v,
+        "observed deviation {:.3} mV escaped the certified {:.3} mV envelope",
+        worst_v * 1e3,
+        envelope.max_v * 1e3
+    );
+
+    // A fresh store, so check-mode solves never touch the timing above.
+    let checker = MacSurrogate::new(array, &grid)
+        .expect("valid grid")
+        .with_check(CheckPolicy::every(4));
+    for (x, t) in &mix {
+        checker.evaluate(&weights, x, *t).expect("in-domain query");
+    }
+    let counts = checker.counts();
+    assert!(counts.checks > 0, "check mode never sampled a query");
+    assert_eq!(
+        counts.check_failures, MAX_CHECK_FAILURES,
+        "check-mode envelope violation(s)"
+    );
 }

@@ -11,21 +11,17 @@
 # `trace metrics` JSON extracts, not full traces, so they diff cleanly
 # in git.
 #
-# The serving probe (probe_serve, DESIGN.md §16), the surrogate probe
-# (probe_surrogate, DESIGN.md §17), and the observability probe
-# (probe_observe, DESIGN.md §18) are gated differently: shed counts,
-# wall-clock speedups, and recording overheads are load- and
-# machine-dependent by design, so instead of a trace diff each
-# self-gates against the hand-set *bounds* in baselines/probe_serve.json
-# (max shed rate, max p99, min completions, min surrogate rate, zero
-# untyped responses), baselines/probe_surrogate.json (min speedup, max
-# certified envelope, zero check failures), and
-# baselines/probe_observe.json (max flight-recording overhead, a
+# The observability probe (probe_observe, DESIGN.md §18) is gated
+# differently: recording overhead is machine-dependent by design, so
+# instead of a trace diff it self-gates against the hand-set *bounds*
+# in baselines/probe_observe.json (max flight-recording overhead, a
 # breaker trip recovered from the incident dump, bounded tenant
-# cardinality). Each probe compiles its bounds file in, so it takes no
-# bounds argument; --update never rewrites those files. probe_observe's
-# incident dumps land under $OUT/flight-dumps so a failing CI run can
-# attach them as artifacts.
+# cardinality). It compiles that file in, so it takes no bounds
+# argument; --update never rewrites it. Its incident dumps land under
+# $OUT/flight-dumps so a failing CI run can attach them as artifacts.
+# The serving and surrogate contracts are crate tests
+# (crates/serve/tests/service.rs, crates/surrogate/tests/properties.rs),
+# and cimbench's serve_mix workload times the serving path.
 #
 # Usage: scripts/bench_gate.sh [--update]
 #   --update            rewrite baselines/ from this run instead of gating
@@ -83,34 +79,22 @@ for bench in "${BENCHES[@]}"; do
   fi
 done
 
-SELF_GATED=(probe_serve probe_surrogate probe_observe)
-declare -A SELF_GATED_OK=(
-  [probe_serve]="serving contract held (typed responses, bounded tail, clean drain)"
-  [probe_surrogate]="surrogate contract held (fast, certified, checked, domain-honest)"
-  [probe_observe]="observability contract held (cheap recording, parseable dumps, bounded cardinality)"
-)
-declare -A SELF_GATED_ARGS=(
-  [probe_observe]="--dump-dir $OUT/flight-dumps"
-)
-for bench in "${SELF_GATED[@]}"; do
-  echo "==> $bench (self-gating against baselines/$bench.json)"
-  # shellcheck disable=SC2086 — the per-bench extra args are word-split on purpose.
-  if "target/release/$bench" --trace "$OUT/$bench.jsonl" \
-      ${SELF_GATED_ARGS[$bench]:-} > "$OUT/$bench.log" 2>&1; then
-    "$TRACE" summary "$OUT/$bench.jsonl" > "$OUT/$bench.summary.txt"
-    echo "    ok: ${SELF_GATED_OK[$bench]}"
+echo "==> probe_observe (self-gating against baselines/probe_observe.json)"
+if target/release/probe_observe --trace "$OUT/probe_observe.jsonl" \
+    --dump-dir "$OUT/flight-dumps" > "$OUT/probe_observe.log" 2>&1; then
+  "$TRACE" summary "$OUT/probe_observe.jsonl" > "$OUT/probe_observe.summary.txt"
+  echo "    ok: observability contract held (cheap recording, parseable dumps, bounded cardinality)"
+else
+  rc=$?
+  "$TRACE" summary "$OUT/probe_observe.jsonl" > "$OUT/probe_observe.summary.txt" || true
+  tail -n 20 "$OUT/probe_observe.log" >&2
+  if [[ $rc -eq 1 ]]; then
+    echo "    REGRESSION in probe_observe (contract violations above)" >&2
+    status=1
   else
-    rc=$?
-    "$TRACE" summary "$OUT/$bench.jsonl" > "$OUT/$bench.summary.txt" || true
-    tail -n 20 "$OUT/$bench.log" >&2
-    if [[ $rc -eq 1 ]]; then
-      echo "    REGRESSION in $bench (contract violations above)" >&2
-      status=1
-    else
-      exit "$rc"
-    fi
+    exit "$rc"
   fi
-done
+fi
 
 if [[ $status -ne 0 && "${BENCH_GATE_SOFT:-0}" == "1" ]]; then
   echo "==> soft-fail mode: regression reported, build kept green" >&2
