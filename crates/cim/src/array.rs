@@ -29,6 +29,7 @@ use ferrocim_spice::{
 use ferrocim_telemetry::Telemetry;
 use ferrocim_units::{Celsius, Farad, Joule, Ohm, Second, Volt};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Residual resistance of a [`CellFault::ShortDevice`] path from the
 /// bit line to the cell output — low enough to saturate `C_o` within
@@ -424,6 +425,37 @@ impl<C: CellDesign> CimArray<C> {
     ///
     /// As [`CimArray::run`].
     pub fn run_in(&self, request: &MacRequest, ws: &mut Workspace) -> Result<MacOutput, CimError> {
+        self.run_cached(request, ws, &mut CellCache::default())
+    }
+
+    /// Executes every request in order through one solver [`Workspace`]
+    /// and one per-cell cache shared by the whole call: an analytic
+    /// cell transient runs once per distinct (effective weight, input,
+    /// offsets, temperature) and every later cell with that state in
+    /// any request reuses its result. Each output is bitwise identical
+    /// to [`CimArray::run`] of the same request; nothing outlives the
+    /// call.
+    ///
+    /// # Errors
+    ///
+    /// The first failing request's error, as [`CimArray::run`].
+    pub fn run_all(&self, requests: &[MacRequest]) -> Result<Vec<MacOutput>, CimError> {
+        let mut ws = Workspace::new();
+        let mut cache = CellCache::default();
+        requests
+            .iter()
+            .map(|request| self.run_cached(request, &mut ws, &mut cache))
+            .collect()
+    }
+
+    /// The one MAC body behind [`CimArray::run_in`] and
+    /// [`CimArray::run_all`].
+    fn run_cached(
+        &self,
+        request: &MacRequest,
+        ws: &mut Workspace,
+        cache: &mut CellCache,
+    ) -> Result<MacOutput, CimError> {
         let n = self.config.cells_per_row;
         if request.weights.len() != n
             || request.inputs.len() != n
@@ -447,9 +479,7 @@ impl<C: CellDesign> CimArray<C> {
             MacPath::Transient => {
                 self.run_transient(&request.weights, &request.inputs, request.temp, offsets, ws)
             }
-            MacPath::Analytic => {
-                self.run_analytic(&request.weights, &request.inputs, request.temp, offsets, ws)
-            }
+            MacPath::Analytic => self.run_analytic(request, offsets, ws, cache),
         }
     }
 
@@ -612,25 +642,25 @@ impl<C: CellDesign> CimArray<C> {
         ws: &mut Workspace,
     ) -> Result<MacOutput, CimError> {
         let t_stop = self.config.latency();
+        // Cell voltages at the end of the charge phase (the last sample
+        // at or before t_charge); the rest of the waveform is not kept.
+        let t_charge = self.config.t_charge.value() + 1e-15;
+        let mut at_charge = vec![0.0; outs.len()];
         let result = TransientAnalysis::over(ckt, t_stop)
             .with_fixed_step(self.config.dt)
             .at(temp)
             .with_context(ctx.clone())
-            .run_in(ws)?;
-        // Cell voltages at the end of the charge phase (the sample
-        // closest to t_charge from below).
-        let times = result.times();
-        let charge_idx = times
-            .iter()
-            .rposition(|t| t.value() <= self.config.t_charge.value() + 1e-15)
-            .unwrap_or(times.len() - 1);
+            .run_streamed_in(ws, &mut |t, v| {
+                if t.value() <= t_charge {
+                    for (slot, o) in at_charge.iter_mut().zip(outs) {
+                        *slot = v[o.index()];
+                    }
+                }
+            })?;
         // All outputs are reported differentially against the source
         // line, which is what the sense circuit compares to.
         let v_sl = self.cell.bias().v_sl.value();
-        let cell_voltages: Vec<Volt> = outs
-            .iter()
-            .map(|&o| Volt(result.voltage_at(o, charge_idx).value() - v_sl))
-            .collect();
+        let cell_voltages: Vec<Volt> = at_charge.iter().map(|&v| Volt(v - v_sl)).collect();
         Ok(MacOutput {
             v_acc: Volt(result.final_voltage(acc).value() - v_sl),
             cell_voltages,
@@ -654,28 +684,24 @@ impl<C: CellDesign> CimArray<C> {
     }
 
     /// The fast path behind [`MacPath::Analytic`]: each cell is
-    /// simulated in its own small transient (deduplicated by
-    /// operand/offset pattern), then the charge-sharing step is applied
-    /// in closed form (Eq. (1)).
+    /// simulated in its own small transient (deduplicated through
+    /// `cache` by cell state and temperature), then the charge-sharing
+    /// step is applied in closed form (Eq. (1)).
     ///
     /// Energies are the summed per-cell supply energies; the share phase
     /// is lossless in the ideal-switch limit and contributes none.
     fn run_analytic(
         &self,
-        weights: &[CellWeight],
-        inputs: &[bool],
-        temp: Celsius,
+        request: &MacRequest,
         offsets: &[CellOffsets],
         ws: &mut Workspace,
+        cache: &mut CellCache,
     ) -> Result<MacOutput, CimError> {
         let n = self.config.cells_per_row;
         let mut cell_voltages = Vec::with_capacity(n);
         let mut energy = 0.0;
-        // Dedupe identical (weight, input, offsets) cells.
-        type CellKey = (CellWeight, bool, CellOffsets);
-        let mut cache: Vec<(CellKey, (f64, f64))> = Vec::new();
         let bias = self.cell.bias();
-        for i in 0..n {
+        for (i, cell_offsets) in offsets.iter().enumerate() {
             // Open/short faults bypass the cell simulation entirely.
             match self.faults[i] {
                 Some(CellFault::OpenDevice) => {
@@ -692,25 +718,20 @@ impl<C: CellDesign> CimArray<C> {
                 }
                 _ => {}
             }
-            let weight = self.effective_weight(i, weights[i]);
-            let input = self.effective_input(i, inputs[i]);
-            let key = (weight, input, offsets[i]);
-            let hit = cache
-                .iter()
-                .find(|(k, _)| {
-                    k.0 == key.0
-                        && k.1 == key.1
-                        && k.2.fefet == key.2.fefet
-                        && k.2.m1 == key.2.m1
-                        && k.2.m2 == key.2.m2
-                })
-                .map(|(_, v)| *v);
-            let (v_o, e) = match hit {
-                Some(v) => v,
+            let weight = self.effective_weight(i, request.weights[i]);
+            let input = self.effective_input(i, request.inputs[i]);
+            let key = CellKey::new(weight, input, cell_offsets, request.temp);
+            let (v_o, e) = match cache.get(&key) {
+                Some(&hit) => hit,
                 None => {
-                    let r =
-                        self.single_cell_charge_weighted(weight, input, temp, &offsets[i], ws)?;
-                    cache.push((key, r));
+                    let r = self.single_cell_charge_weighted(
+                        weight,
+                        input,
+                        request.temp,
+                        cell_offsets,
+                        ws,
+                    )?;
+                    cache.insert(key, r);
                     r
                 }
             };
@@ -724,7 +745,7 @@ impl<C: CellDesign> CimArray<C> {
             cell_voltages,
             energy: Joule(energy),
             latency: self.config.latency(),
-            expected: expected_count(weights, inputs),
+            expected: expected_count(&request.weights, &request.inputs),
         })
     }
 
@@ -846,13 +867,48 @@ impl<C: CellDesign> CimArray<C> {
             .with_fixed_step(self.config.dt)
             .at(temp)
             .with_context(self.ctx.clone())
-            .run_in(ws)?;
+            .run_streamed_in(ws, &mut |_, _| {})?;
         Ok((
             result.final_voltage(out).value() - bias.v_sl.value(),
             result.total_energy_delivered().value(),
         ))
     }
 }
+
+/// Everything one analytic cell transient depends on, as bit patterns:
+/// the effective weight, the effective input, the cell's offsets and
+/// the temperature. Equal keys give bitwise-equal transients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CellKey {
+    weight: (u8, u64),
+    input: bool,
+    offsets: [u64; 3],
+    temp: u64,
+}
+
+impl CellKey {
+    fn new(weight: CellWeight, input: bool, offsets: &CellOffsets, temp: Celsius) -> Self {
+        let weight = match weight {
+            CellWeight::Bit(bit) => (0, u64::from(bit)),
+            CellWeight::Level { level, max } => (1, u64::from(level) << 8 | u64::from(max)),
+            CellWeight::Analog(p) => (2, p.to_bits()),
+        };
+        CellKey {
+            weight,
+            input,
+            offsets: [
+                offsets.fefet.value().to_bits(),
+                offsets.m1.value().to_bits(),
+                offsets.m2.value().to_bits(),
+            ],
+            temp: temp.value().to_bits(),
+        }
+    }
+}
+
+/// Per-cell analytic results `(v_o, energy)` shared by the requests of
+/// one [`CimArray::run_all`] call (one request for [`CimArray::run_in`]).
+type CellCache = HashMap<CellKey, (f64, f64)>;
 
 /// The digital ground truth `Σ wᵢ·xᵢ`, counting a weight as '1' when
 /// its polarization is positive.

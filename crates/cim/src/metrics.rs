@@ -207,14 +207,17 @@ impl EnergyReport {
         temp: Celsius,
     ) -> Result<EnergyReport, CimError> {
         let n = array.config().cells_per_row;
-        let mut per_mac = Vec::with_capacity(n + 1);
-        let mut ws = ferrocim_spice::Workspace::new();
-        for k in 0..=n {
-            let (w, x) = mac_operands(n, k);
-            let request = crate::MacRequest::new(&x).weights(&w).at(temp);
-            let out = array.run_in(&request, &mut ws)?;
-            per_mac.push(out.energy);
-        }
+        let requests: Vec<crate::MacRequest> = (0..=n)
+            .map(|k| {
+                let (w, x) = mac_operands(n, k);
+                crate::MacRequest::new(&x).weights(&w).at(temp)
+            })
+            .collect();
+        let per_mac: Vec<Joule> = array
+            .run_all(&requests)?
+            .into_iter()
+            .map(|out| out.energy)
+            .collect();
         let average = Joule(per_mac.iter().map(|e| e.value()).sum::<f64>() / per_mac.len() as f64);
         let tops_per_watt = average.tops_per_watt(n as f64 + 1.0);
         Ok(EnergyReport {

@@ -171,6 +171,125 @@ mod batch {
     }
 }
 
+/// `CimArray::run_all` shares one workspace and one per-cell cache
+/// across its requests; every output must still be bitwise the one
+/// `CimArray::run` gives for that request alone.
+mod run_all_parity {
+    use ferrocim_cim::cells::{CellOffsets, CellWeight, TwoTransistorOneFefet};
+    use ferrocim_cim::{ArrayConfig, CellFault, CimArray, MacPath, MacRequest};
+    use ferrocim_units::{Celsius, Second, Volt};
+    use proptest::prelude::*;
+
+    const CELLS: usize = 4;
+
+    fn weight() -> impl Strategy<Value = CellWeight> {
+        (any::<bool>(), any::<bool>(), 0u8..=3).prop_map(|(multi_level, bit, level)| {
+            if multi_level {
+                CellWeight::Level { level, max: 3 }
+            } else {
+                CellWeight::Bit(bit)
+            }
+        })
+    }
+
+    fn fault() -> impl Strategy<Value = Option<CellFault>> {
+        prop::sample::select(vec![
+            None,
+            None,
+            None,
+            Some(CellFault::StuckAtLvt),
+            Some(CellFault::StuckAtHvt),
+            Some(CellFault::DeadWordline),
+            Some(CellFault::OpenDevice),
+            Some(CellFault::ShortDevice),
+        ])
+    }
+
+    /// Few distinct offsets, so cells repeat across requests.
+    fn offsets() -> impl Strategy<Value = Option<Vec<CellOffsets>>> {
+        let pick = prop::sample::select(vec![
+            CellOffsets::NOMINAL,
+            CellOffsets {
+                fefet: Volt(0.03),
+                ..CellOffsets::NOMINAL
+            },
+            CellOffsets {
+                fefet: Volt(-0.02),
+                m1: Volt(0.01),
+                m2: Volt(-0.015),
+            },
+        ]);
+        (any::<bool>(), prop::collection::vec(pick, CELLS))
+            .prop_map(|(varied, offsets)| varied.then_some(offsets))
+    }
+
+    fn request() -> impl Strategy<Value = MacRequest> {
+        (
+            prop::collection::vec(weight(), CELLS),
+            prop::collection::vec(any::<bool>(), CELLS),
+            // Repeated grid temperatures plus distinct draws.
+            (
+                any::<bool>(),
+                prop::sample::select(vec![0.0, 27.0, 85.0]),
+                0.0f64..85.0,
+            )
+                .prop_map(|(on_grid, grid, free)| if on_grid { grid } else { free }),
+            offsets(),
+            // One request in four runs the full-row transient.
+            prop::sample::select(vec![
+                MacPath::Analytic,
+                MacPath::Analytic,
+                MacPath::Analytic,
+                MacPath::Transient,
+            ]),
+        )
+            .prop_map(|(weights, inputs, temp_c, offsets, path)| {
+                let request = MacRequest::new(&inputs)
+                    .weighted(&weights)
+                    .at(Celsius(temp_c))
+                    .path(path);
+                match offsets {
+                    Some(o) => request.offsets(&o),
+                    None => request,
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn run_all_is_bitwise_equal_to_looping_run(
+            faults in prop::collection::vec(fault(), CELLS),
+            requests in prop::collection::vec(request(), 1..6),
+            dup in 0usize..6,
+        ) {
+            let config = ArrayConfig {
+                cells_per_row: CELLS,
+                dt: Second(100e-12),
+                ..ArrayConfig::paper_default()
+            };
+            let array = CimArray::new(TwoTransistorOneFefet::paper_default(), config)
+                .unwrap()
+                .with_faults(&faults)
+                .unwrap();
+            // Repeat one request so some cache hits span requests.
+            let mut requests = requests;
+            requests.push(requests[dup % requests.len()].clone());
+            let batch = array.run_all(&requests).unwrap();
+            prop_assert_eq!(batch.len(), requests.len());
+            for (request, got) in requests.iter().zip(&batch) {
+                let solo = array.run(request).unwrap();
+                let bits = |v: &[Volt]| v.iter().map(|x| x.value().to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(got.v_acc.value().to_bits(), solo.v_acc.value().to_bits());
+                prop_assert_eq!(got.energy.value().to_bits(), solo.energy.value().to_bits());
+                prop_assert_eq!(bits(&got.cell_voltages), bits(&solo.cell_voltages));
+                prop_assert_eq!(got, &solo);
+            }
+        }
+    }
+}
+
 /// The paper's central claim: on the tuned 2T-1FeFET row, the
 /// accumulated voltage rises strictly with the MAC count at every
 /// temperature in 0–85 °C, so adjacent output levels never overlap

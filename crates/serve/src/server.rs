@@ -165,6 +165,9 @@ struct Shared {
     aggregator: Arc<Aggregator>,
     telemetry: Telemetry,
     shutting_down: AtomicBool,
+    /// Set once every worker has been joined: the watchdog keeps
+    /// cancelling abandoned solves through the drain and stops here.
+    drained: AtomicBool,
     watch: Mutex<Vec<WatchEntry>>,
     watch_seq: AtomicU64,
     request_seq: AtomicU64,
@@ -352,6 +355,7 @@ impl Server {
             aggregator,
             telemetry,
             shutting_down: AtomicBool::new(false),
+            drained: AtomicBool::new(false),
             watch: Mutex::new(Vec::new()),
             watch_seq: AtomicU64::new(0),
             request_seq: AtomicU64::new(0),
@@ -400,7 +404,9 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, drain every admitted job,
-    /// join all threads. Idempotent against a racing drop.
+    /// join all threads. The watchdog stops last, so a client that
+    /// hangs up during the drain still cancels its solve. Idempotent
+    /// against a racing drop.
     pub fn shutdown(mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         // Unblock the acceptor with a throwaway connection.
@@ -414,6 +420,7 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        self.shared.drained.store(true, Ordering::SeqCst);
         if let Some(watchdog) = self.watchdog.take() {
             let _ = watchdog.join();
         }
@@ -1120,7 +1127,7 @@ fn run_mac(
 
 fn watchdog_loop(shared: &Shared) {
     let mut buf = [0u8; 1];
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+    while !shared.drained.load(Ordering::SeqCst) {
         {
             let watch = shared
                 .watch

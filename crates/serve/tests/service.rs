@@ -517,7 +517,15 @@ fn client_disconnect_cancels_the_solve() {
         }
     };
     assert_eq!(resp.status, 200);
+    // The watchdog outlives the drain: the abandoned solve is cancelled
+    // instead of holding its worker for the stub's 30 s.
+    let shutdown_at = Instant::now();
     server.shutdown();
+    assert!(
+        shutdown_at.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?} to drain an abandoned solve",
+        shutdown_at.elapsed()
+    );
 }
 
 #[test]

@@ -153,15 +153,15 @@ impl AdaptiveOptions {
     }
 }
 
-/// Result of a transient run: sampled node voltages, source currents,
-/// and delivered-energy integrals.
+/// Result of a transient run: sampled node voltages, final source
+/// currents, and delivered-energy integrals.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
     /// `voltages[sample][node_index]`.
     voltages: Vec<Vec<f64>>,
-    /// Per-source sampled branch currents.
-    source_currents: HashMap<String, Vec<f64>>,
+    /// Per-source branch current at the final time point.
+    source_currents: HashMap<String, f64>,
     /// Per-source delivered energy integral.
     energy: HashMap<String, f64>,
     /// Step accounting for the run.
@@ -241,8 +241,7 @@ impl TransientResult {
     pub fn final_source_current(&self, name: &str) -> Result<Ampere, SpiceError> {
         self.source_currents
             .get(name)
-            .and_then(|v| v.last().copied())
-            .map(Ampere)
+            .map(|&i| Ampere(i))
             .ok_or_else(|| SpiceError::UnknownElement {
                 name: name.to_string(),
             })
@@ -409,13 +408,40 @@ impl<'a> TransientAnalysis<'a> {
     ///
     /// Same as [`TransientAnalysis::run`].
     pub fn run_in(&self, ws: &mut Workspace) -> Result<TransientResult, SpiceError> {
+        self.run_sampled(ws, None)
+    }
+
+    /// [`TransientAnalysis::run_in`] without storing the waveform:
+    /// `on_sample` sees every sample as it is accepted, as its time and
+    /// the node voltages indexed by [`NodeId::index`] (ground at 0),
+    /// and the result keeps only the final sample. Callers that need a
+    /// few values of a long run read them here instead of holding
+    /// every sample. Every value is bitwise the one
+    /// [`TransientAnalysis::run_in`] records.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TransientAnalysis::run`].
+    pub fn run_streamed_in(
+        &self,
+        ws: &mut Workspace,
+        on_sample: &mut dyn FnMut(Second, &[f64]),
+    ) -> Result<TransientResult, SpiceError> {
+        self.run_sampled(ws, Some(on_sample))
+    }
+
+    fn run_sampled(
+        &self,
+        ws: &mut Workspace,
+        on_sample: OnSample<'_>,
+    ) -> Result<TransientResult, SpiceError> {
         let _span = self.ctx.telemetry.span("spice.transient");
         if let Some(config) = self.ctx.solver {
             ws.set_solver(config);
         }
         match &self.stepping {
-            Stepping::Fixed(dt) => self.run_fixed(*dt, ws),
-            Stepping::Adaptive(opts) => self.run_adaptive(opts, ws),
+            Stepping::Fixed(dt) => self.run_fixed(*dt, ws, on_sample),
+            Stepping::Adaptive(opts) => self.run_adaptive(opts, ws, on_sample),
         }
     }
 
@@ -462,7 +488,12 @@ impl<'a> TransientAnalysis<'a> {
             .collect()
     }
 
-    fn run_fixed(&self, dt: Second, ws: &mut Workspace) -> Result<TransientResult, SpiceError> {
+    fn run_fixed(
+        &self,
+        dt: Second,
+        ws: &mut Workspace,
+        on_sample: OnSample<'_>,
+    ) -> Result<TransientResult, SpiceError> {
         if !(dt.value() > 0.0 && dt.value().is_finite()) {
             return Err(SpiceError::InvalidValue {
                 name: "dt".to_string(),
@@ -508,7 +539,7 @@ impl<'a> TransientAnalysis<'a> {
         let mut x = initial.raw.clone();
         let trapezoidal = matches!(self.integrator, Integrator::Trapezoidal);
 
-        let mut rec = Recording::new(self.circuit, &layout, times.len() + 1);
+        let mut rec = Recording::new(self.circuit, &layout, times.len() + 1, on_sample);
         rec.record(0.0, &x);
 
         let mut t_prev = 0.0;
@@ -562,6 +593,7 @@ impl<'a> TransientAnalysis<'a> {
         &self,
         opts: &AdaptiveOptions,
         ws: &mut Workspace,
+        on_sample: OnSample<'_>,
     ) -> Result<TransientResult, SpiceError> {
         let t_stop = self.t_stop.value();
         if !(t_stop > 0.0 && t_stop.is_finite()) {
@@ -589,7 +621,7 @@ impl<'a> TransientAnalysis<'a> {
         let bps = self.inner_breakpoints(t_stop);
         let mut bp_idx = 0usize;
 
-        let mut rec = Recording::new(self.circuit, &layout, 128);
+        let mut rec = Recording::new(self.circuit, &layout, 128, on_sample);
         let mut x = initial.raw.clone();
         rec.record(0.0, &x);
 
@@ -862,22 +894,33 @@ fn update_cap_states(
     }
 }
 
+/// The observer of [`TransientAnalysis::run_streamed_in`], if any: it
+/// sees each accepted sample as its time and node voltages.
+type OnSample<'o> = Option<&'o mut dyn FnMut(Second, &[f64])>;
+
 /// Sampled-waveform and energy accumulation shared by both stepping
-/// modes. Source traces and energies are kept per source ordinal (the
-/// voltage sources in element order) and keyed by name only in
-/// [`Recording::finish`].
-struct Recording<'c> {
+/// modes. Final source currents and energies are kept per source
+/// ordinal (the voltage sources in element order) and keyed by name
+/// only in [`Recording::finish`]. With an `on_sample` observer each
+/// sample goes to the observer and only the latest is kept.
+struct Recording<'c, 'o> {
     circuit: &'c Circuit,
     /// Name, waveform and branch-current row of each voltage source.
     sources: Vec<(&'c str, &'c Waveform, usize)>,
     sample_times: Vec<f64>,
     samples_v: Vec<Vec<f64>>,
-    source_currents: Vec<Vec<f64>>,
+    source_currents: Vec<f64>,
     energy: Vec<f64>,
+    on_sample: OnSample<'o>,
 }
 
-impl<'c> Recording<'c> {
-    fn new(circuit: &'c Circuit, layout: &Layout, capacity: usize) -> Recording<'c> {
+impl<'c, 'o> Recording<'c, 'o> {
+    fn new(
+        circuit: &'c Circuit,
+        layout: &Layout,
+        capacity: usize,
+        on_sample: OnSample<'o>,
+    ) -> Recording<'c, 'o> {
         let sources: Vec<(&'c str, &'c Waveform, usize)> = circuit
             .elements()
             .iter()
@@ -889,27 +932,36 @@ impl<'c> Recording<'c> {
                 _ => None,
             })
             .collect();
+        let capacity = if on_sample.is_some() { 1 } else { capacity };
         Recording {
             circuit,
-            source_currents: sources
-                .iter()
-                .map(|_| Vec::with_capacity(capacity))
-                .collect(),
+            source_currents: vec![0.0; sources.len()],
             energy: vec![0.0; sources.len()],
             sources,
             sample_times: Vec::with_capacity(capacity),
             samples_v: Vec::with_capacity(capacity),
+            on_sample,
         }
     }
 
     fn record(&mut self, t: f64, x: &[f64]) {
-        self.sample_times.push(t);
         let n = self.circuit.node_count();
-        let mut row = vec![0.0; n];
+        let mut row = match self.on_sample {
+            // Streaming keeps one sample: reuse its row.
+            Some(_) => {
+                self.sample_times.clear();
+                self.samples_v.pop().unwrap_or_else(|| vec![0.0; n])
+            }
+            None => vec![0.0; n],
+        };
         row[1..n].copy_from_slice(&x[..n - 1]);
+        if let Some(on_sample) = self.on_sample.as_mut() {
+            on_sample(Second(t), &row);
+        }
+        self.sample_times.push(t);
         self.samples_v.push(row);
-        for (&(_, _, r), trace) in self.sources.iter().zip(&mut self.source_currents) {
-            trace.push(x[r]);
+        for (&(_, _, r), current) in self.sources.iter().zip(&mut self.source_currents) {
+            *current = x[r];
         }
     }
 
@@ -1311,6 +1363,55 @@ mod tests {
             .map(|(_, v)| v.value())
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(peak > 0.99, "pulse peak missed: {peak}");
+    }
+
+    #[test]
+    fn streamed_run_sees_every_recorded_sample_bitwise() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add(Element::vsource(
+            "V1",
+            a,
+            NodeId::GROUND,
+            Waveform::step(Volt(0.0), Volt(1.0), Second(0.3e-9)),
+        ))
+        .unwrap();
+        ckt.add(Element::resistor("R1", a, b, Ohm(1e3))).unwrap();
+        ckt.add(Element::Capacitor {
+            name: "C1".into(),
+            a: b,
+            b: NodeId::GROUND,
+            capacitance: Farad(1e-12),
+            initial: Some(Volt(0.0)),
+        })
+        .unwrap();
+        for fixed in [true, false] {
+            let analysis = TransientAnalysis::over(&ckt, Second(2e-9));
+            let analysis = if fixed {
+                analysis.with_fixed_step(Second(0.1e-9))
+            } else {
+                analysis
+            };
+            let full = analysis.run().unwrap();
+            let mut seen = Vec::new();
+            let streamed = analysis
+                .run_streamed_in(&mut Workspace::new(), &mut |t, v| {
+                    seen.push((t, Volt(v[b.index()])));
+                })
+                .unwrap();
+            assert_eq!(seen, full.trace(b), "fixed step: {fixed}");
+            assert_eq!(streamed.len(), 1);
+            assert_eq!(streamed.final_voltage(b), full.final_voltage(b));
+            assert_eq!(
+                streamed.total_energy_delivered(),
+                full.total_energy_delivered()
+            );
+            assert_eq!(
+                streamed.final_source_current("V1").unwrap(),
+                full.final_source_current("V1").unwrap()
+            );
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub struct CalibratedCurve {
     latency_s: f64,
     /// Wall-clock seconds spent calibrating this curve.
     calibration_s: f64,
-    /// Live solves spent calibrating (fit + envelope probes).
+    /// Live MAC evaluations spent calibrating (fit + envelope probes).
     solves: usize,
     envelope: ErrorEnvelope,
 }
@@ -183,7 +183,12 @@ impl CalibratedCurve {
         self.envelope
     }
 
-    /// Live solves spent building this curve (fit + envelope probes).
+    /// Live MAC evaluations spent building this curve: `n + 1` fit
+    /// requests per grid temperature plus `n + 1 + 4` envelope probes
+    /// per probe temperature (53 for an 8-cell row over 0/27/85 °C).
+    /// It counts MACs, not cell transients: one calibration runs them
+    /// all in one batch that solves each distinct cell state once per
+    /// temperature.
     pub fn solves(&self) -> usize {
         self.solves
     }
@@ -346,6 +351,72 @@ mod tests {
         assert!(c.eval(&[true, true], Celsius(100.0)).is_ok());
         assert!(c.in_domain(Celsius(100.0)));
         assert!(!c.in_domain(Celsius(100.1)));
+    }
+
+    /// Renders the fitted bits of a calibrated curve: one line per
+    /// field, every `f64` as its IEEE-754 bit pattern.
+    fn render_bits(name: &str, c: &CalibratedCurve) -> String {
+        let hex = |v: &[f64]| {
+            v.iter()
+                .map(|x| format!("{:016x}", x.to_bits()))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let mut out = format!("{name} key {:016x}\n", c.key);
+        for (ti, t) in c.temps_c.iter().enumerate() {
+            out.push_str(&format!("{name} {t} base_v {}\n", hex(&[c.base_v[ti]])));
+            out.push_str(&format!("{name} {t} delta_v {}\n", hex(&c.delta_v[ti])));
+            out.push_str(&format!(
+                "{name} {t} thresholds {}\n",
+                hex(&c.thresholds[ti])
+            ));
+        }
+        let e = c.envelope;
+        out.push_str(&format!(
+            "{name} envelope {} probes {}\n",
+            hex(&[e.max_v, e.observed_max_v, e.rms_v]),
+            e.probes
+        ));
+        out
+    }
+
+    /// Calibration is a pure function of the key: the fitted bits of two
+    /// curves (one on a healthy row, one on a row with a dead word line
+    /// and a shorted cell) on a 4-cell row over 0/27/85 °C are pinned
+    /// in `tests/golden/curve_bits.txt`.
+    #[test]
+    fn calibrated_curve_bits_match_the_golden_file() {
+        use crate::MacSurrogate;
+        use ferrocim_cim::cells::TwoTransistorOneFefet;
+        use ferrocim_cim::{ArrayConfig, CellFault, CimArray};
+
+        let config = ArrayConfig {
+            cells_per_row: 4,
+            dt: Second(100e-12),
+            ..ArrayConfig::paper_default()
+        };
+        let grid = [Celsius(0.0), Celsius(27.0), Celsius(85.0)];
+        let healthy =
+            CimArray::new(TwoTransistorOneFefet::paper_default(), config).expect("valid config");
+        let faulted = healthy
+            .clone()
+            .with_faults(&[
+                Some(CellFault::DeadWordline),
+                None,
+                Some(CellFault::ShortDevice),
+                None,
+            ])
+            .expect("valid faults");
+        let mut rendered = String::new();
+        for (name, array, weights) in [
+            ("healthy", healthy, [true, false, true, true]),
+            ("faulted", faulted, [false, true, true, true]),
+        ] {
+            let surrogate = MacSurrogate::new(array, &grid).expect("valid grid");
+            let curve = surrogate.curve_for(&weights).expect("calibrate");
+            rendered.push_str(&render_bits(name, &curve));
+        }
+        assert_eq!(rendered, include_str!("../tests/golden/curve_bits.txt"));
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The content-addressed store and its populate-on-miss front end.
 //!
-//! [`SurrogateStore`] is a concurrent `key → Arc<CalibratedCurve>` map;
-//! [`MacSurrogate`] owns an array plus a store and exposes the
-//! evaluate-with-fallback-to-calibration workflow: a query whose key is
-//! present answers from the curve (a few hundred nanoseconds of linear
-//! algebra), a miss runs the `n + 1`-solves-per-grid-temperature
-//! calibration and the envelope probes, inserts the curve, and answers.
-//! Every lookup and check-mode outcome is emitted through the shared
-//! telemetry pipeline.
+//! [`SurrogateStore`] is a concurrent, bounded `key →
+//! Arc<CalibratedCurve>` map that evicts its least recently hit curve
+//! when full; [`MacSurrogate`] owns an array plus a store and exposes
+//! the evaluate-with-fallback-to-calibration workflow: a query whose key
+//! is present answers from the curve (a few hundred nanoseconds of
+//! linear algebra), a miss calibrates, inserts the curve, and answers.
+//! Calibration sends its `n + 1` fit MACs per grid temperature and its
+//! envelope probes through one [`CimArray::run_all`], which solves each
+//! distinct cell state once per temperature: on the paper-default row
+//! over 0/27/85 °C that is 20 cell transients (plus 6 for the ADC level
+//! tables) for the 53 MACs, where one solve per MAC ran 172.
+//! Every lookup, eviction and check-mode outcome is emitted through the
+//! shared telemetry pipeline.
 
 use crate::curve::{CalibratedCurve, CheckOutcome, CurveData, ErrorEnvelope, SurrogateAnswer};
 use crate::fingerprint::{fingerprint, CellState};
@@ -87,42 +92,93 @@ pub struct SurrogateCounts {
     pub checks: u64,
     /// Check-mode deviations exceeding the certified envelope.
     pub check_failures: u64,
+    /// Curves the full store dropped to make room for new ones.
+    #[serde(default)]
+    pub evictions: u64,
 }
 
-/// A concurrent content-addressed map of calibrated curves.
+/// One stored curve and the store tick of its last hit (or insert).
+#[derive(Debug)]
+struct Entry {
+    curve: Arc<CalibratedCurve>,
+    last_hit: AtomicU64,
+}
+
+/// A concurrent, bounded, content-addressed map of calibrated curves.
 ///
 /// Reads take a shared lock; calibration happens *outside* any lock and
 /// inserts afterwards, first writer wins — so concurrent misses on the
 /// same key cost duplicate calibrations, never a deadlock or a torn
-/// curve.
+/// curve. The store holds at most [`SurrogateStore::CAP`] curves: an
+/// insert that would pass the cap first evicts the least recently hit
+/// one. Handles already given out stay valid after their eviction.
 #[derive(Debug, Default)]
 pub struct SurrogateStore {
-    curves: RwLock<HashMap<u64, Arc<CalibratedCurve>>>,
+    curves: RwLock<HashMap<u64, Entry>>,
+    /// Logical clock stamped on an entry at every hit and insert.
+    tick: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl SurrogateStore {
+    /// The most curves a store holds.
+    pub const CAP: usize = 32;
+
     /// An empty store.
     pub fn new() -> Self {
         SurrogateStore::default()
     }
 
-    /// Looks up a curve by key.
+    fn next_tick(&self) -> u64 {
+        self.tick.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Looks up a curve by key; a hit marks it most recently used.
     pub fn get(&self, key: u64) -> Option<Arc<CalibratedCurve>> {
-        self.curves
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-            .cloned()
+        let map = self.curves.read().unwrap_or_else(PoisonError::into_inner);
+        let entry = map.get(&key)?;
+        entry.last_hit.store(self.next_tick(), Ordering::Relaxed);
+        Some(entry.curve.clone())
     }
 
     /// Inserts a curve, returning the stored handle. If another thread
     /// inserted the same key first, the existing curve wins and the
     /// argument is dropped (calibrations of the same key are
-    /// interchangeable by construction).
+    /// interchangeable by construction). A new key in a full store
+    /// evicts the least recently hit curve first.
     pub fn insert(&self, curve: CalibratedCurve) -> Arc<CalibratedCurve> {
+        self.insert_evicting(curve).0
+    }
+
+    /// [`SurrogateStore::insert`], also reporting whether it evicted.
+    fn insert_evicting(&self, curve: CalibratedCurve) -> (Arc<CalibratedCurve>, bool) {
         let key = curve.key();
         let mut map = self.curves.write().unwrap_or_else(PoisonError::into_inner);
-        map.entry(key).or_insert_with(|| Arc::new(curve)).clone()
+        let now = self.next_tick();
+        if let Some(entry) = map.get(&key) {
+            entry.last_hit.store(now, Ordering::Relaxed);
+            return (entry.curve.clone(), false);
+        }
+        let coldest = if map.len() >= Self::CAP {
+            map.iter()
+                .min_by_key(|(_, entry)| entry.last_hit.load(Ordering::Relaxed))
+                .map(|(&old, _)| old)
+        } else {
+            None
+        };
+        if let Some(old) = coldest {
+            map.remove(&old);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        let curve = Arc::new(curve);
+        map.insert(
+            key,
+            Entry {
+                curve: curve.clone(),
+                last_hit: AtomicU64::new(now),
+            },
+        );
+        (curve, coldest.is_some())
     }
 
     /// Number of calibrated curves held.
@@ -136,6 +192,11 @@ impl SurrogateStore {
     /// Whether the store holds no curves yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Curves evicted so far.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -250,6 +311,7 @@ impl<C: CellDesign> MacSurrogate<C> {
             misses: self.misses.load(Ordering::Relaxed),
             checks: self.checks.load(Ordering::Relaxed),
             check_failures: self.check_failures.load(Ordering::Relaxed),
+            evictions: self.store.evictions(),
         }
     }
 
@@ -310,7 +372,14 @@ impl<C: CellDesign> MacSurrogate<C> {
             .telemetry
             .emit(|| Event::SurrogateLookup { hit: false });
         let curve = self.calibrate(key, weights)?;
-        Ok(self.store.insert(curve))
+        let (curve, evicted) = self.store.insert_evicting(curve);
+        if evicted {
+            self.array
+                .context()
+                .telemetry
+                .emit(|| Event::SurrogateEvicted);
+        }
+        Ok(curve)
     }
 
     /// Answers one MAC query: curve lookup (calibrating on miss), curve
@@ -357,61 +426,97 @@ impl<C: CellDesign> MacSurrogate<C> {
         Ok(answer)
     }
 
-    /// One live analytic MAC solve (the reference the surrogate is
+    /// One live analytic MAC request (the reference the surrogate is
     /// calibrated against and checked with).
+    fn live_request(weights: &[bool], inputs: &[bool], temp: Celsius) -> MacRequest {
+        MacRequest::new(inputs)
+            .weights(weights)
+            .at(temp)
+            .path(MacPath::Analytic)
+    }
+
+    /// One live analytic MAC solve.
     fn live(
         &self,
         weights: &[bool],
         inputs: &[bool],
         temp: Celsius,
     ) -> Result<MacOutput, SurrogateError> {
-        Ok(self.array.run(
-            &MacRequest::new(inputs)
-                .weights(weights)
-                .at(temp)
-                .path(MacPath::Analytic),
-        )?)
+        Ok(self.array.run(&Self::live_request(weights, inputs, temp))?)
     }
 
-    /// Runs the full calibration for one key: the `n + 1` live solves
-    /// per grid temperature that pin the linear form, the ADC threshold
+    /// Runs the full calibration for one key: the `n + 1` live MACs per
+    /// grid temperature that pin the linear form, the ADC threshold
     /// tables, and the envelope probes at interpolation midpoints.
+    ///
+    /// The fit and probe requests are all known up front (the probe
+    /// patterns do not depend on the fit), so they go through one
+    /// [`CimArray::run_all`]: each distinct cell state runs one
+    /// transient per temperature, shared by every MAC that needs it.
     fn calibrate(&self, key: u64, weights: &[bool]) -> Result<CalibratedCurve, SurrogateError> {
         let started = Instant::now();
         let n = self.cells_per_row();
-        let mut solves = 0usize;
         let temps_c: Vec<f64> = self.temps.iter().map(|t| t.value()).collect();
+        // Fit: per grid temperature, all inputs low then each one-hot.
+        let one_hot: Vec<Vec<bool>> = (0..=n)
+            .map(|hot| (0..n).map(|i| i + 1 == hot).collect())
+            .collect();
+        // Probe at interpolation midpoints (worst case for a linear
+        // blend); a single-temperature grid has no interpolation error,
+        // so probe the grid point itself as a fit sanity check.
+        let probe_temps: Vec<f64> = if temps_c.len() >= 2 {
+            temps_c.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect()
+        } else {
+            temps_c.clone()
+        };
+        let mut patterns: Vec<Vec<bool>> =
+            (0..=n).map(|k| (0..n).map(|i| i < k).collect()).collect();
+        let mut rng = StdRng::seed_from_u64(key);
+        for _ in 0..RANDOM_PROBES {
+            patterns.push((0..n).map(|_| rng.random::<bool>()).collect());
+        }
+        let fit = self
+            .temps
+            .iter()
+            .flat_map(|&t| one_hot.iter().map(move |x| (x, t)));
+        let probe = probe_temps
+            .iter()
+            .flat_map(|&t| patterns.iter().map(move |x| (x, Celsius(t))));
+        let requests: Vec<MacRequest> = fit
+            .chain(probe)
+            .map(|(x, t)| Self::live_request(weights, x, t))
+            .collect();
+        let outputs = self.array.run_all(&requests)?;
+        let (fit_out, probe_out) = outputs.split_at(self.temps.len() * (n + 1));
+
         let mut base_v = Vec::with_capacity(temps_c.len());
         let mut base_e = Vec::with_capacity(temps_c.len());
         let mut delta_v = Vec::with_capacity(temps_c.len());
         let mut delta_e = Vec::with_capacity(temps_c.len());
         let mut thresholds = Vec::with_capacity(temps_c.len());
         let mut expected_base = 0i64;
-        let mut expected_delta: Vec<i64> = Vec::with_capacity(n);
-        let all_low = vec![false; n];
-        for (ti, &temp) in self.temps.iter().enumerate() {
-            let zero = self.live(weights, &all_low, temp)?;
-            solves += 1;
+        let mut expected_delta = Vec::new();
+        for (ti, (&temp, fit)) in self.temps.iter().zip(fit_out.chunks(n + 1)).enumerate() {
+            let (zero, ones) = (&fit[0], &fit[1..]);
             base_v.push(zero.v_acc.value());
             base_e.push(zero.energy.value());
             if ti == 0 {
                 expected_base = zero.expected as i64;
+                expected_delta = ones
+                    .iter()
+                    .map(|one| one.expected as i64 - zero.expected as i64)
+                    .collect();
             }
-            let mut dv = Vec::with_capacity(n);
-            let mut de = Vec::with_capacity(n);
-            for col in 0..n {
-                let mut x = all_low.clone();
-                x[col] = true;
-                let one = self.live(weights, &x, temp)?;
-                solves += 1;
-                dv.push(one.v_acc.value() - zero.v_acc.value());
-                de.push(one.energy.value() - zero.energy.value());
-                if ti == 0 {
-                    expected_delta.push(one.expected as i64 - zero.expected as i64);
-                }
-            }
-            delta_v.push(dv);
-            delta_e.push(de);
+            delta_v.push(
+                ones.iter()
+                    .map(|one| one.v_acc.value() - zero.v_acc.value())
+                    .collect(),
+            );
+            delta_e.push(
+                ones.iter()
+                    .map(|one| one.energy.value() - zero.energy.value())
+                    .collect(),
+            );
             let levels = self.array.level_voltages(temp)?;
             let mut mids: Vec<f64> = levels
                 .windows(2)
@@ -424,11 +529,11 @@ impl<C: CellDesign> MacSurrogate<C> {
             thresholds.push(mids);
         }
         // Provisional curve (placeholder envelope) used to measure the
-        // real envelope against live solves.
+        // real envelope against the probe solves.
         let provisional = CalibratedCurve::from_data(CurveData {
             key,
             cells_per_row: n,
-            temps_c: temps_c.clone(),
+            temps_c,
             base_v,
             delta_v,
             base_e,
@@ -446,27 +551,11 @@ impl<C: CellDesign> MacSurrogate<C> {
                 probes: 0,
             },
         });
-        // Probe at interpolation midpoints (worst case for a linear
-        // blend); a single-temperature grid has no interpolation error,
-        // so probe the grid point itself as a fit sanity check.
-        let probe_temps: Vec<f64> = if temps_c.len() >= 2 {
-            temps_c.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect()
-        } else {
-            temps_c.clone()
-        };
-        let mut patterns: Vec<Vec<bool>> =
-            (0..=n).map(|k| (0..n).map(|i| i < k).collect()).collect();
-        let mut rng = StdRng::seed_from_u64(key);
-        for _ in 0..RANDOM_PROBES {
-            patterns.push((0..n).map(|_| rng.random::<bool>()).collect());
-        }
         let mut max_dev = 0.0f64;
         let mut sum_sq = 0.0f64;
         let mut probes = 0usize;
-        for &t in &probe_temps {
-            for pattern in &patterns {
-                let live = self.live(weights, pattern, Celsius(t))?;
-                solves += 1;
+        for (&t, lives) in probe_temps.iter().zip(probe_out.chunks(patterns.len())) {
+            for (pattern, live) in patterns.iter().zip(lives) {
                 let sur = provisional.eval(pattern, Celsius(t))?;
                 let dev = (sur.v_acc.value() - live.v_acc.value()).abs();
                 max_dev = max_dev.max(dev);
@@ -485,7 +574,7 @@ impl<C: CellDesign> MacSurrogate<C> {
             rms_v: rms,
             probes,
         };
-        Ok(provisional.finalize(envelope, started.elapsed().as_secs_f64(), solves))
+        Ok(provisional.finalize(envelope, started.elapsed().as_secs_f64(), requests.len()))
     }
 }
 
@@ -672,6 +761,83 @@ mod tests {
         assert_eq!(counts.surrogate_hits, 2);
         assert_eq!(counts.surrogate_checks, 3);
         assert_eq!(counts.surrogate_check_failures, 0);
+    }
+
+    /// A placeholder 4-cell curve under `key`; the store never looks
+    /// past the key.
+    fn stub_curve(key: u64) -> CalibratedCurve {
+        CalibratedCurve::from_data(CurveData {
+            key,
+            cells_per_row: 4,
+            temps_c: vec![0.0, 85.0],
+            base_v: vec![0.0; 2],
+            delta_v: vec![vec![0.0; 4]; 2],
+            base_e: vec![0.0; 2],
+            delta_e: vec![vec![0.0; 4]; 2],
+            thresholds: vec![vec![0.0; 4]; 2],
+            expected_base: 0,
+            expected_delta: vec![1; 4],
+            latency_s: 0.0,
+            calibration_s: 0.0,
+            solves: 0,
+            envelope: ErrorEnvelope {
+                max_v: 1e-3,
+                observed_max_v: 0.0,
+                rms_v: 0.0,
+                probes: 0,
+            },
+        })
+    }
+
+    #[test]
+    fn a_flooded_store_keeps_its_cap_and_its_hot_curve() {
+        let surrogate = MacSurrogate::new(small_array(), &grid()).expect("valid grid");
+        let hot = surrogate
+            .curve_for(&[true, false, true, true])
+            .expect("calibrate");
+        let store = SurrogateStore::new();
+        store.insert((*hot).clone());
+        let flood = SurrogateStore::CAP + 16;
+        for i in 1..=flood as u64 {
+            store.insert(stub_curve(hot.key().wrapping_add(i)));
+            assert!(store.len() <= SurrogateStore::CAP, "{} curves", store.len());
+            assert!(
+                store.get(hot.key()).is_some(),
+                "the hit curve was evicted after {i} inserts"
+            );
+        }
+        let inserts = flood + 1;
+        assert_eq!(store.len(), SurrogateStore::CAP);
+        assert_eq!(store.evictions(), (inserts - SurrogateStore::CAP) as u64);
+    }
+
+    #[test]
+    fn evictions_flow_into_counts_and_telemetry() {
+        // Six cells give 64 weight vectors, enough to overfill the store.
+        let config = ArrayConfig {
+            cells_per_row: 6,
+            dt: Second(100e-12),
+            ..ArrayConfig::paper_default()
+        };
+        let agg = Arc::new(Aggregator::new());
+        let array = CimArray::new(TwoTransistorOneFefet::paper_default(), config)
+            .expect("valid config")
+            .with_recorder(Telemetry::new(agg.clone()));
+        let surrogate = MacSurrogate::new(array, &grid()).expect("valid grid");
+        // Held outside the store, like the serve backend's fallback curve.
+        let first = surrogate.curve_for(&[true; 6]).expect("calibrate");
+        let extra = 2;
+        for w in 0..(SurrogateStore::CAP + extra) as u32 {
+            let weights: Vec<bool> = (0..6).map(|i| (w >> i) & 1 == 1).collect();
+            surrogate.curve_for(&weights).expect("calibrate");
+        }
+        let evicted = extra as u64 + 1;
+        assert_eq!(surrogate.store().len(), SurrogateStore::CAP);
+        assert_eq!(surrogate.counts().evictions, evicted);
+        assert_eq!(agg.counts().surrogate_evictions, evicted);
+        // The least recently hit curve went first, and its handle lives on.
+        assert!(surrogate.store().get(first.key()).is_none());
+        assert!(first.eval(&[true; 6], Celsius(27.0)).is_ok());
     }
 
     #[test]

@@ -233,3 +233,55 @@ fn cache_hits_beat_live_solves_inside_the_certified_envelope() {
         "check-mode envelope violation(s)"
     );
 }
+
+/// Calibration solves each distinct cell state once per temperature.
+/// One mixed-weight key on the paper-default row over 0/27/85 °C has
+/// four cell states (weight × input) at five temperatures (three grid
+/// points, two probe midpoints), plus the two `level_voltages` cell
+/// transients per grid temperature for the ADC thresholds: 26 fixed-step
+/// cell transients for the 53 MAC evaluations the curve reports.
+#[test]
+fn calibration_runs_one_cell_transient_per_state_and_temperature() {
+    use ferrocim_telemetry::{Aggregator, Telemetry};
+    use std::sync::Arc;
+
+    const CELL_STATES: u64 = 4;
+    const TEMPERATURES: u64 = 5;
+    const LEVEL_TRANSIENTS: u64 = 6;
+    const MAC_EVALUATIONS: usize = 53;
+
+    let array = CimArray::new(
+        TwoTransistorOneFefet::paper_default(),
+        ArrayConfig::paper_default(),
+    )
+    .expect("paper-default array");
+    let n = array.config().cells_per_row;
+    // Steps one cell transient accepts: `level_voltages` runs two.
+    let probe = Arc::new(Aggregator::new());
+    array
+        .clone()
+        .with_recorder(Telemetry::new(probe.clone()))
+        .level_voltages(Celsius(27.0))
+        .expect("level voltages");
+    let per_transient = probe.counts().steps_accepted / 2;
+    assert!(per_transient > 0);
+    assert_eq!(probe.counts().steps_accepted, 2 * per_transient);
+
+    let agg = Arc::new(Aggregator::new());
+    let surrogate = MacSurrogate::new(
+        array.with_recorder(Telemetry::new(agg.clone())),
+        &[Celsius(T_LO), Celsius(27.0), Celsius(T_HI)],
+    )
+    .expect("valid grid");
+    let weights: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+    let curve = surrogate.curve_for(&weights).expect("calibrate");
+    assert_eq!(curve.solves(), MAC_EVALUATIONS);
+    let counts = agg.counts();
+    assert_eq!(counts.steps_rejected, 0);
+    assert_eq!(
+        counts.steps_accepted,
+        (CELL_STATES * TEMPERATURES + LEVEL_TRANSIENTS) * per_transient,
+        "calibration accepted {} steps, {per_transient} per cell transient",
+        counts.steps_accepted
+    );
+}

@@ -507,6 +507,12 @@ counters! {
     /// envelope ([`Event::SurrogateCheck`] with `ok: false`).
     surrogate_check_failures => "ferrocim_surrogate_check_failures_total", gated,
         "Check-mode deviations exceeding the certified envelope.";
+    /// Calibrated curves dropped by a full surrogate store
+    /// ([`Event::SurrogateEvicted`]). Depends on run length and store
+    /// traffic, so ungated.
+    #[serde(default)]
+    surrogate_evictions => "ferrocim_surrogate_evictions_total", ungated,
+        "Calibrated curves evicted from a full surrogate store.";
 }
 
 /// A lock-free in-memory [`Recorder`]: atomic counters per event kind
@@ -853,6 +859,7 @@ impl Recorder for Aggregator {
                     self.add(Id::surrogate_check_failures, 1);
                 }
             }
+            Event::SurrogateEvicted => self.add(Id::surrogate_evictions, 1),
         }
     }
 }
@@ -1018,6 +1025,7 @@ mod tests {
             ok: false,
             deviation: 1e-2,
         });
+        agg.record(&Event::SurrogateEvicted);
         let c = agg.counts();
         assert_eq!(c.newton_iters, 2);
         assert_eq!(c.newton_residuals, 1);
@@ -1051,6 +1059,7 @@ mod tests {
         assert_eq!(c.surrogate_misses, 1);
         assert_eq!(c.surrogate_checks, 2);
         assert_eq!(c.surrogate_check_failures, 1);
+        assert_eq!(c.surrogate_evictions, 1);
         assert_eq!(agg.newton_histogram().total(), 1);
         assert_eq!(agg.span_histogram().total(), 1);
         let labeled = agg.serve_requests();

@@ -406,6 +406,9 @@ pub enum Event {
         /// solve, in volts.
         deviation: f64,
     },
+    /// A full surrogate store dropped its least recently hit curve to
+    /// make room for a newly calibrated one.
+    SurrogateEvicted,
 }
 
 #[cfg(test)]
@@ -525,6 +528,7 @@ mod tests {
                 ok: false,
                 deviation: 2.5e-4,
             },
+            Event::SurrogateEvicted,
         ];
         for event in events {
             let text = serde_json::to_string(&event).expect("serialize");

@@ -135,6 +135,7 @@ fn populated_aggregator() -> Aggregator {
         ok: true,
         deviation: 3e-5,
     });
+    agg.record(&Event::SurrogateEvicted);
     agg
 }
 
