@@ -16,7 +16,7 @@
 //! Device-to-device process variation is applied as an additive
 //! threshold offset (`σ_VT = 54 mV` in the paper's Fig. 9 Monte-Carlo).
 
-use crate::mosfet::{MosfetModel, MosfetParams, SmallSignal};
+use crate::mosfet::{MosfetCard, MosfetModel, MosfetParams, SmallSignal};
 use crate::preisach::{Preisach, PreisachParams};
 use crate::DeviceError;
 use ferrocim_units::{Ampere, Celsius, Second, Volt};
@@ -121,7 +121,8 @@ impl FefetParams {
     /// # Errors
     ///
     /// Returns [`DeviceError::EmptyMemoryWindow`] if `low_vt >= high_vt`,
-    /// or [`DeviceError::InvalidParameter`] if the channel transistor
+    /// or [`DeviceError::InvalidParameter`] if a window edge or its
+    /// temperature coefficient is not finite or the channel transistor
     /// parameters are invalid.
     pub fn build(self) -> Result<Fefet, DeviceError> {
         Fefet::try_new(self)
@@ -163,6 +164,20 @@ impl Fefet {
     ///
     /// See [`FefetParams::build`].
     pub fn try_new(params: FefetParams) -> Result<Self, DeviceError> {
+        for (name, value) in [
+            ("low_vt", params.low_vt.value()),
+            ("high_vt", params.high_vt.value()),
+            ("low_vt_temp_coeff", params.low_vt_temp_coeff),
+            ("high_vt_temp_coeff", params.high_vt_temp_coeff),
+        ] {
+            if !value.is_finite() {
+                return Err(DeviceError::InvalidParameter {
+                    name,
+                    value,
+                    requirement: "finite",
+                });
+            }
+        }
         if params.low_vt.value() >= params.high_vt.value() {
             return Err(DeviceError::EmptyMemoryWindow {
                 low_vt: params.low_vt.value(),
@@ -255,17 +270,23 @@ impl Fefet {
         Volt(mid - p * half_window + self.vth_offset.value())
     }
 
-    /// Drain current and small-signal derivatives at a bias point.
-    pub fn evaluate(&self, vgs: Volt, vds: Volt, temp: Celsius) -> SmallSignal {
+    /// Resolves this device at `temp` into a transistor card whose
+    /// threshold shift folds in the polarization-controlled threshold
+    /// and the variation offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temp` is at or below absolute zero.
+    pub fn card(&self, temp: Celsius) -> MosfetCard {
         // The channel model applies its own vth0 + temp drift; replace
         // them with the polarization-controlled threshold by shifting.
-        let base_vth = Volt(
-            self.channel.params().vth0.value()
-                + self.channel.params().vth_temp_coeff
-                    * (temp.value() - MosfetParams::T_REF.value()),
-        );
-        let delta = self.effective_vth(temp) - base_vth;
-        self.channel.evaluate_shifted(vgs, vds, temp, delta)
+        let delta = self.effective_vth(temp) - Volt(self.channel.vth_t(temp));
+        self.channel.card(temp, delta)
+    }
+
+    /// Drain current and small-signal derivatives at a bias point.
+    pub fn evaluate(&self, vgs: Volt, vds: Volt, temp: Celsius) -> SmallSignal {
+        self.card(temp).evaluate(vgs, vds)
     }
 
     /// Drain current only.
@@ -393,6 +414,28 @@ mod tests {
             Fefet::try_new(p),
             Err(DeviceError::EmptyMemoryWindow { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_parameters_are_rejected() {
+        type Corrupt = fn(&mut FefetParams);
+        let cases: [(&str, Corrupt); 4] = [
+            ("low_vt", |p| p.low_vt = Volt(f64::NAN)),
+            ("high_vt", |p| p.high_vt = Volt(f64::NAN)),
+            ("low_vt_temp_coeff", |p| p.low_vt_temp_coeff = f64::INFINITY),
+            ("high_vt_temp_coeff", |p| p.high_vt_temp_coeff = f64::NAN),
+        ];
+        for (field, corrupt) in cases {
+            let mut p = FefetParams::paper_default();
+            corrupt(&mut p);
+            assert!(
+                matches!(
+                    Fefet::try_new(p),
+                    Err(DeviceError::InvalidParameter { name, .. }) if name == field
+                ),
+                "{field} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub mod variation;
 
 pub use error::DeviceError;
 pub use fefet::{Fefet, FefetParams, PolarizationState, ProgramPulse};
-pub use mosfet::{MosfetModel, MosfetParams, SmallSignal};
+pub use mosfet::{MosfetCard, MosfetModel, MosfetParams, SmallSignal};

@@ -160,6 +160,78 @@ pub struct SmallSignal {
     pub gds: Siemens,
 }
 
+/// One transistor's parameters resolved at one temperature: everything
+/// [`MosfetModel::evaluate_shifted`] needs that does not depend on the
+/// bias point. An analysis at a fixed temperature resolves a card per
+/// device once and evaluates it at every Newton iteration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MosfetCard {
+    /// Thermal voltage `U_T`, volts.
+    ut: f64,
+    /// Specific current `I_S(T)`, amperes.
+    i_s: f64,
+    /// `V_TH0 + k_vt·(T − T₀)`: the threshold before DIBL and the shift.
+    vth_t: f64,
+    /// Threshold shift (variation offset, FeFET polarization), volts.
+    delta_vth: f64,
+    /// Subthreshold slope factor `n`.
+    n: f64,
+    /// Channel-length-modulation coefficient λ, 1/V.
+    lambda: f64,
+    /// DIBL coefficient η.
+    dibl: f64,
+}
+
+impl MosfetCard {
+    /// Drain current and its small-signal derivatives at a bias point.
+    ///
+    /// Negative `V_DS` is handled by source/drain symmetry, so the model
+    /// is safe to use for pass devices whose terminals swap roles.
+    pub fn evaluate(&self, vgs: Volt, vds: Volt) -> SmallSignal {
+        if vds.value() < 0.0 {
+            // Symmetric device: swap source and drain roles. With
+            // I(vgs, vds) = −I'(vgs − vds, −vds), the chain rule gives
+            // gm = −gm' and gds = gm' + gds'.
+            let flipped = self.evaluate(Volt(vgs.value() - vds.value()), Volt(-vds.value()));
+            return SmallSignal {
+                ids: -flipped.ids,
+                gm: Siemens(-flipped.gm.value()),
+                gds: Siemens(flipped.gm.value() + flipped.gds.value()),
+            };
+        }
+        let MosfetCard {
+            ut,
+            i_s,
+            vth_t,
+            delta_vth,
+            n,
+            lambda,
+            dibl,
+        } = *self;
+        let vth = (vth_t - dibl * vds.value()) + delta_vth;
+        let a = (vgs.value() - vth) / (2.0 * n * ut);
+        let b = a - vds.value() / (2.0 * ut);
+        let (fa, sa) = softplus_with_deriv(a);
+        let (fb, sb) = softplus_with_deriv(b);
+        let clm = 1.0 + lambda * vds.value();
+        let core = fa * fa - fb * fb;
+        let ids = i_s * core * clm;
+        // ∂a/∂vgs = 1/(2nUT); ∂b/∂vgs = 1/(2nUT)
+        let dcore_dvgs = (2.0 * fa * sa - 2.0 * fb * sb) / (2.0 * n * ut);
+        let gm = i_s * dcore_dvgs * clm;
+        // ∂a/∂vds = η/(2nUT) (DIBL lowers vth); ∂b/∂vds = η/(2nUT) − 1/(2UT)
+        let da_dvds = dibl / (2.0 * n * ut);
+        let db_dvds = da_dvds - 1.0 / (2.0 * ut);
+        let dcore_dvds = 2.0 * fa * sa * da_dvds - 2.0 * fb * sb * db_dvds;
+        let gds = i_s * (dcore_dvds * clm + core * lambda);
+        SmallSignal {
+            ids: Ampere(ids),
+            gm: Siemens(gm),
+            gds: Siemens(gds),
+        }
+    }
+}
+
 /// A validated, immutable EKV n-MOSFET model instance.
 ///
 /// The model is `Copy`-cheap to clone and stateless: all bias and
@@ -241,11 +313,13 @@ impl MosfetModel {
     /// Effective threshold voltage at a temperature and drain bias
     /// (includes the linear temperature drift and DIBL).
     pub fn vth_at(&self, temp: Celsius, vds: Volt) -> Volt {
-        let dt = temp.value() - MosfetParams::T_REF.value();
-        Volt(
-            self.params.vth0.value() + self.params.vth_temp_coeff * dt
-                - self.params.dibl * vds.value(),
-        )
+        Volt(self.vth_t(temp) - self.params.dibl * vds.value())
+    }
+
+    /// `V_TH0 + k_vt·(T − T₀)`: the threshold at `temp` before DIBL.
+    pub(crate) fn vth_t(&self, temp: Celsius) -> f64 {
+        self.params.vth0.value()
+            + self.params.vth_temp_coeff * (temp.value() - MosfetParams::T_REF.value())
     }
 
     /// Specific (normalization) current `I_S = 2 n µ(T) C_ox (W/L) U_T²`.
@@ -258,12 +332,30 @@ impl MosfetModel {
         Ampere(2.0 * p.ideality * mobility * p.cox * (p.width / p.length) * ut * ut)
     }
 
+    /// Resolves the temperature-dependent parameters of this device at
+    /// `temp`, with the threshold shifted by `delta_vth`, into a card
+    /// that evaluates bias points without repeating that work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temp` is at or below absolute zero (see
+    /// [`ThermalVoltage::at`]).
+    pub fn card(&self, temp: Celsius, delta_vth: Volt) -> MosfetCard {
+        let p = &self.params;
+        MosfetCard {
+            ut: ThermalVoltage::at_celsius(temp).value(),
+            i_s: self.specific_current(temp).value(),
+            vth_t: self.vth_t(temp),
+            delta_vth: delta_vth.value(),
+            n: p.ideality,
+            lambda: p.lambda,
+            dibl: p.dibl,
+        }
+    }
+
     /// Drain current with the threshold shifted by `delta_vth`
     /// (used by the FeFET wrapper and by Monte-Carlo variation), plus
-    /// the small-signal derivatives.
-    ///
-    /// Negative `V_DS` is handled by source/drain symmetry, so the model
-    /// is safe to use for pass devices whose terminals swap roles.
+    /// the small-signal derivatives. See [`MosfetCard::evaluate`].
     pub fn evaluate_shifted(
         &self,
         vgs: Volt,
@@ -271,47 +363,7 @@ impl MosfetModel {
         temp: Celsius,
         delta_vth: Volt,
     ) -> SmallSignal {
-        if vds.value() < 0.0 {
-            // Symmetric device: swap source and drain roles. With
-            // I(vgs, vds) = −I'(vgs − vds, −vds), the chain rule gives
-            // gm = −gm' and gds = gm' + gds'.
-            let flipped = self.evaluate_shifted(
-                Volt(vgs.value() - vds.value()),
-                Volt(-vds.value()),
-                temp,
-                delta_vth,
-            );
-            return SmallSignal {
-                ids: -flipped.ids,
-                gm: Siemens(-flipped.gm.value()),
-                gds: Siemens(flipped.gm.value() + flipped.gds.value()),
-            };
-        }
-        let p = &self.params;
-        let ut = ThermalVoltage::at_celsius(temp).value();
-        let n = p.ideality;
-        let vth = self.vth_at(temp, vds).value() + delta_vth.value();
-        let a = (vgs.value() - vth) / (2.0 * n * ut);
-        let b = a - vds.value() / (2.0 * ut);
-        let (fa, sa) = softplus_with_deriv(a);
-        let (fb, sb) = softplus_with_deriv(b);
-        let i_s = self.specific_current(temp).value();
-        let clm = 1.0 + p.lambda * vds.value();
-        let core = fa * fa - fb * fb;
-        let ids = i_s * core * clm;
-        // ∂a/∂vgs = 1/(2nUT); ∂b/∂vgs = 1/(2nUT)
-        let dcore_dvgs = (2.0 * fa * sa - 2.0 * fb * sb) / (2.0 * n * ut);
-        let gm = i_s * dcore_dvgs * clm;
-        // ∂a/∂vds = η/(2nUT) (DIBL lowers vth); ∂b/∂vds = η/(2nUT) − 1/(2UT)
-        let da_dvds = p.dibl / (2.0 * n * ut);
-        let db_dvds = da_dvds - 1.0 / (2.0 * ut);
-        let dcore_dvds = 2.0 * fa * sa * da_dvds - 2.0 * fb * sb * db_dvds;
-        let gds = i_s * (dcore_dvds * clm + core * p.lambda);
-        SmallSignal {
-            ids: Ampere(ids),
-            gm: Siemens(gm),
-            gds: Siemens(gds),
-        }
+        self.card(temp, delta_vth).evaluate(vgs, vds)
     }
 
     /// Drain current and derivatives at a bias point.

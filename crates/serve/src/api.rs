@@ -9,6 +9,7 @@
 //! a parse error), and hand-parsing produces precise 400 messages.
 
 use ferrocim_cim::MacPath;
+use ferrocim_units::Celsius;
 use serde_json::{json, Value};
 
 /// A parsed `POST /v1/mac` body.
@@ -87,10 +88,10 @@ impl MacApiRequest {
         let inputs = parse_bools(&doc, "inputs")?;
         let weights = parse_bools(&doc, "weights")?;
         let temp_c = match doc.get("temp_c") {
-            Some(Value::Number(n)) if n.is_finite() => *n,
+            Some(Value::Number(n)) if n.is_finite() && *n > -Celsius::KELVIN_OFFSET => *n,
             Some(other) => {
                 return Err(bad(format!(
-                    "temp_c must be a finite number, got {other:?}"
+                    "temp_c must be a finite number above absolute zero (-273.15), got {other:?}"
                 )))
             }
             None => 27.0,
@@ -256,6 +257,13 @@ mod tests {
             .expect_err("non-bool entry")
             .message
             .contains("booleans"));
+        for temp in ["-273.15", "-300"] {
+            let body = format!(r#"{{"inputs":[true],"weights":[true],"temp_c":{temp}}}"#);
+            assert!(MacApiRequest::parse(body.as_bytes())
+                .expect_err("temperature at or below absolute zero")
+                .message
+                .contains("temp_c"));
+        }
         assert!(
             MacApiRequest::parse(br#"{"inputs":[true],"weights":[true],"timeout_ms":0}"#)
                 .expect_err("zero timeout")

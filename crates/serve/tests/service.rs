@@ -321,6 +321,58 @@ fn malformed_bodies_get_typed_400() {
     server.shutdown();
 }
 
+/// A temperature at or below absolute zero is the client's error: it is
+/// refused at parse time, before any solve, so it neither retries nor
+/// counts against the tenant's breaker.
+#[test]
+fn temperature_below_absolute_zero_is_a_typed_400_that_spares_the_breaker() {
+    let config = ServeConfig {
+        breaker: BreakerConfig {
+            window: 2,
+            min_samples: 2,
+            trip_error_rate: 0.5,
+            cooldown: Duration::from_secs(30),
+            half_open_probes: 1,
+        },
+        ..ServeConfig::default()
+    };
+    let server = start(config, Arc::new(StubBackend::instant(4)));
+    let addr = server.addr();
+    for temp_c in ["-300", "-273.15", "-300", "-1e300"] {
+        let body = format!(
+            r#"{{"tenant":"cold","inputs":[true,true,false,false],
+                "weights":[true,true,true,false],"timeout_ms":2000,"temp_c":{temp_c}}}"#
+        );
+        let resp = http_request(addr, "POST", "/v1/mac", body.as_bytes(), CLIENT_TIMEOUT)
+            .expect("request");
+        assert_eq!(resp.status, 400, "temp_c {temp_c}");
+        let doc = typed_json(resp.status, &resp.body);
+        assert!(
+            matches!(doc.get("message"), Some(Value::String(m)) if m.contains("temp_c")),
+            "the 400 names the field: {doc:?}"
+        );
+    }
+    let resp = http_request(
+        addr,
+        "POST",
+        "/v1/mac",
+        &mac_body("cold", 2000),
+        CLIENT_TIMEOUT,
+    )
+    .expect("request");
+    assert_eq!(resp.status, 200);
+    let doc = typed_json(resp.status, &resp.body);
+    assert_eq!(doc.get("degraded"), Some(&Value::Bool(false)));
+    assert_eq!(doc.get("breaker_open"), Some(&Value::Bool(false)));
+    let counts = server.aggregator().counts();
+    assert_eq!(counts.serve_retries, 0);
+    assert_eq!(counts.serve_breaker_open, 0);
+    let health = http_request(addr, "GET", "/healthz", b"", CLIENT_TIMEOUT).expect("healthz");
+    let health_doc = health.json().expect("healthz JSON");
+    assert_eq!(health_doc.get("status"), Some(&Value::String("ok".into())));
+    server.shutdown();
+}
+
 #[test]
 fn chaos_faults_degrade_then_trip_the_breaker() {
     let config = ServeConfig {

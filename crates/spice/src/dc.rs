@@ -176,6 +176,8 @@ impl<'a> DcAnalysis<'a> {
     /// * [`SpiceError::NumericalBlowup`] if an iteration produced a
     ///   non-finite update.
     /// * [`SpiceError::SingularMatrix`] for degenerate circuits.
+    /// * [`SpiceError::InvalidValue`] named `temperature` if the
+    ///   analysis temperature is not finite or not above absolute zero.
     pub fn solve(&self) -> Result<OperatingPoint, SpiceError> {
         self.solve_in(&mut Workspace::new())
     }
@@ -193,7 +195,7 @@ impl<'a> DcAnalysis<'a> {
         if let Some(config) = self.ctx.solver {
             ws.set_solver(config);
         }
-        let layout = Layout::of(self.circuit);
+        let layout = Layout::of(self.circuit, self.temp)?;
         let initial: Vec<f64> = match &self.initial_guess {
             Some(guess) if guess.len() == layout.size => guess.clone(),
             _ => vec![0.0; layout.size],
@@ -203,7 +205,6 @@ impl<'a> DcAnalysis<'a> {
             self.circuit,
             &layout,
             Second::ZERO,
-            self.temp,
             CapMode::Open,
             &SolveSettings::NOMINAL,
             &mut x,
@@ -216,7 +217,6 @@ impl<'a> DcAnalysis<'a> {
                 self.circuit,
                 &layout,
                 Second::ZERO,
-                self.temp,
                 CapMode::Open,
                 &mut x,
                 &initial,
@@ -453,5 +453,34 @@ mod tests {
         let hot = DcAnalysis::new(&ckt).at(Celsius(85.0)).solve().unwrap();
         // Subthreshold device conducts more when hot → drain pulled lower.
         assert!(hot.voltage(d).value() < cold.voltage(d).value());
+    }
+
+    #[test]
+    fn temperature_at_or_below_absolute_zero_is_a_typed_error() {
+        let mut ckt = Circuit::new();
+        let d = ckt.node("d");
+        ckt.add(Element::vdc("VDD", d, NodeId::GROUND, Volt(0.5)))
+            .unwrap();
+        let model = MosfetModel::new(MosfetParams::nmos_14nm());
+        ckt.add(Element::mosfet("M1", d, d, NodeId::GROUND, model))
+            .unwrap();
+        let is_temperature = |e: SpiceError| match e {
+            SpiceError::InvalidValue { name, .. } => name == "temperature",
+            _ => false,
+        };
+        for t in [-300.0, -273.15, f64::NAN, f64::INFINITY] {
+            let dc = DcAnalysis::new(&ckt).at(Celsius(t)).solve();
+            assert!(is_temperature(dc.unwrap_err()), "dc at {t}");
+            let fixed = crate::TransientAnalysis::over(&ckt, Second(1e-9))
+                .at(Celsius(t))
+                .with_fixed_step(Second(1e-10))
+                .run();
+            assert!(is_temperature(fixed.unwrap_err()), "fixed step at {t}");
+            let adaptive = crate::TransientAnalysis::over(&ckt, Second(1e-9))
+                .at(Celsius(t))
+                .run();
+            assert!(is_temperature(adaptive.unwrap_err()), "adaptive at {t}");
+        }
+        assert!(DcAnalysis::new(&ckt).at(Celsius(-273.0)).solve().is_ok());
     }
 }

@@ -5,8 +5,9 @@ use crate::health::certify;
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::solver::LinearSystem;
 use crate::SpiceError;
+use ferrocim_device::MosfetCard;
 use ferrocim_telemetry::Event;
-use ferrocim_units::{Celsius, Second};
+use ferrocim_units::{Celsius, Second, Volt};
 
 /// Tiny conductance from every node to ground, preventing singular
 /// systems from floating nodes (e.g. capacitor-only nodes in DC).
@@ -58,8 +59,9 @@ impl Default for NewtonOptions {
     }
 }
 
-/// Index layout of the MNA unknown vector: node voltages (ground
-/// excluded) followed by voltage-source branch currents.
+/// Index layout of the MNA unknown vector (node voltages, ground
+/// excluded, followed by voltage-source branch currents) plus every
+/// transistor's device card at the analysis temperature.
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
     /// Number of non-ground nodes.
@@ -67,26 +69,51 @@ pub(crate) struct Layout {
     /// Element-vector index → branch-current row for voltage sources
     /// (`usize::MAX` for every other element).
     pub branch_of_element: Vec<usize>,
+    /// Every transistor's card in element order, resolved once per
+    /// analysis.
+    pub cards: Vec<MosfetCard>,
     /// Total unknown count.
     pub size: usize,
 }
 
 impl Layout {
-    pub fn of(circuit: &Circuit) -> Layout {
+    /// Lays out `circuit` and resolves its transistors at `temp`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::InvalidValue`] named `temperature` if `temp` is not
+    /// finite or not above absolute zero.
+    pub fn of(circuit: &Circuit, temp: Celsius) -> Result<Layout, SpiceError> {
+        if !(temp.value().is_finite() && temp.to_kelvin().value() > 0.0) {
+            return Err(SpiceError::InvalidValue {
+                name: "temperature".to_string(),
+                value: temp.value(),
+                requirement: "a finite temperature above absolute zero",
+            });
+        }
         let n_nodes = circuit.node_count() - 1;
         let mut branch_of_element = vec![usize::MAX; circuit.elements().len()];
+        let mut cards = Vec::new();
         let mut next = n_nodes;
         for (idx, e) in circuit.elements().iter().enumerate() {
-            if matches!(e, Element::VoltageSource { .. }) {
-                branch_of_element[idx] = next;
-                next += 1;
+            match e {
+                Element::VoltageSource { .. } => {
+                    branch_of_element[idx] = next;
+                    next += 1;
+                }
+                Element::Mosfet {
+                    model, vth_offset, ..
+                } => cards.push(model.card(temp, *vth_offset)),
+                Element::Fefet { device, .. } => cards.push(device.card(temp)),
+                _ => {}
             }
         }
-        Layout {
+        Ok(Layout {
             n_nodes,
             branch_of_element,
+            cards,
             size: next,
-        }
+        })
     }
 
     /// The unknown-vector row of a node, or `None` for ground.
@@ -142,7 +169,6 @@ pub(crate) fn assemble(
     layout: &Layout,
     x0: &[f64],
     t: Second,
-    temp: Celsius,
     caps: CapMode<'_>,
     settings: &SolveSettings,
     a: &mut dyn LinearSystem,
@@ -166,6 +192,7 @@ pub(crate) fn assemble(
         }
     };
 
+    let mut cards = layout.cards.iter();
     for (idx, e) in circuit.elements().iter().enumerate() {
         match e {
             Element::Resistor {
@@ -248,36 +275,21 @@ pub(crate) fn assemble(
                 drain,
                 gate,
                 source,
-                model,
-                vth_offset,
                 ..
-            } => {
-                let vg = layout.voltage(x0, *gate);
-                let vd = layout.voltage(x0, *drain);
-                let vs = layout.voltage(x0, *source);
-                let ss = model.evaluate_shifted(
-                    ferrocim_units::Volt(vg - vs),
-                    ferrocim_units::Volt(vd - vs),
-                    temp,
-                    *vth_offset,
-                );
-                stamp_transistor(a, z, layout, *drain, *gate, *source, vg, vd, vs, ss);
             }
-            Element::Fefet {
+            | Element::Fefet {
                 drain,
                 gate,
                 source,
-                device,
                 ..
             } => {
+                let Some(card) = cards.next() else {
+                    unreachable!("Layout::of resolves every transistor's card")
+                };
                 let vg = layout.voltage(x0, *gate);
                 let vd = layout.voltage(x0, *drain);
                 let vs = layout.voltage(x0, *source);
-                let ss = device.evaluate(
-                    ferrocim_units::Volt(vg - vs),
-                    ferrocim_units::Volt(vd - vs),
-                    temp,
-                );
+                let ss = card.evaluate(Volt(vg - vs), Volt(vd - vs));
                 stamp_transistor(a, z, layout, *drain, *gate, *source, vg, vd, vs, ss);
             }
         }
@@ -319,23 +331,21 @@ fn stamp_transistor(
         if let Some(rg) = rg {
             a.add(rd, rg, gm);
         }
-        if let Some(rdd) = layout.row_of(drain) {
-            a.add(rd, rdd, gds);
-        }
+        a.add(rd, rd, gds);
         if let Some(rs) = rs {
             a.add(rd, rs, -(gm + gds));
         }
         z[rd] -= i_eq;
     }
-    if let Some(rs_row) = rs {
+    if let Some(rs) = rs {
         if let Some(rg) = rg {
-            a.add(rs_row, rg, -gm);
+            a.add(rs, rg, -gm);
         }
-        if let Some(rd_col) = layout.row_of(drain) {
-            a.add(rs_row, rd_col, -gds);
+        if let Some(rd) = rd {
+            a.add(rs, rd, -gds);
         }
-        a.add(rs_row, rs_row, gm + gds);
-        z[rs_row] += i_eq;
+        a.add(rs, rs, gm + gds);
+        z[rs] += i_eq;
     }
 }
 
@@ -380,7 +390,6 @@ pub(crate) fn newton_solve_in(
     circuit: &Circuit,
     layout: &Layout,
     t: Second,
-    temp: Celsius,
     caps: CapMode<'_>,
     settings: &SolveSettings,
     x: &mut [f64],
@@ -424,7 +433,7 @@ pub(crate) fn newton_solve_in(
                     corr,
                     ..
                 } = &mut *ws;
-                assemble(circuit, layout, x, t, temp, caps, settings, system, z);
+                assemble(circuit, layout, x, t, caps, settings, system, z);
                 let info = system.solve_into(z, x_new, tele)?;
                 if observed {
                     tele.emit(|| Event::SolverSolved {

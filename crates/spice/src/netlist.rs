@@ -413,7 +413,12 @@ impl Element {
                     return invalid(name, vth_offset.value(), "a finite threshold offset");
                 }
             }
-            Element::Fefet { .. } => {}
+            Element::Fefet { name, device, .. } => {
+                let offset = device.vth_offset().value();
+                if !offset.is_finite() {
+                    return invalid(name, offset, "a finite threshold offset");
+                }
+            }
         }
         Ok(())
     }
@@ -763,6 +768,20 @@ mod tests {
             .add(Element::resistor("R2", a, NodeId::GROUND, Ohm(f64::NAN)))
             .unwrap_err();
         assert!(matches!(err, SpiceError::InvalidValue { .. }));
+    }
+
+    #[test]
+    fn non_finite_fefet_offset_rejected() {
+        use ferrocim_device::{Fefet, FefetParams};
+        let mut c = Circuit::new();
+        let d = c.node("d");
+        let mut dev = Fefet::new(FefetParams::paper_default());
+        dev.set_vth_offset(Volt(f64::NAN));
+        let err = c
+            .add(Element::fefet("F1", d, d, NodeId::GROUND, dev))
+            .unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidValue { ref name, .. } if name == "F1"));
+        assert!(c.elements().is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::mna::{CapMode, Layout, NewtonOptions, SolveSettings, GMIN};
 use crate::netlist::Circuit;
 use crate::{RunContext, SpiceError, Workspace};
 use ferrocim_telemetry::{Event, RungKind};
-use ferrocim_units::{Celsius, Second};
+use ferrocim_units::Second;
 
 /// One rung of the rescue ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +193,6 @@ pub(crate) fn rescue_solve(
     circuit: &Circuit,
     layout: &Layout,
     t: Second,
-    temp: Celsius,
     caps: CapMode<'_>,
     x: &mut [f64],
     initial_guess: &[f64],
@@ -234,7 +233,6 @@ pub(crate) fn rescue_solve(
             circuit,
             layout,
             t,
-            temp,
             caps,
             &SolveSettings::NOMINAL,
             x,
@@ -276,7 +274,7 @@ pub(crate) fn rescue_solve(
                 source_scale: 1.0,
             };
             match crate::mna::newton_solve_in(
-                circuit, layout, t, temp, caps, &settings, x, options, ctx, ws,
+                circuit, layout, t, caps, &settings, x, options, ctx, ws,
             ) {
                 Ok(iters) => iterations += iters,
                 Err(e) if !is_rescuable(&e) => return Err(e),
@@ -310,7 +308,7 @@ pub(crate) fn rescue_solve(
                 source_scale: k as f64 / policy.source_steps as f64,
             };
             match crate::mna::newton_solve_in(
-                circuit, layout, t, temp, caps, &settings, x, options, ctx, ws,
+                circuit, layout, t, caps, &settings, x, options, ctx, ws,
             ) {
                 Ok(iters) => iterations += iters,
                 Err(e) if !is_rescuable(&e) => return Err(e),

@@ -388,8 +388,9 @@ impl<'a> TransientAnalysis<'a> {
     ///
     /// # Errors
     ///
-    /// * [`SpiceError::InvalidValue`] for a non-positive `dt` or stop
-    ///   time before the first step.
+    /// * [`SpiceError::InvalidValue`] for a non-positive `dt`, a stop
+    ///   time before the first step, or a temperature that is not finite
+    ///   or not above absolute zero.
     /// * [`SpiceError::NoConvergence`] / [`SpiceError::SingularMatrix`]
     ///   from the per-step Newton solve.
     /// * [`SpiceError::BudgetExceeded`] / [`SpiceError::Cancelled`]
@@ -508,8 +509,8 @@ impl<'a> TransientAnalysis<'a> {
                 requirement: "at least one timestep long",
             });
         }
-        let layout = Layout::of(self.circuit);
         let (initial, mut cap_states) = self.initial_state(ws)?;
+        let layout = Layout::of(self.circuit, self.temp)?;
 
         // Breakpoint-aligned time grid.
         let mut times = Vec::new();
@@ -556,7 +557,6 @@ impl<'a> TransientAnalysis<'a> {
                 self.circuit,
                 &layout,
                 Second(t_now),
-                self.temp,
                 caps,
                 &crate::mna::SolveSettings::NOMINAL,
                 &mut x,
@@ -605,8 +605,8 @@ impl<'a> TransientAnalysis<'a> {
         }
         opts.validate()?;
 
-        let layout = Layout::of(self.circuit);
         let (initial, mut cap_states) = self.initial_state(ws)?;
+        let layout = Layout::of(self.circuit, self.temp)?;
         let trapezoidal = matches!(self.integrator, Integrator::Trapezoidal);
         // Step-doubling error constant: ‖x_full − x_half‖ ≈ (2^p − 1)·LTE
         // with p = 1 for backward Euler, p = 2 for trapezoidal; the dt
@@ -654,7 +654,6 @@ impl<'a> TransientAnalysis<'a> {
             let trial = attempt_step(
                 self.circuit,
                 &layout,
-                self.temp,
                 &self.options,
                 &self.ctx,
                 trapezoidal,
@@ -729,7 +728,6 @@ impl<'a> TransientAnalysis<'a> {
                             self.circuit,
                             &layout,
                             Second(target),
-                            self.temp,
                             caps,
                             &mut x_full,
                             &x,
@@ -788,7 +786,6 @@ enum StepTrial {
 fn attempt_step(
     circuit: &Circuit,
     layout: &Layout,
-    temp: Celsius,
     options: &NewtonOptions,
     ctx: &RunContext,
     trapezoidal: bool,
@@ -811,7 +808,6 @@ fn attempt_step(
         circuit,
         layout,
         Second(t + h),
-        temp,
         caps,
         &crate::mna::SolveSettings::NOMINAL,
         x_full,
@@ -840,7 +836,6 @@ fn attempt_step(
             circuit,
             layout,
             Second(t_sub),
-            temp,
             caps,
             &crate::mna::SolveSettings::NOMINAL,
             x_half,

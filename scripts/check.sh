@@ -31,12 +31,30 @@ echo "==> benchmark build (cimbench is its own package, outside the workspace)"
 cargo build --release --offline --manifest-path cimbench/Cargo.toml --bins
 
 echo "==> benchmark smoke: every cimbench workload must report correct output"
+# Seed-1 output digests of the solver workloads. They do not depend on
+# the thread count, so any change to them is a change in results.
+# serve_mix is left out: its round-0 digest depends on the client count.
+declare -A want_digest=(
+  [row_transient]=a58dfa80bea738af
+  [mc_variation]=991cb606b126cea6
+  [vgg_cim]=1ce36586d8517e19
+)
 for workload in row_transient mc_variation vgg_cim serve_mix; do
-  last=$(cimbench/target/release/cimbench --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  out=$(cimbench/target/release/cimbench --workload "$workload" --seed 1 --seconds 2 --trace 0)
+  last=$(printf '%s\n' "$out" | tail -n 1)
   case "$last" in
     '{"correct": true,'*) echo "    $workload: correct" ;;
     *) echo "    $workload: output check failed: $last" >&2; exit 1 ;;
   esac
+  want=${want_digest[$workload]:-}
+  if [ -n "$want" ]; then
+    got=$(printf '%s\n' "$out" | sed -n 's/^ *digest .*: \([0-9a-f]\{16\}\)$/\1/p' | head -n 1)
+    if [ "$got" != "$want" ]; then
+      echo "    $workload: digest $got, expected $want" >&2
+      exit 1
+    fi
+    echo "    $workload: digest $got"
+  fi
 done
 
 echo "==> every workspace test suite, vendored crates excluded (full backtraces)"
