@@ -1,111 +1,18 @@
 //! Fault-injection probe: readout accuracy and noise margin of the
-//! proposed 2T-1FeFET crossbar as the cell fault rate grows.
-//!
-//! For each fault rate a deterministic [`FaultPlan`] (seed 42) is
-//! installed into a 4×8 crossbar and a fixed batch of input vectors is
-//! evaluated through the fault-tolerant batched matrix–vector path at
-//! three temperatures. Every digital readout is scored against the
-//! fault-free true count, and an *empirical* worst-case noise margin is
-//! computed from the observed analog outputs grouped by true count (the
-//! analytic [`ferrocim_cim::metrics::RangeTable`] assumes identical
-//! cells, which faults break). Rerunning the probe always prints the
-//! same table.
+//! proposed 2T-1FeFET crossbar as the cell fault rate grows
+//! ([`fault_sweep`]). Rerunning the probe always prints the same table.
 
-use ferrocim_cim::cells::TwoTransistorOneFefet;
-use ferrocim_cim::{ArrayConfig, CimArray, Crossbar, FaultPlan};
-use ferrocim_spice::FailurePolicy;
-use ferrocim_units::Celsius;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-const ROWS: usize = 4;
-const SEED: u64 = 42;
-const RATES: [f64; 5] = [0.0, 0.02, 0.05, 0.1, 0.2];
-const TEMPS: [Celsius; 3] = [Celsius(0.0), Celsius(27.0), Celsius(85.0)];
-
-/// The worst-case noise margin rate over adjacent observed true-count
-/// levels: `min (lo_{k+1} - hi_k) / (hi_k - lo_k)`, computed from the
-/// measured analog ranges (skipping counts never observed).
-fn empirical_nmr_min(ranges: &[Option<(f64, f64)>]) -> Option<f64> {
-    let observed: Vec<(f64, f64)> = ranges.iter().filter_map(|r| *r).collect();
-    observed
-        .windows(2)
-        .map(|w| {
-            let (lo_k, hi_k) = w[0];
-            let (lo_next, _) = w[1];
-            (lo_next - hi_k) / (hi_k - lo_k).max(1e-12)
-        })
-        .min_by(f64::total_cmp)
-}
+use ferrocim_bench::fault_sweep;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = ferrocim_bench::Trace::from_args()?;
-    let config = ArrayConfig::paper_default();
-    let cols = config.cells_per_row;
-    let array = CimArray::new(TwoTransistorOneFefet::paper_default(), config)?
-        .with_recorder(trace.telemetry());
-    let mut xbar = Crossbar::new(array, ROWS)?;
-
-    // Deterministic weights and inputs, independent of the fault plan.
-    let mut rng = StdRng::seed_from_u64(SEED);
-    for r in 0..ROWS {
-        let weights: Vec<bool> = (0..cols).map(|_| rng.random::<f64>() < 0.5).collect();
-        xbar.program_row(r, &weights)?;
-    }
-    let inputs: Vec<Vec<bool>> = (0..16)
-        .map(|_| (0..cols).map(|_| rng.random::<f64>() < 0.5).collect())
-        .collect();
-
     println!(
-        "fault-rate sweep: {ROWS}x{cols} 2T-1FeFET crossbar, seed {SEED}, \
-         16 input vectors x {} temperatures",
-        TEMPS.len()
+        "fault-rate sweep: 4x8 2T-1FeFET crossbar, seed 42, \
+         16 input vectors x 3 temperatures"
     );
     println!("rate    faults  readout-acc  mean|err|  empirical NMR_min");
-    for rate in RATES {
-        let plan = FaultPlan::random(ROWS, cols, rate, SEED)?;
-        let injected = plan.fault_count();
-        let faulted = xbar.clone().with_fault_plan(plan)?;
-
-        let mut reads = 0usize;
-        let mut exact = 0usize;
-        let mut abs_err = 0usize;
-        // Observed analog range per true count, pooled over rows/temps.
-        let mut ranges: Vec<Option<(f64, f64)>> = vec![None; cols + 1];
-        for temp in TEMPS {
-            let report = faulted.try_matvec_batch(
-                &inputs,
-                temp,
-                &FailurePolicy::SkipAndReport { max_failures: 0 },
-            )?;
-            for (x, out) in inputs.iter().zip(report.values()) {
-                for r in 0..ROWS {
-                    let truth = faulted
-                        .row(r)
-                        .iter()
-                        .zip(x)
-                        .filter(|(w, &on)| w.bit() && on)
-                        .count();
-                    reads += 1;
-                    if out.digital[r] == truth {
-                        exact += 1;
-                    }
-                    abs_err += out.digital[r].abs_diff(truth);
-                    let v = out.analog[r].value();
-                    let (lo, hi) = ranges[truth].unwrap_or((v, v));
-                    ranges[truth] = Some((lo.min(v), hi.max(v)));
-                }
-            }
-        }
-
-        let nmr = empirical_nmr_min(&ranges)
-            .map(|v| format!("{v:.3}"))
-            .unwrap_or_else(|| "n/a".to_string());
-        println!(
-            "{rate:<7} {injected:<7} {:<12.4} {:<10.4} {nmr}",
-            exact as f64 / reads as f64,
-            abs_err as f64 / reads as f64,
-        );
+    for [rate, faults, accuracy, error, nmr] in fault_sweep(&trace.telemetry())? {
+        println!("{rate:<7} {faults:<7} {accuracy:<12} {error:<10} {nmr}");
     }
     trace.finish()?;
     Ok(())

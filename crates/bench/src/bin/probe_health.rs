@@ -14,25 +14,21 @@
 //!    the whole degradation ladder (fresh symbolic → alternate ordering
 //!    → dense fallback, each emitting [`SolveDegraded`]), and come back
 //!    with the typed `UncertifiedSolve` error instead of an unverified
-//!    solution. The emitted counter events land in the `--trace` sink,
-//!    so `trace summary --prometheus` and the bench gate see nonzero
-//!    `solves_refined` / `solves_degraded` from this probe.
+//!    solution ([`certification_refusal`]). The emitted counter events
+//!    land in the `--trace` sink, so `trace summary --prometheus` sees
+//!    nonzero `solves_refined` / `solves_degraded` from this probe;
+//!    `tests/counter_gates.rs` pins their exact counts.
 //!
 //! Dumps `results/probe_health.json`.
 //!
 //! [`SolveDegraded`]: ferrocim_telemetry::Event::SolveDegraded
 
-use ferrocim_bench::schema::{CertifiedQuality, GuardrailDemo, HealthOverhead, HealthProbe};
+use ferrocim_bench::schema::{CertifiedQuality, HealthOverhead, HealthProbe};
 use ferrocim_bench::timing::paired_overhead;
-use ferrocim_bench::{dump_json, Trace};
-use ferrocim_cim::cells::TwoTransistorOneFefet;
-use ferrocim_cim::{mac_operands, ArrayConfig, CimArray};
+use ferrocim_bench::{certification_refusal, dump_json, wide_row_readout, Trace};
 use ferrocim_spice::{
     Circuit, DcAnalysis, HealthPolicy, RunContext, SolverConfig, SpiceError, Workspace,
 };
-use ferrocim_telemetry::{Aggregator, Recorder, Tee, Telemetry};
-use ferrocim_units::Farad;
-use std::sync::Arc;
 
 /// Row width of the timed DC workload (~1029 MNA unknowns).
 const CELLS: usize = 256;
@@ -48,28 +44,6 @@ const BLOCK: usize = 4;
 
 /// Certification overhead bound in percent.
 const OVERHEAD_LIMIT_PCT: f64 = 8.0;
-
-/// A row array scaled to `cells` columns, as in `probe_sparse`.
-fn scaled_array(cells: usize) -> Result<CimArray<TwoTransistorOneFefet>, ferrocim_cim::CimError> {
-    let base = ArrayConfig::paper_default();
-    let config = ArrayConfig {
-        cells_per_row: cells,
-        c_acc: Farad(cells as f64 * base.c_o.value()),
-        ..base
-    };
-    CimArray::new(TwoTransistorOneFefet::paper_default(), config)
-}
-
-/// MNA unknowns of the netlist: non-ground nodes plus one branch
-/// current per voltage source.
-fn unknown_count(ckt: &Circuit) -> usize {
-    let sources = ckt
-        .elements()
-        .iter()
-        .filter(|el| matches!(el, ferrocim_spice::Element::VoltageSource { .. }))
-        .count();
-    ckt.node_count() - 1 + sources
-}
 
 /// Times the full DC Newton solve with certification off against
 /// certification on through [`paired_overhead`], one [`BLOCK`]-solve
@@ -116,10 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("# Probe — numerical-health certification: cost and teeth\n");
 
     // Cost: the 256-cell row DC readout with certification off vs. on.
-    let array = scaled_array(CELLS)?;
-    let (weights, inputs) = mac_operands(CELLS, CELLS / 2 + 1);
-    let (ckt, _acc, _t_stop) = array.readout_circuit(&weights, &inputs)?;
-    let unknowns = unknown_count(&ckt);
+    let (ckt, unknowns) = wide_row_readout(CELLS)?;
     let (off_us, certified_us, overhead_pct, quality) = time_policies(&ckt)?;
     let overhead = HealthOverhead {
         cells_per_row: CELLS,
@@ -153,52 +124,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Teeth: the paper-default row held to an unmeetable tolerance.
-    // Refinement and ladder events are teed into the aggregator (for
-    // the report below) and the `--trace` sink (for the bench gate).
-    let agg = Arc::new(Aggregator::new());
-    let tele = Telemetry::to(Tee::new(vec![
-        agg.clone() as Arc<dyn Recorder>,
-        Arc::new(trace.telemetry()),
-    ]));
-    let small = CimArray::new(
-        TwoTransistorOneFefet::paper_default(),
-        ArrayConfig::paper_default(),
-    )?;
-    let cells = ArrayConfig::paper_default().cells_per_row;
-    let (weights, inputs) = mac_operands(cells, cells / 2 + 1);
-    let (small_ckt, _acc, _t_stop) = small.readout_circuit(&weights, &inputs)?;
-    let strict = HealthPolicy {
-        residual_tol: 1e-30,
-        ..HealthPolicy::default()
-    };
-    let mut ws = Workspace::with_solver(SolverConfig::sparse());
-    let refusal = DcAnalysis::new(&small_ckt)
-        .with_context(RunContext {
-            telemetry: tele,
-            health: strict,
-            ..RunContext::default()
-        })
-        .solve_in(&mut ws);
-    let (refused, reported_residual, cond_estimate) = match refusal {
-        Err(SpiceError::UncertifiedSolve {
-            residual,
-            cond_estimate,
-        }) => (true, residual, cond_estimate),
-        Err(other) => return Err(format!("expected UncertifiedSolve, got {other:?}").into()),
-        Ok(_) => (false, f64::NAN, None),
-    };
-    let counts = agg.counts();
-    let guardrail = GuardrailDemo {
-        residual_tol: strict.residual_tol,
-        refused,
-        reported_residual,
-        cond_estimate,
-        solves_refined: counts.solves_refined,
-        solves_degraded: counts.solves_degraded,
-    };
+    let guardrail = certification_refusal(&trace.telemetry())?;
     println!(
-        "\n{cells}-cell row held to an impossible tolerance ({:.0e}):",
-        strict.residual_tol
+        "\npaper-default row held to an impossible tolerance ({:.0e}):",
+        guardrail.residual_tol
     );
     println!(
         "  refused = {}, reported backward error {:.2e}, cond estimate {}",

@@ -21,6 +21,11 @@
 //!    `_count` latency series for at most cap + 1 labels, with the
 //!    overflow collapsed into `other`.
 //!
+//! It also reports, ungated, what attaching telemetry costs the
+//! batched-MAC path: the same batches timed with telemetry off against
+//! a [`NoopRecorder`], which runs the full event-construction and
+//! dispatch path with nothing behind it.
+//!
 //! The gate bounds live in `baselines/probe_observe.json`, compiled
 //! into the probe; like the serve gate these are hand-set limits,
 //! because wall-clock overhead is machine-dependent. `--dump-dir DIR`
@@ -36,10 +41,10 @@
 use ferrocim_bench::schema::{
     ObserveCardinality, ObserveDump, ObserveGateBounds, ObserveOverhead, ObserveProbe,
 };
-use ferrocim_bench::timing::paired_overhead;
-use ferrocim_bench::{dump_json, flag_value, Trace};
+use ferrocim_bench::timing::{paired_overhead, PairedTiming};
+use ferrocim_bench::{dump_json, flag_value, wide_row_readout, Trace};
 use ferrocim_cim::cells::TwoTransistorOneFefet;
-use ferrocim_cim::{mac_operands, ArrayConfig, CimArray};
+use ferrocim_cim::{ArrayConfig, ArrayEngine, CimArray};
 use ferrocim_serve::{
     http_request, BreakerConfig, ChaosBackend, ChaosPlan, CimBackend, ServeConfig, Server,
 };
@@ -48,7 +53,7 @@ use ferrocim_telemetry::{
     Aggregator, DetailLevel, DumpOn, FlightRecorder, NoopRecorder, Recorder, Tee, Telemetry,
 };
 use ferrocim_traceview::{read_trace, Summary};
-use ferrocim_units::Farad;
+use ferrocim_units::Celsius;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,6 +72,14 @@ const REPS: usize = 9;
 /// on.
 const BLOCK: usize = 4;
 
+/// Paired repetitions of the dispatch-overhead row. Each batch fans
+/// out over threads, so single reps swing by tens of percent on a
+/// loaded host; the median needs many pairs.
+const DISPATCH_REPS: usize = 21;
+
+/// MAC batches per timed dispatch block.
+const DISPATCH_BATCHES: usize = 3;
+
 /// Tenant cap configured on the cardinality scenario's aggregator.
 const TENANT_CAP: usize = 4;
 
@@ -79,28 +92,6 @@ const DUMP_REQUESTS: usize = 16;
 /// Per-client socket timeout — a hang shows up as a probe error, not
 /// a test timeout.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// A row array scaled to `cells` columns, as in `probe_health`.
-fn scaled_array(cells: usize) -> Result<CimArray<TwoTransistorOneFefet>, ferrocim_cim::CimError> {
-    let base = ArrayConfig::paper_default();
-    let config = ArrayConfig {
-        cells_per_row: cells,
-        c_acc: Farad(cells as f64 * base.c_o.value()),
-        ..base
-    };
-    CimArray::new(TwoTransistorOneFefet::paper_default(), config)
-}
-
-/// MNA unknowns of the netlist: non-ground nodes plus one branch
-/// current per voltage source.
-fn unknown_count(ckt: &Circuit) -> usize {
-    let sources = ckt
-        .elements()
-        .iter()
-        .filter(|el| matches!(el, ferrocim_spice::Element::VoltageSource { .. }))
-        .count();
-    ckt.node_count() - 1 + sources
-}
 
 /// Times the full DC Newton solve recording into a no-op sink against
 /// a flight-recorder ring through [`paired_overhead`], one
@@ -132,6 +123,30 @@ fn time_recorders(ckt: &Circuit) -> Result<(f64, f64, usize, f64), SpiceError> {
     ))
 }
 
+/// Times a batched-MAC workload (16 jobs over 2 distinct patterns on
+/// the paper-default row) with telemetry off against a
+/// [`NoopRecorder`] attached, through [`paired_overhead`], one
+/// [`DISPATCH_BATCHES`]-batch block per side and rep.
+fn time_dispatch() -> Result<PairedTiming, ferrocim_cim::CimError> {
+    let array = CimArray::new(
+        TwoTransistorOneFefet::paper_default(),
+        ArrayConfig::paper_default(),
+    )?;
+    let weights = [true, true, false, true, true, false, true, true];
+    let a: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
+    let b: Vec<bool> = (0..8).map(|i| i < 5).collect();
+    let inputs: Vec<Vec<bool>> = (0..16)
+        .map(|j| if j % 2 == 0 { a.clone() } else { b.clone() })
+        .collect();
+    let noop_array = array.clone().with_recorder(Telemetry::to(NoopRecorder));
+    let off_engine = ArrayEngine::new(&array, &weights)?;
+    let noop_engine = ArrayEngine::new(&noop_array, &weights)?;
+    let block = |engine: &ArrayEngine<'_, TwoTransistorOneFefet>| {
+        (0..DISPATCH_BATCHES).try_for_each(|_| engine.mac_batch(&inputs, Celsius(27.0)).map(drop))
+    };
+    paired_overhead(DISPATCH_REPS, || block(&off_engine), || block(&noop_engine))
+}
+
 fn mac_body(tenant: &str, path: &str) -> Vec<u8> {
     format!(
         r#"{{"tenant":"{tenant}","inputs":[true,true,true,false,false,true,false,false],
@@ -150,10 +165,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Claim 1: cost. The 256-cell row DC readout recorded into a no-op
     // sink versus a flight-recorder ring.
-    let array = scaled_array(CELLS)?;
-    let (weights, inputs) = mac_operands(CELLS, CELLS / 2 + 1);
-    let (ckt, _acc, _t_stop) = array.readout_circuit(&weights, &inputs)?;
-    let unknowns = unknown_count(&ckt);
+    let (ckt, unknowns) = wide_row_readout(CELLS)?;
     let (noop_us, flight_us, flight_events, overhead_pct) = time_recorders(&ckt)?;
     let overhead = ObserveOverhead {
         cells_per_row: CELLS,
@@ -175,6 +187,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  median paired overhead = {:.2} % (limit {} %)",
         overhead.overhead_pct, overhead.limit_pct
     );
+
+    // Reported, not gated: the cost of attaching telemetry at all.
+    let dispatch = time_dispatch()?;
+    let per_batch_us = |block_s: f64| block_s / DISPATCH_BATCHES as f64 * 1e6;
+    println!(
+        "\nbatched-MAC dispatch (NoopRecorder vs off, {DISPATCH_REPS} paired \
+         {DISPATCH_BATCHES}-batch blocks, not gated):"
+    );
+    println!(
+        "  off  : {:.1} us/batch",
+        per_batch_us(dispatch.base_best_s)
+    );
+    println!(
+        "  noop : {:.1} us/batch",
+        per_batch_us(dispatch.test_best_s)
+    );
+    println!("  median paired overhead = {:.3} %", dispatch.overhead_pct);
 
     // One calibrated backend shared by both serving scenarios.
     let agg = Arc::new(Aggregator::new());
@@ -361,6 +390,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let out = ObserveProbe {
         overhead,
+        dispatch,
         dump,
         cardinality,
         gate,

@@ -14,11 +14,8 @@
 
 use ferrocim_bench::schema::{LargeRowMac, SparseProbe, SparseWidthPoint};
 use ferrocim_bench::timing::best_of;
-use ferrocim_bench::{dump_json, print_table};
-use ferrocim_cim::cells::TwoTransistorOneFefet;
-use ferrocim_cim::{mac_operands, ArrayConfig, CimArray, MacRequest};
+use ferrocim_bench::{dump_json, print_table, wide_row_mac, wide_row_readout};
 use ferrocim_spice::{Circuit, DcAnalysis, NodeId, SolverConfig, Workspace};
-use ferrocim_units::Farad;
 use std::time::Instant;
 
 /// Row widths swept, from the paper's array to a VGG-scale layer row.
@@ -30,19 +27,6 @@ const DENSE_LIMIT: usize = 256;
 
 /// Max-norm node-voltage disagreement tolerated between the backends.
 const PARITY_BOUND: f64 = 1e-10;
-
-/// A row array scaled to `cells` columns: `C_acc` grows with the row
-/// (≈1 fF per cell, as the shared capacitor would in layout) and the
-/// timestep stays at the paper default.
-fn scaled_array(cells: usize) -> Result<CimArray<TwoTransistorOneFefet>, ferrocim_cim::CimError> {
-    let base = ArrayConfig::paper_default();
-    let config = ArrayConfig {
-        cells_per_row: cells,
-        c_acc: Farad(cells as f64 * base.c_o.value()),
-        ..base
-    };
-    CimArray::new(TwoTransistorOneFefet::paper_default(), config)
-}
 
 /// Every distinct node referenced by the circuit's elements (ground
 /// excluded), for the parity comparison.
@@ -58,17 +42,6 @@ fn circuit_nodes(ckt: &Circuit) -> Vec<NodeId> {
     nodes
 }
 
-/// MNA unknowns of the netlist: non-ground nodes plus one branch
-/// current per voltage source.
-fn unknown_count(ckt: &Circuit) -> usize {
-    let sources = ckt
-        .elements()
-        .iter()
-        .filter(|el| matches!(el, ferrocim_spice::Element::VoltageSource { .. }))
-        .count();
-    ckt.node_count() - 1 + sources
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = ferrocim_bench::Trace::from_args()?;
     println!("# Probe — sparse vs. dense MNA factorization over row width\n");
@@ -77,10 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut parity_ok = true;
     let mut rows = Vec::new();
     for &cells in WIDTHS {
-        let array = scaled_array(cells)?;
-        let (weights, inputs) = mac_operands(cells, cells / 2 + 1);
-        let (ckt, _acc, _t_stop) = array.readout_circuit(&weights, &inputs)?;
-        let unknowns = unknown_count(&ckt);
+        let (ckt, unknowns) = wide_row_readout(cells)?;
         let reps = if cells <= 64 { 3 } else { 1 };
         // Best-of-`reps` full DC Newton solves per backend, each on a
         // fresh workspace so the timing includes the backend's full
@@ -144,16 +114,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the share phase genuinely changes the matrix pattern) against
     // hundreds of numeric refactorizations.
     let cells = *WIDTHS.last().expect("widths non-empty");
-    let array = scaled_array(cells)?.with_recorder(trace.telemetry());
-    let (weights, inputs) = mac_operands(cells, cells / 2 + 1);
-    let request = MacRequest::new(&inputs).weights(&weights);
-    let mut ws = Workspace::with_solver(SolverConfig::sparse());
     let start = Instant::now();
-    let out = array.run_in(&request, &mut ws)?;
+    let (out, (symbolic, numeric)) = wide_row_mac(cells, &trace.telemetry())?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (symbolic, numeric) = ws
-        .sparse_factor_counts()
-        .expect("the sparse backend was selected");
     println!(
         "\n{cells}-cell transient MAC: V_acc = {:.3} mV (expected count {}), \
          {wall_ms:.1} ms, {symbolic} symbolic / {numeric} numeric factorizations",

@@ -4,8 +4,10 @@
 //! evaluation section (see DESIGN.md §4 for the index). This library
 //! provides the common console-table/series formatting, the JSON
 //! results dump used by EXPERIMENTS.md, the command-line flag parser,
-//! and (in [`timing`]) the wall-clock estimators every probe times
-//! through.
+//! (in [`timing`]) the wall-clock estimators every probe times through,
+//! and the probes' counted workloads ([`adaptive_probe`],
+//! [`certification_refusal`], [`fault_sweep`], [`wide_row_mac`]),
+//! which `tests/counter_gates.rs` pins to exact solver-work counts.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,6 +20,11 @@ use std::sync::Arc;
 
 pub mod schema;
 pub mod timing;
+mod workloads;
+
+pub use workloads::{
+    adaptive_probe, certification_refusal, fault_sweep, wide_row_mac, wide_row_readout,
+};
 
 /// Prints an aligned console table.
 ///
@@ -82,7 +89,7 @@ pub fn print_series(title: &str, x_label: &str, y_label: &str, points: &[(f64, f
 
 /// Where experiment JSON dumps land (`results/` at the workspace root,
 /// overridable with `FERROCIM_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     std::env::var_os("FERROCIM_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
@@ -138,11 +145,7 @@ impl Trace {
 
     /// [`Trace::from_args`] over an explicit argument list (with
     /// `argv[0]` first), split out so tests can drive it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Trace::from_args`].
-    pub fn from_arg_list(args: &[String]) -> std::io::Result<Trace> {
+    fn from_arg_list(args: &[String]) -> std::io::Result<Trace> {
         let detail = match flag_value(args, "--trace-detail")? {
             Some(level) => DetailLevel::parse(level).ok_or_else(|| {
                 std::io::Error::new(
@@ -186,11 +189,6 @@ impl Trace {
     /// `--trace` was not given.
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
-    }
-
-    /// Whether a trace file is being written.
-    pub fn is_on(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Flushes and atomically publishes the trace file, printing where
@@ -255,7 +253,7 @@ mod tests {
     fn trace_is_off_without_the_flag() {
         let args = vec!["bench-bin".to_string(), "--other".to_string()];
         let trace = Trace::from_arg_list(&args).expect("no flag parses");
-        assert!(!trace.is_on());
+        assert!(trace.sink.is_none());
         assert!(!trace.telemetry().is_on());
         trace.finish().expect("off finish is a no-op");
     }
@@ -278,7 +276,7 @@ mod tests {
             "5".to_string(),
         ];
         let trace = Trace::from_arg_list(&args).expect("sink opens");
-        assert!(trace.is_on());
+        assert!(trace.sink.is_some());
         trace.telemetry().record(&Event::McRunStarted { run: 0 });
         trace.finish().expect("finish");
         let events = ferrocim_telemetry::read_trace(&path).expect("readable");
@@ -322,7 +320,7 @@ mod tests {
             "--trace-detail=off".to_string(),
         ];
         let trace = Trace::from_arg_list(&args).expect("parses");
-        assert!(trace.is_on(), "the sink is open");
+        assert!(trace.sink.is_some(), "the sink is open");
         assert!(!trace.telemetry().is_on(), "the handle is silenced");
         trace.finish().expect("finish");
         let events = ferrocim_telemetry::read_trace(&off).expect("readable");

@@ -305,38 +305,6 @@ pub struct SparseProbe {
     pub large_row: LargeRowMac,
 }
 
-/// One expected-vs-observed counter of `results/probe_telemetry.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CountCheck {
-    /// Counter name.
-    pub name: String,
-    /// Count implied by the run's reports.
-    pub expected: u64,
-    /// Count observed by the aggregator.
-    pub observed: u64,
-}
-
-/// Overhead measurement of `results/probe_telemetry.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Overhead {
-    /// Paired timing repetitions (each rep times one block of batches
-    /// per side).
-    pub reps: usize,
-    /// MAC batches per timed block.
-    pub batches_per_rep: usize,
-    /// Jobs per MAC batch.
-    pub jobs_per_batch: usize,
-    /// Best per-batch time with telemetry off, in microseconds.
-    pub off_us_per_batch: f64,
-    /// Best per-batch time against a no-op recorder, in microseconds.
-    pub noop_us_per_batch: f64,
-    /// Dispatch overhead in percent: the median over the paired reps of
-    /// each rep's (noop - off) / off ratio.
-    pub overhead_pct: f64,
-    /// The bound the probe enforces (2%).
-    pub limit_pct: f64,
-}
-
 /// Overhead measurement of `results/probe_health.json`: the same DC
 /// workload timed with certification off and on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -510,6 +478,11 @@ impl ObserveGateBounds {
 pub struct ObserveProbe {
     /// Flight-recording overhead on the wide-row DC workload.
     pub overhead: ObserveOverhead,
+    /// Ungated: telemetry dispatch overhead on the batched-MAC path. One
+    /// block is three 16-job batches on the paper-default row, timed
+    /// with telemetry off (base) against a no-op recorder (test); the
+    /// best times are per block, in seconds.
+    pub dispatch: crate::timing::PairedTiming,
     /// The chaos-driven incident-dump demonstration.
     pub dump: ObserveDump,
     /// The tenant-cardinality demonstration.
@@ -518,17 +491,6 @@ pub struct ObserveProbe {
     pub gate: ObserveGateBounds,
     /// Whether every gate bound held.
     pub gate_passed: bool,
-}
-
-/// Root of `results/probe_telemetry.json` (single object).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TelemetryProbe {
-    /// Report-vs-aggregator consistency checks.
-    pub checks: Vec<CountCheck>,
-    /// Whether every check matched.
-    pub consistent: bool,
-    /// Overhead measurement (present only under `--overhead`).
-    pub overhead: Option<Overhead>,
 }
 
 #[cfg(test)]

@@ -8,19 +8,21 @@
 //!   `probe_sparse`).
 //! * [`paired_overhead`] answers "how much slower is the measured side
 //!   than its baseline?" — the estimator behind every wall-clock gate
-//!   (`probe_health`, `probe_observe`, `probe_telemetry --overhead`).
+//!   (`probe_health`, `probe_observe`) and behind `probe_observe`'s
+//!   ungated telemetry-dispatch row.
 
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// What [`paired_overhead`] measured.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PairedTiming {
     /// Fastest timed baseline block, in seconds.
     pub base_best_s: f64,
     /// Fastest timed measured-side block, in seconds.
     pub test_best_s: f64,
     /// Median over the reps of each rep's `(test - base) / base`, in
-    /// percent. This is the gated figure.
+    /// percent. The wall-clock gates hold this against their bounds.
     pub overhead_pct: f64,
 }
 

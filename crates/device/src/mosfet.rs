@@ -183,6 +183,24 @@ pub struct MosfetCard {
 }
 
 impl MosfetCard {
+    /// The first parameter of the card that is not finite, if any. A
+    /// card resolved from validated inputs has none; one resolved from
+    /// an instance mutated after validation (a NaN threshold offset)
+    /// can.
+    pub fn non_finite_parameter(&self) -> Option<f64> {
+        [
+            self.ut,
+            self.i_s,
+            self.vth_t,
+            self.delta_vth,
+            self.n,
+            self.lambda,
+            self.dibl,
+        ]
+        .into_iter()
+        .find(|v| !v.is_finite())
+    }
+
     /// Drain current and its small-signal derivatives at a bias point.
     ///
     /// Negative `V_DS` is handled by source/drain symmetry, so the model

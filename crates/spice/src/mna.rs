@@ -82,7 +82,12 @@ impl Layout {
     /// # Errors
     ///
     /// [`SpiceError::InvalidValue`] named `temperature` if `temp` is not
-    /// finite or not above absolute zero.
+    /// finite or not above absolute zero, or named after the element if
+    /// a transistor's resolved card has a non-finite parameter.
+    /// `Circuit::add` validates every element, but `Circuit::fefet_mut`
+    /// and `Circuit::element_mut` hand out mutable access afterwards
+    /// (a NaN threshold offset), and every analysis lays its circuit out
+    /// here first.
     pub fn of(circuit: &Circuit, temp: Celsius) -> Result<Layout, SpiceError> {
         if !(temp.value().is_finite() && temp.to_kelvin().value() > 0.0) {
             return Err(SpiceError::InvalidValue {
@@ -96,17 +101,26 @@ impl Layout {
         let mut cards = Vec::new();
         let mut next = n_nodes;
         for (idx, e) in circuit.elements().iter().enumerate() {
-            match e {
+            let card = match e {
                 Element::VoltageSource { .. } => {
                     branch_of_element[idx] = next;
                     next += 1;
+                    continue;
                 }
                 Element::Mosfet {
                     model, vth_offset, ..
-                } => cards.push(model.card(temp, *vth_offset)),
-                Element::Fefet { device, .. } => cards.push(device.card(temp)),
-                _ => {}
+                } => model.card(temp, *vth_offset),
+                Element::Fefet { device, .. } => device.card(temp),
+                _ => continue,
+            };
+            if let Some(value) = card.non_finite_parameter() {
+                return Err(SpiceError::InvalidValue {
+                    name: e.name().to_string(),
+                    value,
+                    requirement: "a transistor whose device card resolves to finite parameters",
+                });
             }
+            cards.push(card);
         }
         Ok(Layout {
             n_nodes,

@@ -119,6 +119,65 @@ fn extreme_temperatures_do_not_break_the_solver() {
 }
 
 #[test]
+fn a_transistor_mutated_to_a_non_finite_offset_is_rejected_by_name() {
+    use ferrocim_device::{Fefet, FefetParams, MosfetModel, MosfetParams};
+    // `Circuit::add` validated both transistors; the mutable accessors
+    // then let a NaN threshold offset in after the fact. Every analysis
+    // must name the element instead of failing as a singular matrix.
+    let build = || {
+        let mut ckt = Circuit::new();
+        let bl = ckt.node("bl");
+        let wl = ckt.node("wl");
+        let out = ckt.node("out");
+        ckt.add(Element::vdc("VBL", bl, NodeId::GROUND, Volt(1.2)))
+            .unwrap();
+        ckt.add(Element::vdc("VWL", wl, NodeId::GROUND, Volt(0.35)))
+            .unwrap();
+        ckt.add(Element::resistor("R", bl, out, Ohm(2.5e5)))
+            .unwrap();
+        ckt.add(Element::fefet(
+            "F1",
+            out,
+            wl,
+            NodeId::GROUND,
+            Fefet::new(FefetParams::paper_default()),
+        ))
+        .unwrap();
+        ckt.add(Element::mosfet(
+            "M1",
+            out,
+            wl,
+            NodeId::GROUND,
+            MosfetModel::new(MosfetParams::nmos_14nm()),
+        ))
+        .unwrap();
+        ckt
+    };
+    let mut fefet = build();
+    fefet
+        .fefet_mut("F1")
+        .unwrap()
+        .set_vth_offset(Volt(f64::NAN));
+    let mut mosfet = build();
+    match mosfet.element_mut("M1") {
+        Some(Element::Mosfet { vth_offset, .. }) => *vth_offset = Volt(f64::INFINITY),
+        other => panic!("M1 is not a MOSFET: {other:?}"),
+    }
+    for (ckt, name) in [(&fefet, "F1"), (&mosfet, "M1")] {
+        let dc = DcAnalysis::new(ckt).solve().unwrap_err();
+        let tran = TransientAnalysis::over(ckt, Second(1e-9))
+            .run()
+            .unwrap_err();
+        for err in [dc, tran] {
+            assert!(
+                matches!(&err, SpiceError::InvalidValue { name: n, .. } if n == name),
+                "{name}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn non_finite_source_values_are_rejected_at_add() {
     let mut ckt = Circuit::new();
     let a = ckt.node("a");

@@ -482,8 +482,8 @@ mod tests {
                 micros: 12.5,
             },
             Event::Manifest {
-                bin: "probe_telemetry".into(),
-                args: vec!["--overhead".into()],
+                bin: "probe_observe".into(),
+                args: vec!["--dump-dir".into(), "dumps".into()],
             },
             Event::ServeAdmitted {
                 queue_depth: 3,

@@ -26,7 +26,7 @@ pub trait Recorder: Send + Sync {
 /// handle does not even dispatch to it: the handle is enum-dispatched,
 /// and its off state skips event construction entirely — the
 /// [`NoopRecorder`] type exists for explicitly exercising the full
-/// dispatch path (e.g. the `probe_telemetry --overhead` bench guard).
+/// dispatch path (e.g. the dispatch-overhead row `probe_observe` reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopRecorder;
 

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `diff` accepts a JSONL trace *or* a `trace metrics` baseline JSON on
-//! either side — `scripts/bench_gate.sh` checks in the latter under
-//! `baselines/` because it is tiny and diffs cleanly in git.
+//! either side; the latter is tiny and diffs cleanly in git, so it is
+//! the form to keep a reference run in.
 //!
 //! Exit codes: 0 success (for `diff`: no regression), 1 regression
 //! detected by `diff`, 2 usage or trace errors.

@@ -1,4 +1,4 @@
-//! Two-trace comparison with a regression threshold (the CI perf gate).
+//! Two-trace comparison with a regression threshold (`trace diff`).
 //!
 //! Only deterministic *count* metrics are gated: the counters marked
 //! `gated` in `ferrocim-telemetry`'s counter table. They cover Newton
@@ -13,15 +13,19 @@
 //!
 //! Baselines don't have to be full traces: [`metrics_json`] renders the
 //! extracted counters as a small standalone JSON object (the format
-//! `trace metrics` emits and `scripts/bench_gate.sh` checks in under
-//! `baselines/`), and [`metrics_from_json`] reads it back for `trace
-//! diff`, which accepts either representation on each side.
+//! `trace metrics` emits), and [`metrics_from_json`] reads it back for
+//! `trace diff`, which accepts either representation on each side.
+//!
+//! The repository's own probe workloads are not gated through this
+//! module: `crates/bench/tests/counter_gates.rs` asserts their gated
+//! counters by exact equality under `cargo test`.
 
 use ferrocim_telemetry::{Aggregator, Event, Recorder as _};
 use serde_json::Value;
 
-/// Default regression threshold (percent increase) for
-/// `scripts/bench_gate.sh` and `trace diff` without `--threshold`.
+/// Default regression threshold (percent increase) for `trace diff`
+/// without `--threshold`: room for deliberate small changes in solver
+/// work between two runs a user compares.
 pub const GATE_DEFAULT_THRESHOLD_PCT: f64 = 10.0;
 
 /// One per-metric comparison between a baseline and a new trace.
@@ -81,7 +85,7 @@ impl std::fmt::Display for DiffWarning {
             DiffWarning::UnknownCounter { metric, new } => write!(
                 f,
                 "UnknownCounter: candidate measured {metric} = {new} but the \
-                 baseline has no entry — regenerate with scripts/bench_gate.sh --update"
+                 baseline has no entry — regenerate it with `trace metrics`"
             ),
         }
     }
@@ -114,7 +118,7 @@ pub fn extract_metrics(events: &[Event]) -> Vec<(&'static str, u64)> {
 }
 
 /// Renders extracted metrics as the standalone baseline JSON object
-/// (`trace metrics` / `baselines/*.json`), keys in gate order.
+/// (`trace metrics`), keys in gate order.
 pub fn metrics_json(metrics: &[(&'static str, u64)]) -> Value {
     Value::Object(
         metrics
@@ -146,7 +150,7 @@ pub fn metrics_from_json(doc: &Value) -> Result<Vec<(&'static str, u64)>, String
         if !known.iter().any(|&(name, _)| name == key) {
             return Err(format!(
                 "unknown metric {key:?} — regenerate the baseline with \
-                 scripts/bench_gate.sh --update"
+                 `trace metrics`"
             ));
         }
     }

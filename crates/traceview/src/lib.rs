@@ -11,8 +11,7 @@
 //! * [`Summary`] — counts, histograms, and top spans for one trace
 //!   (`trace summary`).
 //! * [`diff_metrics`] — per-metric deltas between two traces with a
-//!   regression threshold, driving the CI perf gate (`trace diff`,
-//!   `scripts/bench_gate.sh`).
+//!   regression threshold (`trace diff`).
 //! * [`chrome_trace`] — Chrome/Perfetto `trace_event` JSON export
 //!   (`trace export --chrome`), loadable in `about:tracing` or
 //!   <https://ui.perfetto.dev>.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: formatting, lints, docs, the release build, a
-# short run of every cimbench workload (each must report correct
-# output), then every test suite of the workspace's own crates. Run
-# from anywhere inside the repo.
+# Full pre-merge gate: formatting, lints, docs, the release build, the
+# figure artifacts (regenerated and compared byte for byte with
+# results/), a short run of every cimbench workload (each must report
+# correct output), then every test suite of the workspace's own crates.
+# Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,27 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
 
 echo "==> release build"
 cargo build --release --offline
+
+echo "==> figure artifacts: a fresh run must equal results/ byte for byte"
+# Every deterministic artifact whose default run writes it. The tracked
+# table2_summary.json carries the --accuracy column (minutes of
+# training), so only its schema is checked (crates/bench/tests).
+cargo build --release --offline -q -p ferrocim-bench --bins
+artifacts=$(mktemp -d)
+trap 'rm -rf "$artifacts"' EXIT
+for bin in ablation_feedback ablation_multilevel ablation_write_verify fig1_fefet_iv \
+    fig3_cell_fluctuation fig4_baseline_overlap fig7_proposed_cell fig8_proposed_array \
+    fig9_process_variation table1_vgg_structure; do
+  if ! FERROCIM_RESULTS_DIR="$artifacts" "target/release/$bin" > "$artifacts/$bin.log" 2>&1; then
+    tail -n 20 "$artifacts/$bin.log" >&2
+    exit 1
+  fi
+  if ! cmp -s "$artifacts/$bin.json" "results/$bin.json"; then
+    echo "    $bin: a fresh run differs from results/$bin.json" >&2
+    exit 1
+  fi
+  echo "    $bin: identical"
+done
 
 echo "==> benchmark build (cimbench is its own package, outside the workspace)"
 cargo build --release --offline --manifest-path cimbench/Cargo.toml --bins
