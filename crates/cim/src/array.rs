@@ -21,15 +21,17 @@
 //! integration tests.
 
 use crate::cells::{CellContext, CellDesign, CellOffsets, CellWeight};
+use crate::engine::fail_fast;
 use crate::fault::CellFault;
 use crate::CimError;
 use ferrocim_spice::{
-    Circuit, Element, NodeId, RunContext, SwitchSchedule, TransientAnalysis, Waveform, Workspace,
+    try_fan_out, Circuit, Element, FailurePolicy, NodeId, RunContext, SwitchSchedule,
+    TransientAnalysis, Waveform, Workspace,
 };
 use ferrocim_telemetry::Telemetry;
 use ferrocim_units::{Celsius, Farad, Joule, Ohm, Second, Volt};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Residual resistance of a [`CellFault::ShortDevice`] path from the
 /// bit line to the cell output — low enough to saturate `C_o` within
@@ -428,34 +430,123 @@ impl<C: CellDesign> CimArray<C> {
         self.run_cached(request, ws, &mut CellCache::default())
     }
 
-    /// Executes every request in order through one solver [`Workspace`]
-    /// and one per-cell cache shared by the whole call: an analytic
-    /// cell transient runs once per distinct (effective weight, input,
-    /// offsets, temperature) and every later cell with that state in
-    /// any request reuses its result. Each output is bitwise identical
-    /// to [`CimArray::run`] of the same request; nothing outlives the
-    /// call.
+    /// Executes every request, fanned out over the cores: each
+    /// full-row transient and each distinct analytic cell state (effective
+    /// weight, input, offsets, temperature) is one job, solved once with
+    /// one solver [`Workspace`] per thread, and every analytic output is
+    /// then assembled from those cell results. Each output is bitwise
+    /// identical to [`CimArray::run`] of the same request; nothing
+    /// outlives the call.
+    ///
+    /// This is [`CimArray::run_batch`] without level tables.
     ///
     /// # Errors
     ///
-    /// The first failing request's error, as [`CimArray::run`].
+    /// As [`CimArray::run_batch`].
     pub fn run_all(&self, requests: &[MacRequest]) -> Result<Vec<MacOutput>, CimError> {
-        let mut ws = Workspace::new();
-        let mut cache = CellCache::default();
-        requests
-            .iter()
-            .map(|request| self.run_cached(request, &mut ws, &mut cache))
-            .collect()
+        Ok(self.run_batch(requests, &[])?.outputs)
     }
 
-    /// The one MAC body behind [`CimArray::run_in`] and
-    /// [`CimArray::run_all`].
-    fn run_cached(
+    /// [`CimArray::run_all`], plus the [`CimArray::level_voltages`] table
+    /// at each of `level_temps`, read from the same cell results: a level
+    /// table whose two cell states the requests already need costs no
+    /// further transient. Levels are bitwise those of
+    /// [`CimArray::level_voltages`].
+    ///
+    /// [`CimArray::run_in`] stays sequential, so callers that already
+    /// run on fan-out workers (the Monte-Carlo samplers) do not spawn
+    /// threads of their own.
+    ///
+    /// # Errors
+    ///
+    /// [`CimError::MismatchedOperands`] for the first request of the wrong
+    /// width, before anything is solved; otherwise the first failing
+    /// request's error, as [`CimArray::run`]. A job that panicked
+    /// re-raises its message on the caller's thread.
+    pub fn run_batch(
         &self,
-        request: &MacRequest,
-        ws: &mut Workspace,
-        cache: &mut CellCache,
-    ) -> Result<MacOutput, CimError> {
+        requests: &[MacRequest],
+        level_temps: &[Celsius],
+    ) -> Result<MacBatch, CimError> {
+        if let Some(error) = requests.iter().find_map(|r| self.check_request(r).err()) {
+            return Err(error);
+        }
+        // Jobs in request order, each cell state at its first use, so the
+        // first failed job is the one the first failing request hits.
+        let mut seen = HashSet::new();
+        let mut jobs = Vec::new();
+        for (r, request) in requests.iter().enumerate() {
+            match request.path {
+                MacPath::Transient => jobs.push(BatchJob::Row(r)),
+                MacPath::Analytic => jobs.extend(
+                    (0..self.config.cells_per_row)
+                        .filter_map(|i| self.cell_job(request, i))
+                        .filter(|cell| seen.insert(CellKey::new(cell)))
+                        .map(BatchJob::Cell),
+                ),
+            }
+        }
+        jobs.extend(
+            level_temps
+                .iter()
+                .flat_map(|&temp| level_cells(temp))
+                .filter(|cell| seen.insert(CellKey::new(cell)))
+                .map(BatchJob::Cell),
+        );
+        let telemetry = &self.ctx.telemetry;
+        let batch_span = telemetry.span("cim.run_all");
+        let batch_id = batch_span.id();
+        let solved = fail_fast(try_fan_out(
+            jobs.len(),
+            true,
+            &FailurePolicy::FailFast,
+            // Fan-out workers run on their own threads: the worker span
+            // bridges their solves to the batch span by id.
+            || {
+                (
+                    Workspace::new(),
+                    telemetry.span_under("cim.run_all_worker", batch_id),
+                )
+            },
+            |(ws, _span), j| match jobs[j] {
+                BatchJob::Cell(cell) => Ok(Solved::Cell(
+                    CellKey::new(&cell),
+                    self.solve_cell(&cell, ws)?,
+                )),
+                BatchJob::Row(r) => Ok(Solved::Row(r, self.run_transient(&requests[r], ws)?)),
+            },
+        ))?;
+        let mut cache = CellCache::with_capacity(jobs.len());
+        let mut rows: Vec<Option<MacOutput>> = vec![None; requests.len()];
+        for job in solved {
+            match job {
+                Solved::Cell(key, result) => {
+                    cache.insert(key, result);
+                }
+                Solved::Row(r, output) => rows[r] = Some(output),
+            }
+        }
+        // Every analytic cell and level cell is in the cache now, so
+        // assembly solves nothing.
+        let mut ws = Workspace::new();
+        let outputs = requests
+            .iter()
+            .zip(rows)
+            .map(|(request, row)| match row {
+                Some(output) => Ok(output),
+                None => self.run_cached(request, &mut ws, &mut cache),
+            })
+            .collect::<Result<_, _>>()?;
+        let levels = level_temps
+            .iter()
+            .map(|&temp| self.level_table(temp, &mut ws, &mut cache))
+            .collect::<Result<_, _>>()?;
+        Ok(MacBatch { outputs, levels })
+    }
+
+    /// [`CimError::MismatchedOperands`] unless the request's weights,
+    /// inputs and offsets (when set) all match the row width.
+    fn check_request(&self, request: &MacRequest) -> Result<(), CimError> {
         let n = self.config.cells_per_row;
         if request.weights.len() != n
             || request.inputs.len() != n
@@ -467,19 +558,21 @@ impl<C: CellDesign> CimArray<C> {
                 cells_per_row: n,
             });
         }
-        let nominal;
-        let offsets: &[CellOffsets] = match &request.offsets {
-            Some(o) => o,
-            None => {
-                nominal = self.nominal_offsets();
-                &nominal
-            }
-        };
+        Ok(())
+    }
+
+    /// The one MAC body behind [`CimArray::run_in`] and the assembly
+    /// step of [`CimArray::run_batch`].
+    fn run_cached(
+        &self,
+        request: &MacRequest,
+        ws: &mut Workspace,
+        cache: &mut CellCache,
+    ) -> Result<MacOutput, CimError> {
+        self.check_request(request)?;
         match request.path {
-            MacPath::Transient => {
-                self.run_transient(&request.weights, &request.inputs, request.temp, offsets, ws)
-            }
-            MacPath::Analytic => self.run_analytic(request, offsets, ws, cache),
+            MacPath::Transient => self.run_transient(request, ws),
+            MacPath::Analytic => self.run_analytic(request, ws, cache),
         }
     }
 
@@ -673,14 +766,23 @@ impl<C: CellDesign> CimArray<C> {
     /// The full-row transient path behind [`MacPath::Transient`].
     fn run_transient(
         &self,
-        weights: &[CellWeight],
-        inputs: &[bool],
-        temp: Celsius,
-        offsets: &[CellOffsets],
+        request: &MacRequest,
         ws: &mut Workspace,
     ) -> Result<MacOutput, CimError> {
-        let (ckt, outs, acc) = self.build_row_circuit(weights, inputs, offsets)?;
-        self.eval_row_transient(&ckt, &outs, acc, weights, inputs, temp, &self.ctx, ws)
+        let nominal = self.nominal_offsets();
+        let offsets = request.offsets.as_deref().unwrap_or(&nominal);
+        let (ckt, outs, acc) =
+            self.build_row_circuit(&request.weights, &request.inputs, offsets)?;
+        self.eval_row_transient(
+            &ckt,
+            &outs,
+            acc,
+            &request.weights,
+            &request.inputs,
+            request.temp,
+            &self.ctx,
+            ws,
+        )
     }
 
     /// The fast path behind [`MacPath::Analytic`]: each cell is
@@ -693,46 +795,26 @@ impl<C: CellDesign> CimArray<C> {
     fn run_analytic(
         &self,
         request: &MacRequest,
-        offsets: &[CellOffsets],
         ws: &mut Workspace,
         cache: &mut CellCache,
     ) -> Result<MacOutput, CimError> {
         let n = self.config.cells_per_row;
         let mut cell_voltages = Vec::with_capacity(n);
         let mut energy = 0.0;
-        let bias = self.cell.bias();
-        for (i, cell_offsets) in offsets.iter().enumerate() {
-            // Open/short faults bypass the cell simulation entirely.
-            match self.faults[i] {
-                Some(CellFault::OpenDevice) => {
+        for i in 0..n {
+            let (v_o, e) = match self.cell_job(request, i) {
+                Some(cell) => self.cell_cached(&cell, ws, cache)?,
+                // The residual short charges C_o all the way to the bit
+                // line; the supply delivers ~C_o·ΔV² doing so.
+                None if self.faults[i] == Some(CellFault::ShortDevice) => {
+                    let bias = self.cell.bias();
+                    let dv = bias.v_bl.value() - bias.v_sl.value();
+                    (dv, self.config.c_o.value() * dv * dv)
+                }
+                // An open cell never connects: C_o stays discharged.
+                None => {
                     cell_voltages.push(Volt(0.0));
                     continue;
-                }
-                Some(CellFault::ShortDevice) => {
-                    // The residual short charges C_o all the way to the
-                    // bit line; the supply delivers ~C_o·ΔV² doing so.
-                    let dv = bias.v_bl.value() - bias.v_sl.value();
-                    cell_voltages.push(Volt(dv));
-                    energy += self.config.c_o.value() * dv * dv;
-                    continue;
-                }
-                _ => {}
-            }
-            let weight = self.effective_weight(i, request.weights[i]);
-            let input = self.effective_input(i, request.inputs[i]);
-            let key = CellKey::new(weight, input, cell_offsets, request.temp);
-            let (v_o, e) = match cache.get(&key) {
-                Some(&hit) => hit,
-                None => {
-                    let r = self.single_cell_charge_weighted(
-                        weight,
-                        input,
-                        request.temp,
-                        cell_offsets,
-                        ws,
-                    )?;
-                    cache.insert(key, r);
-                    r
                 }
             };
             cell_voltages.push(Volt(v_o));
@@ -749,21 +831,68 @@ impl<C: CellDesign> CimArray<C> {
         })
     }
 
+    /// The transient cell `i` of an analytic request runs, after
+    /// stuck-at and dead-wordline faults; `None` when an open or short
+    /// fault bypasses the cell's devices.
+    fn cell_job(&self, request: &MacRequest, i: usize) -> Option<CellJob> {
+        if matches!(
+            self.faults[i],
+            Some(CellFault::OpenDevice | CellFault::ShortDevice)
+        ) {
+            return None;
+        }
+        Some(CellJob {
+            weight: self.effective_weight(i, request.weights[i]),
+            input: self.effective_input(i, request.inputs[i]),
+            offsets: request
+                .offsets
+                .as_ref()
+                .map_or(CellOffsets::NOMINAL, |o| o[i]),
+            temp: request.temp,
+        })
+    }
+
+    /// One cell's `(v_o, energy)`, solved on the first request for its
+    /// state and read from `cache` after that.
+    fn cell_cached(
+        &self,
+        cell: &CellJob,
+        ws: &mut Workspace,
+        cache: &mut CellCache,
+    ) -> Result<(f64, f64), CimError> {
+        let key = CellKey::new(cell);
+        if let Some(&hit) = cache.get(&key) {
+            return Ok(hit);
+        }
+        let result = self.solve_cell(cell, ws)?;
+        cache.insert(key, result);
+        Ok(result)
+    }
+
     /// The nominal analog output level for every MAC value `0..=n` at a
     /// temperature: two cell transients (product-1 and product-0) plus
     /// the closed-form Eq. (1). This is the fast path behind
-    /// [`crate::metrics::RangeTable::measure`] and the array tuner.
+    /// [`crate::metrics::RangeTable::measure`] and the array tuner;
+    /// [`CimArray::run_batch`] reads the same tables from its batch.
     ///
     /// # Errors
     ///
     /// Propagates simulation failures.
     pub fn level_voltages(&self, temp: Celsius) -> Result<Vec<Volt>, CimError> {
+        self.level_table(temp, &mut Workspace::new(), &mut CellCache::default())
+    }
+
+    /// The body of [`CimArray::level_voltages`] over a shared cache.
+    fn level_table(
+        &self,
+        temp: Celsius,
+        ws: &mut Workspace,
+        cache: &mut CellCache,
+    ) -> Result<Vec<Volt>, CimError> {
         let n = self.config.cells_per_row;
-        let mut ws = Workspace::new();
-        let (v_on, _) =
-            self.single_cell_charge(true, true, temp, &CellOffsets::NOMINAL, &mut ws)?;
-        let (v_off, _) =
-            self.single_cell_charge(true, false, temp, &CellOffsets::NOMINAL, &mut ws)?;
+        let [on, off] = level_cells(temp);
+        let (v_on, _) = self.cell_cached(&on, ws, cache)?;
+        let (v_off, _) = self.cell_cached(&off, ws, cache)?;
         let gain = self.config.sharing_gain();
         Ok((0..=n)
             .map(|k| Volt(gain * (k as f64 * v_on + (n - k) as f64 * v_off)))
@@ -806,8 +935,14 @@ impl<C: CellDesign> CimArray<C> {
                     m1: -plus.m1,
                     m2: -plus.m2,
                 };
-                let (vp, _) = self.single_cell_charge(true, on, temp, plus, &mut ws)?;
-                let (vm, _) = self.single_cell_charge(true, on, temp, &minus, &mut ws)?;
+                let cell = |offsets| CellJob {
+                    weight: CellWeight::Bit(true),
+                    input: on,
+                    offsets,
+                    temp,
+                };
+                let (vp, _) = self.solve_cell(&cell(*plus), &mut ws)?;
+                let (vm, _) = self.solve_cell(&cell(minus), &mut ws)?;
                 let delta = 0.5 * (vp - vm);
                 var[slot] += delta * delta;
             }
@@ -817,26 +952,7 @@ impl<C: CellDesign> CimArray<C> {
 
     /// Simulates one cell charging its `C_o` for `t_charge`; returns the
     /// final cell voltage and the supply energy.
-    fn single_cell_charge(
-        &self,
-        weight: bool,
-        input: bool,
-        temp: Celsius,
-        offsets: &CellOffsets,
-        ws: &mut Workspace,
-    ) -> Result<(f64, f64), CimError> {
-        self.single_cell_charge_weighted(CellWeight::Bit(weight), input, temp, offsets, ws)
-    }
-
-    /// [`CimArray::single_cell_charge`] for an arbitrary stored weight.
-    fn single_cell_charge_weighted(
-        &self,
-        weight: CellWeight,
-        input: bool,
-        temp: Celsius,
-        offsets: &CellOffsets,
-        ws: &mut Workspace,
-    ) -> Result<(f64, f64), CimError> {
+    fn solve_cell(&self, cell: &CellJob, ws: &mut Workspace) -> Result<(f64, f64), CimError> {
         let bias = self.cell.bias();
         let mut ckt = Circuit::new();
         let bl = ckt.node("bl");
@@ -845,7 +961,12 @@ impl<C: CellDesign> CimArray<C> {
         let out = ckt.node("out");
         ckt.add(Element::vdc("VBL", bl, NodeId::GROUND, bias.v_bl))?;
         ckt.add(Element::vdc("VSL", sl, NodeId::GROUND, bias.v_sl))?;
-        ckt.add(Element::vdc("VWL", wl, NodeId::GROUND, bias.wl_for(input)))?;
+        ckt.add(Element::vdc(
+            "VWL",
+            wl,
+            NodeId::GROUND,
+            bias.wl_for(cell.input),
+        ))?;
         ckt.add(Element::Capacitor {
             name: "CO".into(),
             a: out,
@@ -859,13 +980,13 @@ impl<C: CellDesign> CimArray<C> {
             sl,
             wl,
             out,
-            weight,
-            offsets,
+            weight: cell.weight,
+            offsets: &cell.offsets,
         };
         self.cell.build_cell(&mut ckt, &ctx)?;
         let result = TransientAnalysis::over(&ckt, self.config.t_charge)
             .with_fixed_step(self.config.dt)
-            .at(temp)
+            .at(cell.temp)
             .with_context(self.ctx.clone())
             .run_streamed_in(ws, &mut |_, _| {})?;
         Ok((
@@ -875,9 +996,29 @@ impl<C: CellDesign> CimArray<C> {
     }
 }
 
-/// Everything one analytic cell transient depends on, as bit patterns:
-/// the effective weight, the effective input, the cell's offsets and
-/// the temperature. Equal keys give bitwise-equal transients.
+/// One analytic cell transient: the effective weight and input, the
+/// cell's offsets and the temperature.
+#[derive(Debug, Clone, Copy)]
+struct CellJob {
+    weight: CellWeight,
+    input: bool,
+    offsets: CellOffsets,
+    temp: Celsius,
+}
+
+/// The two nominal all-'1'-weight cells, input on then off, behind the
+/// level table at `temp`.
+fn level_cells(temp: Celsius) -> [CellJob; 2] {
+    [true, false].map(|input| CellJob {
+        weight: CellWeight::Bit(true),
+        input,
+        offsets: CellOffsets::NOMINAL,
+        temp,
+    })
+}
+
+/// A [`CellJob`] as bit patterns. Equal keys give bitwise-equal
+/// transients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CellKey {
     weight: (u8, u64),
@@ -887,28 +1028,53 @@ struct CellKey {
 }
 
 impl CellKey {
-    fn new(weight: CellWeight, input: bool, offsets: &CellOffsets, temp: Celsius) -> Self {
-        let weight = match weight {
+    fn new(cell: &CellJob) -> Self {
+        let weight = match cell.weight {
             CellWeight::Bit(bit) => (0, u64::from(bit)),
             CellWeight::Level { level, max } => (1, u64::from(level) << 8 | u64::from(max)),
             CellWeight::Analog(p) => (2, p.to_bits()),
         };
         CellKey {
             weight,
-            input,
+            input: cell.input,
             offsets: [
-                offsets.fefet.value().to_bits(),
-                offsets.m1.value().to_bits(),
-                offsets.m2.value().to_bits(),
+                cell.offsets.fefet.value().to_bits(),
+                cell.offsets.m1.value().to_bits(),
+                cell.offsets.m2.value().to_bits(),
             ],
-            temp: temp.value().to_bits(),
+            temp: cell.temp.value().to_bits(),
         }
     }
 }
 
 /// Per-cell analytic results `(v_o, energy)` shared by the requests of
-/// one [`CimArray::run_all`] call (one request for [`CimArray::run_in`]).
+/// one [`CimArray::run_batch`] call (one request for [`CimArray::run_in`]).
 type CellCache = HashMap<CellKey, (f64, f64)>;
+
+/// One job of [`CimArray::run_batch`]'s fan-out.
+#[derive(Debug, Clone, Copy)]
+enum BatchJob {
+    /// A distinct analytic cell state.
+    Cell(CellJob),
+    /// The full-row transient of request `r`.
+    Row(usize),
+}
+
+/// The result of one [`BatchJob`].
+#[derive(Debug, Clone)]
+enum Solved {
+    Cell(CellKey, (f64, f64)),
+    Row(usize, MacOutput),
+}
+
+/// The outputs of one [`CimArray::run_batch`] call.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MacBatch {
+    /// One output per request, in request order.
+    pub outputs: Vec<MacOutput>,
+    /// The level table at each level temperature, in order.
+    pub levels: Vec<Vec<Volt>>,
+}
 
 /// The digital ground truth `Σ wᵢ·xᵢ`, counting a weight as '1' when
 /// its polarization is positive.

@@ -118,7 +118,11 @@ pub struct CellContext<'a> {
 }
 
 /// A CIM bit-cell design usable by [`crate::CimArray`].
-pub trait CellDesign: std::fmt::Debug {
+///
+/// Designs are `Sync` because the batch entry points
+/// ([`crate::CimArray::run_all`], [`crate::ArrayEngine`],
+/// [`crate::Crossbar`]) solve one array's cells on several threads.
+pub trait CellDesign: std::fmt::Debug + Sync {
     /// A short human-readable design name (for reports).
     fn name(&self) -> &'static str;
 

@@ -285,10 +285,7 @@ impl<C: CellDesign> Crossbar<C> {
         &self,
         inputs: &[Vec<bool>],
         temp: Celsius,
-    ) -> Result<Vec<MatVecOutput>, CimError>
-    where
-        C: Sync,
-    {
+    ) -> Result<Vec<MatVecOutput>, CimError> {
         fail_fast(self.try_matvec_batch(inputs, temp, &FailurePolicy::FailFast))
     }
 
@@ -343,10 +340,7 @@ impl<C: CellDesign> Crossbar<C> {
         inputs: &[Vec<bool>],
         temp: Celsius,
         policy: &FailurePolicy<MatVecOutput>,
-    ) -> Result<FanOutReport<MatVecOutput, CimError>, FanOutError<CimError>>
-    where
-        C: Sync,
-    {
+    ) -> Result<FanOutReport<MatVecOutput, CimError>, FanOutError<CimError>> {
         let malformed = |i: usize| CimError::MismatchedOperands {
             weights: self.columns(),
             inputs: inputs[i].len(),

@@ -151,10 +151,11 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
     /// Returns [`CimError::MismatchedOperands`] for an input vector of
     /// the wrong width (before anything is solved or charged), or
     /// propagates simulation failures.
-    pub fn mac_batch(&self, inputs: &[Vec<bool>], temp: Celsius) -> Result<Vec<MacOutput>, CimError>
-    where
-        C: Sync,
-    {
+    pub fn mac_batch(
+        &self,
+        inputs: &[Vec<bool>],
+        temp: Celsius,
+    ) -> Result<Vec<MacOutput>, CimError> {
         fail_fast(self.try_mac_batch(inputs, temp, &FailurePolicy::FailFast))
     }
 
@@ -169,10 +170,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         &self,
         inputs: &[Vec<bool>],
         temps: &[Celsius],
-    ) -> Result<Vec<Vec<MacOutput>>, CimError>
-    where
-        C: Sync,
-    {
+    ) -> Result<Vec<Vec<MacOutput>>, CimError> {
         if temps.is_empty() {
             return Err(CimError::EmptySweep {
                 what: "temperatures",
@@ -210,10 +208,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         inputs: &[Vec<bool>],
         temp: Celsius,
         policy: &FailurePolicy<MacOutput>,
-    ) -> Result<FanOutReport<MacOutput, CimError>, FanOutError<CimError>>
-    where
-        C: Sync,
-    {
+    ) -> Result<FanOutReport<MacOutput, CimError>, FanOutError<CimError>> {
         let jobs: Vec<(usize, Celsius)> = (0..inputs.len()).map(|i| (i, temp)).collect();
         self.run_jobs(inputs, &jobs, policy)
     }
@@ -227,10 +222,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         inputs: &[Vec<bool>],
         jobs: &[(usize, Celsius)],
         policy: &FailurePolicy<MacOutput>,
-    ) -> Result<FanOutReport<MacOutput, CimError>, FanOutError<CimError>>
-    where
-        C: Sync,
-    {
+    ) -> Result<FanOutReport<MacOutput, CimError>, FanOutError<CimError>> {
         let n = self.array.config().cells_per_row;
         let malformed = |i: usize| CimError::MismatchedOperands {
             weights: n,

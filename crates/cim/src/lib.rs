@@ -59,7 +59,7 @@ pub mod program;
 pub mod transfer;
 pub mod tune;
 
-pub use array::{mac_operands, ArrayConfig, CimArray, MacOutput, MacPath, MacRequest};
+pub use array::{mac_operands, ArrayConfig, CimArray, MacBatch, MacOutput, MacPath, MacRequest};
 pub use bias::ReadBias;
 pub use crossbar::{Crossbar, MatVecOutput};
 pub use engine::ArrayEngine;

@@ -183,7 +183,7 @@ impl TransferModel {
     ///
     /// Propagates simulation failures; returns
     /// [`CimError::InvalidConfig`] for a zero sample count.
-    pub fn measure<C: CellDesign + Sync>(
+    pub fn measure<C: CellDesign>(
         array: &CimArray<C>,
         config: &TransferConfig,
     ) -> Result<TransferModel, CimError> {

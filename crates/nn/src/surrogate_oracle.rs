@@ -75,7 +75,7 @@ impl<C: CellDesign> SurrogateOracle<C> {
     }
 }
 
-impl<C: CellDesign + Sync> MacOracle for SurrogateOracle<C> {
+impl<C: CellDesign> MacOracle for SurrogateOracle<C> {
     fn read(&self, true_count: usize, _rng: &mut StdRng) -> usize {
         let k = true_count.min(self.patterns.len() - 1);
         // The key was calibrated and the temperature domain-checked at

@@ -182,8 +182,12 @@ impl CimBackend {
             ArrayConfig::paper_default(),
         )?
         .with_recorder(telemetry);
-        let adc = Adc::calibrate(&array, Celsius::ROOM)?;
-        let levels = array.level_voltages(Celsius::ROOM)?;
+        // One 27 °C level table serves both the ADC and the backend.
+        let levels = {
+            let _span = array.context().telemetry.span("cim.adc_calibrate");
+            array.level_voltages(Celsius::ROOM)?
+        };
+        let adc = Adc::from_levels(levels.clone());
         let grid: Vec<Celsius> = SURROGATE_GRID_C.iter().map(|&t| Celsius(t)).collect();
         let mut surrogate = MacSurrogate::new(array.clone(), &grid).map_err(cim_error)?;
         if check_every > 0 {

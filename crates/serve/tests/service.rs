@@ -894,3 +894,61 @@ fn real_cim_backend_serves_a_live_mac() {
     );
     server.shutdown();
 }
+
+/// Sixteen concurrent requests for one never-seen weight vector run one
+/// surrogate calibration: every request answers with a typed 200 from
+/// the surrogate, and the miss counter moves by one.
+#[test]
+fn concurrent_misses_run_one_calibration() {
+    const CLIENTS: usize = 16;
+    let aggregator = Arc::new(Aggregator::new());
+    let telemetry = Telemetry::new(aggregator.clone());
+    let backend = CimBackend::new(telemetry.clone(), 0).expect("calibrate");
+    let config = ServeConfig {
+        workers: CLIENTS,
+        queue_capacity: 2 * CLIENTS,
+        tenant_quota: CLIENTS,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, Arc::new(backend), telemetry, aggregator).expect("bind");
+    let addr = server.addr();
+    // The start-up curve (all-ones weights) is the only one so far.
+    let misses_before = server.aggregator().counts().surrogate_misses;
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    let statuses: Vec<(u16, Value)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|i| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let body = format!(
+                        r#"{{"tenant":"t{i}","inputs":[true,false,true,false,true,false,true,false],
+                            "weights":[true,true,false,true,false,true,true,false],
+                            "timeout_ms":30000,"path":"analytic","temp_c":40.0}}"#
+                    );
+                    barrier.wait();
+                    let resp = http_request(
+                        addr,
+                        "POST",
+                        "/v1/mac",
+                        body.as_bytes(),
+                        Duration::from_secs(60),
+                    )
+                    .expect("request");
+                    (resp.status, typed_json(resp.status, &resp.body))
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client panicked"))
+            .collect()
+    });
+    for (status, doc) in &statuses {
+        assert_eq!(*status, 200, "{doc}");
+        assert_eq!(doc.get("surrogate"), Some(&Value::Bool(true)), "{doc}");
+    }
+    let counts = server.aggregator().counts();
+    assert_eq!(counts.surrogate_misses - misses_before, 1);
+    assert_eq!(counts.surrogate_hits, CLIENTS as u64 - 1);
+    server.shutdown();
+}

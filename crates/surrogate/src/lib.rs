@@ -79,7 +79,7 @@ use ferrocim_cim::CimError;
 /// extrapolates outside its calibrated temperature grid, so callers can
 /// (and must) fall back to a live solve — or clamp into the domain when
 /// an infallible degraded answer is required.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SurrogateError {
     /// The query temperature lies outside the calibrated grid.
     OutOfDomain {
@@ -106,6 +106,12 @@ pub enum SurrogateError {
     },
     /// A live calibration or check solve failed underneath.
     Cim(CimError),
+    /// The calibration this caller waited for panicked; the key stays
+    /// uncalibrated, so a later query calibrates it afresh.
+    CalibrationPanicked {
+        /// The surrogate key whose calibration panicked.
+        key: u64,
+    },
 }
 
 impl std::fmt::Display for SurrogateError {
@@ -129,6 +135,9 @@ impl std::fmt::Display for SurrogateError {
                 write!(f, "invalid calibration temperature grid: {requirement}")
             }
             SurrogateError::Cim(e) => write!(f, "live solve failed: {e}"),
+            SurrogateError::CalibrationPanicked { key } => {
+                write!(f, "the calibration of surrogate key {key:016x} panicked")
+            }
         }
     }
 }

@@ -6,11 +6,14 @@
 //! the evaluate-with-fallback-to-calibration workflow: a query whose key
 //! is present answers from the curve (a few hundred nanoseconds of
 //! linear algebra), a miss calibrates, inserts the curve, and answers.
+//! Calibration is single-flight per key: concurrent misses on one key
+//! run one calibration, and the other callers wait for its curve.
 //! Calibration sends its `n + 1` fit MACs per grid temperature and its
-//! envelope probes through one [`CimArray::run_all`], which solves each
-//! distinct cell state once per temperature: on the paper-default row
-//! over 0/27/85 °C that is 20 cell transients (plus 6 for the ADC level
-//! tables) for the 53 MACs, where one solve per MAC ran 172.
+//! envelope probes through one [`CimArray::run_batch`], which solves each
+//! distinct cell state once per temperature, fanned out over the cores,
+//! and reads the ADC level tables from the same cell results: on the
+//! paper-default row over 0/27/85 °C that is 20 cell transients for the
+//! 53 MACs, where one solve per MAC ran 172.
 //! Every lookup, eviction and check-mode outcome is emitted through the
 //! shared telemetry pipeline.
 
@@ -19,14 +22,14 @@ use crate::fingerprint::{fingerprint, CellState};
 use crate::SurrogateError;
 use ferrocim_cim::cells::CellDesign;
 use ferrocim_cim::{CimArray, MacOutput, MacPath, MacRequest};
-use ferrocim_telemetry::Event;
+use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::Celsius;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Safety factor applied to the observed maximum deviation when
@@ -84,9 +87,10 @@ impl CheckPolicy {
 /// A snapshot of the surrogate's lookup/check counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SurrogateCounts {
-    /// Lookups answered from an existing calibrated curve.
+    /// Lookups answered from a calibrated curve, including callers that
+    /// waited for a concurrent caller's calibration of the same key.
     pub hits: u64,
-    /// Lookups that triggered a live calibration.
+    /// Lookups that ran a live calibration (one per calibration).
     pub misses: u64,
     /// Check-mode live re-solves performed.
     pub checks: u64,
@@ -104,19 +108,82 @@ struct Entry {
     last_hit: AtomicU64,
 }
 
+/// What a finished calibration left for the callers that waited on it.
+type Outcome = Result<Arc<CalibratedCurve>, SurrogateError>;
+
+/// One key's calibration in progress; waiters block until it lands.
+#[derive(Debug, Default)]
+struct Flight {
+    outcome: Mutex<Option<Outcome>>,
+    landed: Condvar,
+}
+
+impl Flight {
+    /// Blocks until the calibrating caller publishes its outcome.
+    fn wait(&self) -> Outcome {
+        let mut outcome = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(outcome) = outcome.as_ref() {
+                return outcome.clone();
+            }
+            outcome = self
+                .landed
+                .wait(outcome)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The calibrating caller's hold on its flight. Dropping it, on return
+/// or while a panic unwinds, publishes the outcome, wakes every waiter
+/// and retires the flight, so no waiter outlives its calibration.
+struct Pilot<'a> {
+    store: &'a SurrogateStore,
+    key: u64,
+    flight: Arc<Flight>,
+    outcome: Option<Outcome>,
+}
+
+impl Drop for Pilot<'_> {
+    fn drop(&mut self) {
+        let key = self.key;
+        let outcome = self
+            .outcome
+            .take()
+            .unwrap_or(Err(SurrogateError::CalibrationPanicked { key }));
+        self.store
+            .flights
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&key);
+        *self
+            .flight
+            .outcome
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        self.flight.landed.notify_all();
+    }
+}
+
 /// A concurrent, bounded, content-addressed map of calibrated curves.
 ///
-/// Reads take a shared lock; calibration happens *outside* any lock and
-/// inserts afterwards, first writer wins — so concurrent misses on the
-/// same key cost duplicate calibrations, never a deadlock or a torn
-/// curve. The store holds at most [`SurrogateStore::CAP`] curves: an
-/// insert that would pass the cap first evicts the least recently hit
-/// one. Handles already given out stay valid after their eviction.
+/// Reads take a shared lock. [`SurrogateStore::get_or_calibrate`] is
+/// single-flight per key: the first caller to miss a key calibrates it
+/// outside any lock, and every concurrent caller of the same key waits
+/// for that calibration's curve (the same `Arc`) or its error. A failed
+/// calibration is not stored, so the next miss tries again. The store
+/// holds at most [`SurrogateStore::CAP`] curves: an insert that would
+/// pass the cap first evicts the least recently hit one. Handles
+/// already given out stay valid after their eviction.
 #[derive(Debug, Default)]
 pub struct SurrogateStore {
     curves: RwLock<HashMap<u64, Entry>>,
+    /// Calibrations in progress, by key.
+    flights: Mutex<HashMap<u64, Arc<Flight>>>,
     /// Logical clock stamped on an entry at every hit and insert.
     tick: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -141,11 +208,73 @@ impl SurrogateStore {
         Some(entry.curve.clone())
     }
 
-    /// Inserts a curve, returning the stored handle. If another thread
-    /// inserted the same key first, the existing curve wins and the
-    /// argument is dropped (calibrations of the same key are
-    /// interchangeable by construction). A new key in a full store
-    /// evicts the least recently hit curve first.
+    /// Returns the curve under `key`, running `calibrate` (and inserting
+    /// its curve) only when no curve is stored and no other caller is
+    /// calibrating the key; otherwise waits for that caller's outcome.
+    /// A caller that ran `calibrate` counts as a miss and every other
+    /// caller as a hit (reported by [`MacSurrogate::counts`]); each emits
+    /// the matching [`Event::SurrogateLookup`], plus
+    /// [`Event::SurrogateEvicted`] when the insert evicted.
+    ///
+    /// # Errors
+    ///
+    /// The calibration's error, for the caller that ran it and for every
+    /// caller that waited on it; [`SurrogateError::CalibrationPanicked`]
+    /// for the waiters of a calibration that panicked.
+    pub fn get_or_calibrate(
+        &self,
+        key: u64,
+        telemetry: &Telemetry,
+        calibrate: impl FnOnce() -> Result<CalibratedCurve, SurrogateError>,
+    ) -> Result<Arc<CalibratedCurve>, SurrogateError> {
+        let lookup = |hit: bool| {
+            let counter = if hit { &self.hits } else { &self.misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+            telemetry.emit(|| Event::SurrogateLookup { hit });
+        };
+        if let Some(curve) = self.get(key) {
+            lookup(true);
+            return Ok(curve);
+        }
+        let (flight, calibrating) = {
+            let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
+            // A flight inserts its curve before it retires, so a curve
+            // that landed since the read above is visible here.
+            if let Some(curve) = self.get(key) {
+                drop(flights);
+                lookup(true);
+                return Ok(curve);
+            }
+            let calibrating = !flights.contains_key(&key);
+            (flights.entry(key).or_default().clone(), calibrating)
+        };
+        if !calibrating {
+            lookup(true);
+            return flight.wait();
+        }
+        lookup(false);
+        let mut pilot = Pilot {
+            store: self,
+            key,
+            flight,
+            outcome: None,
+        };
+        let outcome = calibrate().map(|curve| {
+            let (curve, evicted) = self.insert_evicting(curve);
+            if evicted {
+                telemetry.emit(|| Event::SurrogateEvicted);
+            }
+            curve
+        });
+        pilot.outcome = Some(outcome.clone());
+        outcome
+    }
+
+    /// Inserts a curve, returning the stored handle. If the key is
+    /// already stored, the existing curve wins and the argument is
+    /// dropped (calibrations of the same key are interchangeable by
+    /// construction). A new key in a full store evicts the least
+    /// recently hit curve first.
     pub fn insert(&self, curve: CalibratedCurve) -> Arc<CalibratedCurve> {
         self.insert_evicting(curve).0
     }
@@ -194,6 +323,17 @@ impl SurrogateStore {
         self.len() == 0
     }
 
+    /// Lookups through [`SurrogateStore::get_or_calibrate`] that did not
+    /// run a calibration.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Calibrations [`SurrogateStore::get_or_calibrate`] ran.
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
     /// Curves evicted so far.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -212,11 +352,11 @@ impl SurrogateStore {
 pub struct MacSurrogate<C> {
     array: CimArray<C>,
     temps: Vec<Celsius>,
+    /// `temps` in °C, as the key and the curve store them.
+    temps_c: Vec<f64>,
     topology: u64,
     store: SurrogateStore,
     check: Option<CheckPolicy>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     checks: AtomicU64,
     check_failures: AtomicU64,
     queries: AtomicU64,
@@ -257,11 +397,10 @@ impl<C: CellDesign> MacSurrogate<C> {
         Ok(MacSurrogate {
             array,
             temps: temps.to_vec(),
+            temps_c: temps.iter().map(|t| t.value()).collect(),
             topology,
             store: SurrogateStore::new(),
             check: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             checks: AtomicU64::new(0),
             check_failures: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -307,8 +446,8 @@ impl<C: CellDesign> MacSurrogate<C> {
     /// A snapshot of the lookup/check counters.
     pub fn counts(&self) -> SurrogateCounts {
         SurrogateCounts {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.store.hits(),
+            misses: self.store.misses(),
             checks: self.checks.load(Ordering::Relaxed),
             check_failures: self.check_failures.load(Ordering::Relaxed),
             evictions: self.store.evictions(),
@@ -340,17 +479,18 @@ impl<C: CellDesign> MacSurrogate<C> {
                 fault: faults.get(col).copied().flatten(),
             })
             .collect();
-        let temps_c: Vec<f64> = self.temps.iter().map(|t| t.value()).collect();
         Ok(fingerprint(
             self.topology,
             self.array.config(),
-            &temps_c,
+            &self.temps_c,
             &cells,
         ))
     }
 
     /// Returns the calibrated curve for `weights`, calibrating it with
-    /// live solves on the first request (populate-on-miss). Emits one
+    /// live solves on the first request (populate-on-miss). Concurrent
+    /// first requests for one key run one calibration and share its
+    /// curve (see [`SurrogateStore::get_or_calibrate`]). Emits one
     /// [`Event::SurrogateLookup`] either way.
     ///
     /// # Errors
@@ -358,28 +498,10 @@ impl<C: CellDesign> MacSurrogate<C> {
     /// Width mismatches and live-calibration failures.
     pub fn curve_for(&self, weights: &[bool]) -> Result<Arc<CalibratedCurve>, SurrogateError> {
         let key = self.key_for(weights)?;
-        if let Some(curve) = self.store.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.array
-                .context()
-                .telemetry
-                .emit(|| Event::SurrogateLookup { hit: true });
-            return Ok(curve);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.array
-            .context()
-            .telemetry
-            .emit(|| Event::SurrogateLookup { hit: false });
-        let curve = self.calibrate(key, weights)?;
-        let (curve, evicted) = self.store.insert_evicting(curve);
-        if evicted {
-            self.array
-                .context()
-                .telemetry
-                .emit(|| Event::SurrogateEvicted);
-        }
-        Ok(curve)
+        self.store
+            .get_or_calibrate(key, &self.array.context().telemetry, || {
+                self.calibrate(key, weights)
+            })
     }
 
     /// Answers one MAC query: curve lookup (calibrating on miss), curve
@@ -451,12 +573,13 @@ impl<C: CellDesign> MacSurrogate<C> {
     ///
     /// The fit and probe requests are all known up front (the probe
     /// patterns do not depend on the fit), so they go through one
-    /// [`CimArray::run_all`]: each distinct cell state runs one
-    /// transient per temperature, shared by every MAC that needs it.
+    /// [`CimArray::run_batch`] with the grid as its level temperatures:
+    /// each distinct cell state runs one transient per temperature,
+    /// shared by every MAC and level table that needs it.
     fn calibrate(&self, key: u64, weights: &[bool]) -> Result<CalibratedCurve, SurrogateError> {
         let started = Instant::now();
         let n = self.cells_per_row();
-        let temps_c: Vec<f64> = self.temps.iter().map(|t| t.value()).collect();
+        let temps_c = &self.temps_c;
         // Fit: per grid temperature, all inputs low then each one-hot.
         let one_hot: Vec<Vec<bool>> = (0..=n)
             .map(|hot| (0..n).map(|i| i + 1 == hot).collect())
@@ -486,8 +609,8 @@ impl<C: CellDesign> MacSurrogate<C> {
             .chain(probe)
             .map(|(x, t)| Self::live_request(weights, x, t))
             .collect();
-        let outputs = self.array.run_all(&requests)?;
-        let (fit_out, probe_out) = outputs.split_at(self.temps.len() * (n + 1));
+        let batch = self.array.run_batch(&requests, &self.temps)?;
+        let (fit_out, probe_out) = batch.outputs.split_at(self.temps.len() * (n + 1));
 
         let mut base_v = Vec::with_capacity(temps_c.len());
         let mut base_e = Vec::with_capacity(temps_c.len());
@@ -496,7 +619,7 @@ impl<C: CellDesign> MacSurrogate<C> {
         let mut thresholds = Vec::with_capacity(temps_c.len());
         let mut expected_base = 0i64;
         let mut expected_delta = Vec::new();
-        for (ti, (&temp, fit)) in self.temps.iter().zip(fit_out.chunks(n + 1)).enumerate() {
+        for (ti, (levels, fit)) in batch.levels.iter().zip(fit_out.chunks(n + 1)).enumerate() {
             let (zero, ones) = (&fit[0], &fit[1..]);
             base_v.push(zero.v_acc.value());
             base_e.push(zero.energy.value());
@@ -517,7 +640,6 @@ impl<C: CellDesign> MacSurrogate<C> {
                     .map(|one| one.energy.value() - zero.energy.value())
                     .collect(),
             );
-            let levels = self.array.level_voltages(temp)?;
             let mut mids: Vec<f64> = levels
                 .windows(2)
                 .map(|w| 0.5 * (w[0].value() + w[1].value()))
@@ -533,7 +655,7 @@ impl<C: CellDesign> MacSurrogate<C> {
         let provisional = CalibratedCurve::from_data(CurveData {
             key,
             cells_per_row: n,
-            temps_c,
+            temps_c: temps_c.clone(),
             base_v,
             delta_v,
             base_e,
@@ -838,6 +960,106 @@ mod tests {
         // The least recently hit curve went first, and its handle lives on.
         assert!(surrogate.store().get(first.key()).is_none());
         assert!(first.eval(&[true; 6], Celsius(27.0)).is_ok());
+    }
+
+    /// What each of 16 concurrent `get_or_calibrate` callers of one key
+    /// got back (`None` for a caller that panicked), collected within a
+    /// bounded time, and how many calibrations ran. A calibration lands
+    /// only once the 15 other callers are counted as hits, i.e. are
+    /// waiting on it.
+    fn crowd(
+        store: &Arc<SurrogateStore>,
+        land: fn() -> Result<CalibratedCurve, SurrogateError>,
+    ) -> (Vec<Option<Outcome>>, usize) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::{mpsc, Barrier};
+        use std::time::{Duration, Instant};
+
+        const CALLERS: usize = 16;
+        let barrier = Arc::new(Barrier::new(CALLERS));
+        let runs = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = mpsc::channel();
+        let mut callers = Vec::new();
+        for _ in 0..CALLERS {
+            let (store, barrier, runs, tx) =
+                (store.clone(), barrier.clone(), runs.clone(), tx.clone());
+            callers.push(std::thread::spawn(move || {
+                barrier.wait();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    store.get_or_calibrate(CROWD_KEY, &Telemetry::off(), || {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        let give_up = Instant::now() + Duration::from_secs(10);
+                        while store.hits() < CALLERS as u64 - 1 && Instant::now() < give_up {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        land()
+                    })
+                }));
+                // The receiver outlives every caller unless the test
+                // already failed.
+                let _ = tx.send(outcome.ok());
+            }));
+        }
+        let outcomes = (0..CALLERS)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(20))
+                    .expect("a caller was left waiting on its calibration")
+            })
+            .collect();
+        // Every caller has sent its outcome, so these joins return.
+        for caller in callers {
+            caller.join().expect("a caller's panic is caught");
+        }
+        (outcomes, runs.load(Ordering::Relaxed) as usize)
+    }
+
+    const CROWD_KEY: u64 = 0xc0ffee;
+
+    #[test]
+    fn a_failed_calibration_releases_every_waiter_with_its_error() {
+        let store = Arc::new(SurrogateStore::new());
+        let (outcomes, runs) = crowd(&store, || {
+            Err(SurrogateError::InvalidGrid {
+                requirement: "a calibration that fails",
+            })
+        });
+        assert_eq!(runs, 1);
+        for outcome in &outcomes {
+            assert!(
+                matches!(outcome, Some(Err(SurrogateError::InvalidGrid { .. }))),
+                "{outcome:?}"
+            );
+        }
+        assert_eq!((store.misses(), store.hits()), (1, 15));
+        // The failure is not stored: the next lookup calibrates again.
+        let curve = store
+            .get_or_calibrate(CROWD_KEY, &Telemetry::off(), || Ok(stub_curve(CROWD_KEY)))
+            .expect("a later calibration succeeds");
+        assert_eq!(curve.key(), CROWD_KEY);
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn a_panicked_calibration_releases_every_waiter_with_a_typed_error() {
+        let store = Arc::new(SurrogateStore::new());
+        let (outcomes, runs) = crowd(&store, || panic!("calibration panicked on purpose"));
+        // The caller that ran the calibration panicked; every other one
+        // got the typed error instead of waiting forever.
+        assert_eq!(runs, 1);
+        assert_eq!(outcomes.iter().filter(|o| o.is_none()).count(), 1);
+        for outcome in outcomes.iter().flatten() {
+            assert!(
+                matches!(
+                    outcome,
+                    Err(SurrogateError::CalibrationPanicked { key: CROWD_KEY })
+                ),
+                "{outcome:?}"
+            );
+        }
+        let curve = store
+            .get_or_calibrate(CROWD_KEY, &Telemetry::off(), || Ok(stub_curve(CROWD_KEY)))
+            .expect("the panicked flight is retired");
+        assert_eq!(curve.key(), CROWD_KEY);
     }
 
     #[test]

@@ -237,9 +237,10 @@ fn cache_hits_beat_live_solves_inside_the_certified_envelope() {
 /// Calibration solves each distinct cell state once per temperature.
 /// One mixed-weight key on the paper-default row over 0/27/85 °C has
 /// four cell states (weight × input) at five temperatures (three grid
-/// points, two probe midpoints), plus the two `level_voltages` cell
-/// transients per grid temperature for the ADC thresholds: 26 fixed-step
-/// cell transients for the 53 MAC evaluations the curve reports.
+/// points, two probe midpoints). The ADC thresholds' level tables need
+/// the weight-'1' states at the grid points, which the fit already
+/// solved, so they add no transient: 20 fixed-step cell transients for
+/// the 53 MAC evaluations the curve reports.
 #[test]
 fn calibration_runs_one_cell_transient_per_state_and_temperature() {
     use ferrocim_telemetry::{Aggregator, Telemetry};
@@ -247,7 +248,7 @@ fn calibration_runs_one_cell_transient_per_state_and_temperature() {
 
     const CELL_STATES: u64 = 4;
     const TEMPERATURES: u64 = 5;
-    const LEVEL_TRANSIENTS: u64 = 6;
+    const LEVEL_TRANSIENTS: u64 = 0;
     const MAC_EVALUATIONS: usize = 53;
 
     let array = CimArray::new(
@@ -284,4 +285,49 @@ fn calibration_runs_one_cell_transient_per_state_and_temperature() {
         "calibration accepted {} steps, {per_transient} per cell transient",
         counts.steps_accepted
     );
+}
+
+/// Sixteen concurrent first lookups of one key run one calibration:
+/// one miss, one calibration's solver work, and one shared curve.
+#[test]
+fn concurrent_misses_on_one_key_run_one_calibration() {
+    use ferrocim_telemetry::{Aggregator, Telemetry};
+    use std::sync::{Arc, Barrier};
+
+    const CALLERS: usize = 16;
+    /// 20 cell transients of 250 fixed steps (5 ns at 20 ps).
+    const ONE_CALIBRATION_STEPS: u64 = 5000;
+
+    let agg = Arc::new(Aggregator::new());
+    let array = CimArray::new(
+        TwoTransistorOneFefet::paper_default(),
+        ArrayConfig::paper_default(),
+    )
+    .expect("paper-default array")
+    .with_recorder(Telemetry::new(agg.clone()));
+    let n = array.config().cells_per_row;
+    let surrogate = MacSurrogate::new(array, &[Celsius(T_LO), Celsius(27.0), Celsius(T_HI)])
+        .expect("valid grid");
+    let weights: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+    let barrier = Barrier::new(CALLERS);
+    let curves: Vec<_> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    surrogate.curve_for(&weights).expect("calibrate")
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("caller panicked"))
+            .collect()
+    });
+    let counts = surrogate.counts();
+    assert_eq!(counts.misses, 1, "{counts:?}");
+    assert_eq!(counts.hits, CALLERS as u64 - 1, "{counts:?}");
+    assert_eq!(agg.counts().steps_accepted, ONE_CALIBRATION_STEPS);
+    assert_eq!(agg.counts().surrogate_misses, 1);
+    assert!(curves.iter().all(|c| Arc::ptr_eq(c, &curves[0])));
 }
