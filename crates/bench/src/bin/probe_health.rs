@@ -8,7 +8,9 @@
 //!    backend still times in `probe_sparse`. Every solve gets a fresh
 //!    workspace so the comparison includes the full symbolic + numeric
 //!    cost, and the gated figure is the paired-median estimator every
-//!    wall-clock gate uses ([`paired_overhead`]).
+//!    wall-clock gate uses ([`paired_overhead`]). The same estimator
+//!    also reports, ungated, the overhead on the dense backend: the
+//!    paper-default 8-cell row transient MAC ([`paper_row_mac`]).
 //! 2. **Teeth** — a solve held to an impossible backward-error
 //!    tolerance must *refuse*: walk bounded iterative refinement, then
 //!    the whole degradation ladder (fresh symbolic → alternate ordering
@@ -23,9 +25,10 @@
 //!
 //! [`SolveDegraded`]: ferrocim_telemetry::Event::SolveDegraded
 
-use ferrocim_bench::schema::{CertifiedQuality, HealthOverhead, HealthProbe};
+use ferrocim_bench::schema::{CertifiedQuality, DenseRowOverhead, HealthOverhead, HealthProbe};
 use ferrocim_bench::timing::paired_overhead;
-use ferrocim_bench::{certification_refusal, dump_json, wide_row_readout, Trace};
+use ferrocim_bench::{certification_refusal, dump_json, paper_row_mac, wide_row_readout, Trace};
+use ferrocim_cim::{ArrayConfig, CimError};
 use ferrocim_spice::{
     Circuit, DcAnalysis, HealthPolicy, RunContext, SolverConfig, SpiceError, Workspace,
 };
@@ -44,6 +47,9 @@ const BLOCK: usize = 4;
 
 /// Certification overhead bound in percent.
 const OVERHEAD_LIMIT_PCT: f64 = 8.0;
+
+/// Transient MACs per timed block of the dense-row report.
+const ROW_BLOCK: usize = 2;
 
 /// Times the full DC Newton solve with certification off against
 /// certification on through [`paired_overhead`], one [`BLOCK`]-solve
@@ -85,6 +91,30 @@ fn time_policies(
     ))
 }
 
+/// Times the paper-default row transient MAC with certification off
+/// against on through [`paired_overhead`], one [`ROW_BLOCK`]-MAC block
+/// per side and rep.
+fn time_dense_row() -> Result<DenseRowOverhead, Box<dyn std::error::Error>> {
+    let cells = ArrayConfig::paper_default().cells_per_row;
+    let (_, unknowns) = wide_row_readout(cells)?;
+    let block = |health: HealthPolicy| -> Result<(), CimError> {
+        (0..ROW_BLOCK).try_for_each(|_| paper_row_mac(health).map(drop))
+    };
+    let timing = paired_overhead(
+        REPS,
+        || block(HealthPolicy::off()),
+        || block(HealthPolicy::default()),
+    )?;
+    Ok(DenseRowOverhead {
+        cells_per_row: cells,
+        unknowns,
+        reps: REPS,
+        off_us: timing.base_best_s / ROW_BLOCK as f64 * 1e6,
+        certified_us: timing.test_best_s / ROW_BLOCK as f64 * 1e6,
+        overhead_pct: timing.overhead_pct,
+    })
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = Trace::from_args()?;
     println!("# Probe — numerical-health certification: cost and teeth\n");
@@ -110,6 +140,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  median paired overhead = {:.2} % (limit {} %)",
         overhead.overhead_pct, overhead.limit_pct
     );
+    // Ungated: the same comparison on the dense backend.
+    let dense_row = time_dense_row()?;
+    println!(
+        "\n{}-cell row transient MAC ({} unknowns, dense, {REPS} paired {ROW_BLOCK}-MAC blocks, \
+         ungated):",
+        dense_row.cells_per_row, dense_row.unknowns
+    );
+    println!("  certification off : {:.1} us/MAC", dense_row.off_us);
+    println!("  certification on  : {:.1} us/MAC", dense_row.certified_us);
+    println!("  median paired overhead = {:.2} %", dense_row.overhead_pct);
+
     let policy = HealthPolicy::default();
     let quality = CertifiedQuality {
         residual: quality.residual,
@@ -144,6 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let out = HealthProbe {
         overhead,
+        dense_row,
         quality,
         guardrail,
     };

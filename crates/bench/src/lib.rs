@@ -23,7 +23,8 @@ pub mod timing;
 mod workloads;
 
 pub use workloads::{
-    adaptive_probe, certification_refusal, fault_sweep, wide_row_mac, wide_row_readout,
+    adaptive_probe, certification_refusal, fault_sweep, paper_row_mac, wide_row_mac,
+    wide_row_readout,
 };
 
 /// Prints an aligned console table.

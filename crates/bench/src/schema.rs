@@ -329,6 +329,29 @@ pub struct HealthOverhead {
     pub limit_pct: f64,
 }
 
+/// Ungated overhead row of `results/probe_health.json`: the
+/// paper-default 8-cell row transient MAC (dense LU) timed with
+/// certification off and on.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DenseRowOverhead {
+    /// Cells in the row.
+    pub cells_per_row: usize,
+    /// MNA unknowns of the row netlist.
+    pub unknowns: usize,
+    /// Paired timing repetitions (each rep times one multi-MAC block
+    /// per policy).
+    pub reps: usize,
+    /// Best per-MAC wall clock with `HealthPolicy::off()`, in
+    /// microseconds.
+    pub off_us: f64,
+    /// Best per-MAC wall clock with the default policy, in
+    /// microseconds.
+    pub certified_us: f64,
+    /// Median over the paired reps of each rep's (certified - off) /
+    /// off ratio, in percent. Reported, not gated.
+    pub overhead_pct: f64,
+}
+
 /// Certified quality of the healthy solve in
 /// `results/probe_health.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -367,6 +390,8 @@ pub struct GuardrailDemo {
 pub struct HealthProbe {
     /// Certification overhead on the wide-row DC workload.
     pub overhead: HealthOverhead,
+    /// Ungated certification overhead on the dense paper-default row.
+    pub dense_row: DenseRowOverhead,
     /// Quality report of the certified wide-row solve.
     pub quality: CertifiedQuality,
     /// The impossible-tolerance refusal demonstration.

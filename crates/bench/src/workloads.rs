@@ -43,6 +43,23 @@ fn mid_scale_operands(cells: usize) -> (Vec<bool>, Vec<bool>) {
     mac_operands(cells, cells / 2 + 1)
 }
 
+/// The paper-default row's mid-scale transient MAC (8 cells, solved
+/// with the dense LU) with every Newton solve certified under
+/// `health`: the dense row `probe_health` times certification on.
+///
+/// # Errors
+///
+/// Returns the MAC's error.
+pub fn paper_row_mac(health: HealthPolicy) -> Result<MacOutput, CimError> {
+    let cells = ArrayConfig::paper_default().cells_per_row;
+    let array = wide_row(cells)?.with_context(RunContext {
+        health,
+        ..RunContext::default()
+    });
+    let (weights, inputs) = mid_scale_operands(cells);
+    array.run(&MacRequest::new(&inputs).weights(&weights))
+}
+
 /// The mid-scale readout netlist of a `cells`-wide row and its MNA
 /// unknown count (non-ground nodes plus one branch current per voltage
 /// source). This is the DC workload `probe_sparse`, `probe_health` and

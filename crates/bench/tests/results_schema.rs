@@ -74,7 +74,7 @@ fn every_results_artifact_matches_its_schema() {
         failures.join("\n  ")
     );
     assert!(
-        validated >= 14,
-        "expected at least the 14 known artifacts, validated {validated}"
+        validated >= 15,
+        "expected at least the 15 known artifacts, validated {validated}"
     );
 }

@@ -10,6 +10,7 @@
 
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::{ArrayConfig, CimArray, MacOutput, MacPath, MacRequest};
+use ferrocim_spice::{HealthPolicy, RunContext};
 use ferrocim_units::{Celsius, Farad};
 
 const TEMPS_C: [f64; 3] = [0.0, 27.0, 85.0];
@@ -41,8 +42,18 @@ fn bits_of(out: &MacOutput) -> Bits {
 /// Runs one row at every temperature with a fixed mixed weight/input
 /// pattern, so both stored states and both input levels are exercised.
 fn run_row(config: ArrayConfig) -> Vec<Bits> {
+    run_row_with(config, HealthPolicy::default())
+}
+
+/// [`run_row`] with every solve certified under `health`.
+fn run_row_with(config: ArrayConfig, health: HealthPolicy) -> Vec<Bits> {
     let n = config.cells_per_row;
-    let array = CimArray::new(TwoTransistorOneFefet::paper_default(), config).unwrap();
+    let array = CimArray::new(TwoTransistorOneFefet::paper_default(), config)
+        .unwrap()
+        .with_context(RunContext {
+            health,
+            ..RunContext::default()
+        });
     let weights: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
     let inputs: Vec<bool> = (0..n).map(|i| i % 4 != 1).collect();
     TEMPS_C
@@ -120,5 +131,17 @@ fn dense_paper_row_transient_is_bitwise_pinned() {
                 cells: 0xc9f5_7c13_c6f7_3c34,
             },
         ],
+    );
+}
+
+/// Certification is transparent on the paper's 8-cell row (37 MNA
+/// unknowns, dense LU): every Newton solve of the certified transient
+/// is accepted untouched, so its bits equal the uncertified run's.
+#[test]
+fn dense_paper_row_transient_is_bitwise_unchanged_by_certification() {
+    let config = ArrayConfig::paper_default();
+    assert_golden(
+        &run_row_with(config, HealthPolicy::default()),
+        &run_row_with(config, HealthPolicy::off()),
     );
 }

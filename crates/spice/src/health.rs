@@ -5,7 +5,8 @@
 //! the ill-conditioned operating points subthreshold FeFET rows produce
 //! (nano-siemens cell conductances against the bitline hub). This
 //! module closes the loop: after every factor-and-solve the residual is
-//! measured against the *stamped* matrix, the solution is iteratively
+//! measured against the *stamped* matrix (one pass over its stamped
+//! entries, [`ResidualScan`]), the solution is iteratively
 //! refined when it misses tolerance, and the final verdict ships as a
 //! typed [`SolveQuality`] — so a caller either gets a certified answer
 //! or a typed [`crate::SpiceError::UncertifiedSolve`], never a quietly
@@ -48,8 +49,11 @@ pub struct SolveQuality {
 /// The default policy is **on**: every Newton linear solve is checked,
 /// refined up to twice when it misses tolerance, and escalated down the
 /// solver degradation ladder when refinement cannot rescue it. The
-/// check itself is one sparse matvec per solve — `probe_health` pins
-/// the overhead below 5% on the 256-cell row workload.
+/// check itself is one pass over the stamped entries per solve
+/// ([`LinearSystem::residual_scan`]) plus the `|U|` maximum the
+/// factorization takes as it goes. `probe_health` gates its overhead
+/// below 8% on the 256-cell row DC readout (sparse LU) and reports it,
+/// ungated, on the paper's 8-cell row transient (dense LU).
 ///
 /// # Examples
 ///
@@ -121,6 +125,55 @@ impl HealthPolicy {
     }
 }
 
+/// What one certification pass ([`LinearSystem::residual_scan`])
+/// measured against the stamped system.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResidualScan {
+    /// `max|b − A·x|` (a NaN entry is skipped here; see `finite`).
+    pub resid_max: f64,
+    /// Whether every entry of `b − A·x` is finite.
+    pub finite: bool,
+    /// `‖A‖∞`, the largest absolute row sum of the stamped matrix.
+    pub a_inf: f64,
+    /// The largest stamped magnitude: the pivot-growth denominator.
+    pub a_max: f64,
+    /// `max|x|`.
+    pub x_max: f64,
+    /// `max|b|`.
+    pub b_max: f64,
+}
+
+impl ResidualScan {
+    /// The componentwise-relative backward error
+    /// `max|b − A·x| / (‖A‖∞·max|x| + max|b|)`; infinite when the
+    /// residual or `max|x|` is not finite.
+    pub fn backward_error(&self) -> f64 {
+        if !self.finite || !self.x_max.is_finite() {
+            return f64::INFINITY;
+        }
+        let scale = self.a_inf * self.x_max + self.b_max;
+        if scale == 0.0 {
+            // Zero matrix, zero RHS, zero solution: certified trivially.
+            return if self.resid_max == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            };
+        }
+        self.resid_max / scale
+    }
+
+    /// Pivot growth of a factorization whose largest `|U|` is `u_max`
+    /// (`None`: no factorization) against this scan's stamped matrix.
+    /// Reports `1.0` without a factorization or for an all-zero matrix.
+    fn pivot_growth(&self, u_max: Option<f64>) -> f64 {
+        match u_max {
+            Some(u) if self.a_max > 0.0 => u / self.a_max,
+            _ => 1.0,
+        }
+    }
+}
+
 /// The outcome of certifying (and possibly refining) one solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CertifyOutcome {
@@ -130,41 +183,13 @@ pub(crate) struct CertifyOutcome {
     pub acceptable: bool,
 }
 
-/// Measures the relative backward error of `x` against the stamped
-/// system, writing the raw residual `b − A·x` into `resid` (sized to
-/// the system dimension) as a side effect.
-fn backward_error(
-    system: &mut dyn LinearSystem,
-    b: &[f64],
-    x: &[f64],
-    resid: &mut Vec<f64>,
-) -> f64 {
-    let n = system.dim();
+/// Runs one certification pass of `x` against the stamped system,
+/// writing the raw residual `b − A·x` into `resid` (sized to the system
+/// dimension) as a side effect.
+fn scan(system: &mut dyn LinearSystem, b: &[f64], x: &[f64], resid: &mut Vec<f64>) -> ResidualScan {
     resid.clear();
-    resid.resize(n, 0.0);
-    system.matvec_into(x, resid);
-    let mut rmax = 0.0f64;
-    for (rk, &bk) in resid.iter_mut().zip(b) {
-        *rk = bk - *rk;
-        rmax = rmax.max(rk.abs());
-    }
-    // NaN anywhere in the residual must read as "infinitely bad", not
-    // fall out of the max fold: fold with max() keeps NaN only if it is
-    // the first element, so detect it explicitly.
-    if resid.iter().any(|v| !v.is_finite()) {
-        return f64::INFINITY;
-    }
-    let xmax = x.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-    let bmax = b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-    if !xmax.is_finite() {
-        return f64::INFINITY;
-    }
-    let scale = system.inf_norm() * xmax + bmax;
-    if scale == 0.0 {
-        // Zero matrix, zero RHS, zero solution: certified trivially.
-        return if rmax == 0.0 { 0.0 } else { f64::INFINITY };
-    }
-    rmax / scale
+    resid.resize(system.dim(), 0.0);
+    system.residual_scan(b, x, resid)
 }
 
 /// Hager's 1-norm condition estimator: a few power-iteration steps on
@@ -235,7 +260,8 @@ pub(crate) fn certify(
     resid: &mut Vec<f64>,
     corr: &mut Vec<f64>,
 ) -> CertifyOutcome {
-    let mut residual = backward_error(system, b, x, resid);
+    let mut measured = scan(system, b, x, resid);
+    let mut residual = measured.backward_error();
     let mut passes = 0u32;
     while residual > policy.residual_tol
         && residual.is_finite()
@@ -246,7 +272,8 @@ pub(crate) fn certify(
             *xk += ck;
         }
         passes += 1;
-        residual = backward_error(system, b, x, resid);
+        measured = scan(system, b, x, resid);
+        residual = measured.backward_error();
     }
     let acceptable = residual <= policy.residual_tol;
     let cond_estimate = if !acceptable && policy.estimate_condition {
@@ -258,7 +285,7 @@ pub(crate) fn certify(
         quality: SolveQuality {
             residual,
             refinement_passes: passes,
-            pivot_growth: system.pivot_growth(),
+            pivot_growth: measured.pivot_growth(system.max_abs_u()),
             cond_estimate,
         },
         acceptable,

@@ -70,7 +70,7 @@ pub use dcsweep::DcSweep;
 pub use engine::{SimEngine, Workspace};
 pub use error::SpiceError;
 pub use export::export_netlist;
-pub use health::{certify_solution, HealthPolicy, SolveQuality};
+pub use health::{certify_solution, HealthPolicy, ResidualScan, SolveQuality};
 pub use linear::Matrix;
 pub use mna::NewtonOptions;
 pub use montecarlo::{

@@ -11,6 +11,19 @@
 
 use crate::SpiceError;
 
+/// One step of a running maximum of magnitudes that starts at `0.0`:
+/// `max(m, a)` for `a ≥ 0`, skipping a NaN `a` exactly as `f64::max`
+/// does. One compare-and-select, so it adds no NaN handling to the
+/// loop-carried chain of the loops it rides along in.
+#[inline]
+pub(crate) fn max_mag(m: f64, a: f64) -> f64 {
+    if a > m {
+        a
+    } else {
+        m
+    }
+}
+
 /// A dense, row-major square matrix.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
@@ -114,17 +127,10 @@ impl Matrix {
         self.data.iter().map(|v| v.abs()).fold(0.0f64, f64::max)
     }
 
-    /// The largest absolute entry of the `U` factor left behind by
-    /// [`Matrix::solve_into`] (rows in `perm` order, columns at or right
-    /// of the diagonal) — the numerator of the pivot-growth factor.
-    pub(crate) fn max_abs_upper(&self, perm: &[usize]) -> f64 {
-        let mut best = 0.0f64;
-        for (k, &p) in perm.iter().enumerate() {
-            for c in k..self.n {
-                best = best.max(self.get(p, c).abs());
-            }
-        }
-        best
+    /// Row `r` of the matrix.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.n..(r + 1) * self.n]
     }
 
     /// Solves `self · x = b` in place via LU with partial pivoting,
@@ -151,6 +157,11 @@ impl Matrix {
     /// The elimination sequence is identical to [`Matrix::solve_destructive`]
     /// — results are bitwise equal.
     ///
+    /// Returns the largest absolute entry of the `U` factor left behind
+    /// (rows in `perm` order, columns at or right of the diagonal) — the
+    /// numerator of the pivot-growth factor. Back substitution reads
+    /// every `U` entry exactly once, so it is taken there.
+    ///
     /// # Errors
     ///
     /// Returns [`SpiceError::SingularMatrix`] when no usable pivot is
@@ -165,7 +176,7 @@ impl Matrix {
         rhs: &mut Vec<f64>,
         perm: &mut Vec<usize>,
         out: &mut Vec<f64>,
-    ) -> Result<(), SpiceError> {
+    ) -> Result<f64, SpiceError> {
         assert_eq!(b.len(), self.n);
         let n = self.n;
         let x = rhs;
@@ -211,15 +222,19 @@ impl Matrix {
         // Back substitution.
         out.clear();
         out.resize(n, 0.0);
+        let mut u_max = 0.0f64;
         for col in (0..n).rev() {
             let p = perm[col];
+            let row = self.row(p);
             let mut sum = x[p];
-            for (c, &oc) in out.iter().enumerate().take(n).skip(col + 1) {
-                sum -= self.get(p, c) * oc;
+            for (&u, &oc) in row[col + 1..].iter().zip(&out[col + 1..]) {
+                u_max = max_mag(u_max, u.abs());
+                sum -= u * oc;
             }
-            out[col] = sum / self.get(p, col);
+            u_max = max_mag(u_max, row[col].abs());
+            out[col] = sum / row[col];
         }
-        Ok(())
+        Ok(u_max)
     }
 
     /// Re-solves `A · x = b` for a new right-hand side using the `L`/`U`
@@ -459,10 +474,11 @@ mod tests {
         assert_eq!(m.max_abs(), 4.0);
         let (mut rhs, mut perm, mut out) = (Vec::new(), Vec::new(), Vec::new());
         let mut lu = m.clone();
-        lu.solve_into(&[1.0, 1.0], &mut rhs, &mut perm, &mut out)
+        let u_max = lu
+            .solve_into(&[1.0, 1.0], &mut rhs, &mut perm, &mut out)
             .unwrap();
         // Pivot row is [3,4]; U = [[3,4],[0,1−(1/3)·4]] → max |U| = 4.
-        assert_eq!(lu.max_abs_upper(&perm), 4.0);
+        assert_eq!(u_max, 4.0);
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //! to the near-linear sparse path on MNA matrices (a handful of
 //! nonzeros per row).
 
-use crate::linear::Matrix;
+use crate::health::ResidualScan;
+use crate::linear::{max_mag, Matrix};
 use crate::SpiceError;
 use ferrocim_telemetry::{SolverBackend, Telemetry};
 use std::collections::HashMap;
@@ -192,9 +193,37 @@ pub trait LinearSystem {
     ) -> Result<SolveInfo, SpiceError>;
 
     /// Computes `A·x` into `y` from the currently stamped values — the
-    /// matrix as assembled, independent of any factorization — for
-    /// residual checks. `y` must already have length [`LinearSystem::dim`].
+    /// matrix as assembled, independent of any factorization. `y` must
+    /// already have length [`LinearSystem::dim`]. With
+    /// [`LinearSystem::inf_norm`] and [`LinearSystem::max_abs`] this is
+    /// the independent oracle that [`LinearSystem::residual_scan`] is
+    /// checked against.
     fn matvec_into(&mut self, x: &[f64], y: &mut [f64]);
+
+    /// The certification pass: writes `b − A·x` into `resid` (length
+    /// [`LinearSystem::dim`]) from the stamped values, measuring on the
+    /// way everything the backward error and the pivot-growth
+    /// denominator need.
+    ///
+    /// The provided body is the reference formula — `matvec_into`,
+    /// `inf_norm`, `max_abs` and two folds. [`DenseLu`] and
+    /// [`SparseLu`] override it with one loop over the stamped entries
+    /// whose measurements equal it bit for bit (`resid` up to the sign
+    /// of exact zeros): a never-stamped entry is `+0.0`, and adding `±0`
+    /// to a nonzero sum or taking it into a maximum of magnitudes
+    /// changes nothing.
+    fn residual_scan(&mut self, b: &[f64], x: &[f64], resid: &mut [f64]) -> ResidualScan {
+        self.matvec_into(x, resid);
+        let (resid_max, finite) = subtract_from(b, resid);
+        ResidualScan {
+            resid_max,
+            finite,
+            a_inf: self.inf_norm(),
+            a_max: self.max_abs(),
+            x_max: abs_max(x),
+            b_max: abs_max(b),
+        }
+    }
 
     /// Re-solves `A·x = b` through the factors left behind by the most
     /// recent [`LinearSystem::solve_into`], with no refactorization —
@@ -213,14 +242,35 @@ pub trait LinearSystem {
     /// The 1-norm (maximum absolute column sum) of the stamped matrix.
     fn one_norm(&mut self) -> f64;
 
-    /// Pivot growth of the most recent factorization: the largest `U`
-    /// magnitude over the largest stamped magnitude. Values far above 1
-    /// flag element growth that loses precision. Reports `1.0` before
-    /// any factorization (or for an all-zero matrix).
-    fn pivot_growth(&self) -> f64;
+    /// The largest stamped magnitude, from a full scan of the stamped
+    /// matrix (the pivot-growth denominator's oracle).
+    fn max_abs(&self) -> f64;
+
+    /// The largest `U` magnitude of the most recent successful
+    /// factorization — the pivot-growth numerator, taken while the
+    /// factorization reads every `U` entry anyway. `None` before any
+    /// factorization and after a failed one.
+    fn max_abs_u(&self) -> Option<f64>;
 
     /// Which backend this is (for telemetry).
     fn backend(&self) -> SolverBackend;
+}
+
+/// `max |v|` over `v`, folding from `0.0` (a NaN entry is skipped).
+fn abs_max(v: &[f64]) -> f64 {
+    v.iter().fold(0.0f64, |m, &a| max_mag(m, a.abs()))
+}
+
+/// Turns `resid` from `A·x` into `b − A·x` in place, returning
+/// `max |b − A·x|` and whether every entry came out finite.
+fn subtract_from(b: &[f64], resid: &mut [f64]) -> (f64, bool) {
+    let (mut rmax, mut finite) = (0.0f64, true);
+    for (rk, &bk) in resid.iter_mut().zip(b) {
+        *rk = bk - *rk;
+        rmax = max_mag(rmax, rk.abs());
+        finite &= rk.is_finite();
+    }
+    (rmax, finite)
 }
 
 /// The dense LU backend: the original [`Matrix`] factorization plus its
@@ -229,12 +279,28 @@ pub trait LinearSystem {
 /// same elimination sequence, same buffers. The stamped matrix `m` is
 /// copied into `lu` before factoring, so the assembled values survive
 /// the solve for residual checks and refinement re-solves.
+///
+/// [`DenseLu::add`] also notes each position it touches for the first
+/// time in a bitset; the certification pass reads only those positions,
+/// through per-row column lists rebuilt from the bitset when it has
+/// grown. Like [`SparseLu`]'s pattern, it grows and never shrinks.
 #[derive(Debug, Clone, Default)]
 pub struct DenseLu {
     m: Matrix,
     lu: Matrix,
     rhs: Vec<f64>,
     perm: Vec<usize>,
+    /// Largest `|U|` of the last factorization; `None` until one
+    /// succeeds and again after one fails.
+    u_max: Option<f64>,
+    /// One bit per row-major position: set once it has been stamped.
+    stamped: Vec<u64>,
+    /// Stamped columns of row `r`, ascending:
+    /// `pattern_cols[pattern_ptr[r]..pattern_ptr[r + 1]]`.
+    pattern_ptr: Vec<usize>,
+    pattern_cols: Vec<usize>,
+    /// Whether `stamped` gained a position since the lists were built.
+    pattern_stale: bool,
 }
 
 impl DenseLu {
@@ -243,17 +309,38 @@ impl DenseLu {
         let mut d = DenseLu {
             m: Matrix::zeros(n),
             lu: Matrix::zeros(n),
-            rhs: Vec::new(),
-            perm: Vec::new(),
+            stamped: vec![0; (n * n).div_ceil(64)],
+            pattern_ptr: vec![0; n + 1],
+            ..DenseLu::default()
         };
         d.rhs.reserve(n);
         d.perm.reserve(n);
         d
     }
 
-    /// Whether a factorization from a completed solve is available.
-    fn factored(&self) -> bool {
-        self.perm.len() == self.m.dim() && self.lu.dim() == self.m.dim()
+    /// Rebuilds the per-row column lists from the bitset. Set bits come
+    /// out in row-major order, so each row's columns are ascending —
+    /// the order the full-row sums of `Matrix` add them in.
+    fn sync_pattern(&mut self) {
+        if !self.pattern_stale {
+            return;
+        }
+        let n = self.m.dim();
+        self.pattern_ptr.clear();
+        self.pattern_cols.clear();
+        for (w, &word) in self.stamped.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let pos = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while self.pattern_ptr.len() <= pos / n {
+                    self.pattern_ptr.push(self.pattern_cols.len());
+                }
+                self.pattern_cols.push(pos % n);
+            }
+        }
+        self.pattern_ptr.resize(n + 1, self.pattern_cols.len());
+        self.pattern_stale = false;
     }
 }
 
@@ -268,6 +355,12 @@ impl LinearSystem for DenseLu {
 
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: f64) {
+        let pos = row * self.m.dim() + col;
+        let (word, mask) = (&mut self.stamped[pos / 64], 1u64 << (pos % 64));
+        if *word & mask == 0 {
+            *word |= mask;
+            self.pattern_stale = true;
+        }
         self.m.add(row, col, value);
     }
 
@@ -277,8 +370,9 @@ impl LinearSystem for DenseLu {
         out: &mut Vec<f64>,
         _tele: &Telemetry,
     ) -> Result<SolveInfo, SpiceError> {
+        self.u_max = None;
         self.lu.copy_values_from(&self.m);
-        self.lu.solve_into(b, &mut self.rhs, &mut self.perm, out)?;
+        self.u_max = Some(self.lu.solve_into(b, &mut self.rhs, &mut self.perm, out)?);
         Ok(SolveInfo {
             backend: SolverBackend::Dense,
             symbolic: false,
@@ -289,8 +383,48 @@ impl LinearSystem for DenseLu {
         self.m.mul_vec_into(x, y);
     }
 
+    /// One pass over the stamped entries. A non-finite `x` entry would
+    /// make every row of the full product non-finite (`0·∞` is NaN), so
+    /// it is reported as a non-finite residual without forming those
+    /// products; `resid` then holds only the stamped contributions.
+    fn residual_scan(&mut self, b: &[f64], x: &[f64], resid: &mut [f64]) -> ResidualScan {
+        let n = self.m.dim();
+        assert_eq!(b.len(), n);
+        assert_eq!(x.len(), n);
+        assert_eq!(resid.len(), n);
+        self.sync_pattern();
+        let (mut x_max, mut finite) = (0.0f64, true);
+        for &v in x {
+            x_max = max_mag(x_max, v.abs());
+            finite &= v.is_finite();
+        }
+        let (mut resid_max, mut a_inf, mut a_max) = (0.0f64, 0.0f64, 0.0f64);
+        for (r, (rk, &bk)) in resid.iter_mut().zip(b).enumerate() {
+            let row = self.m.row(r);
+            let (mut ax, mut abs_sum) = (0.0, 0.0);
+            for &c in &self.pattern_cols[self.pattern_ptr[r]..self.pattern_ptr[r + 1]] {
+                let a = row[c];
+                ax += a * x[c];
+                abs_sum += a.abs();
+                a_max = max_mag(a_max, a.abs());
+            }
+            *rk = bk - ax;
+            resid_max = max_mag(resid_max, rk.abs());
+            finite &= rk.is_finite();
+            a_inf = max_mag(a_inf, abs_sum);
+        }
+        ResidualScan {
+            resid_max,
+            finite,
+            a_inf,
+            a_max,
+            x_max,
+            b_max: abs_max(b),
+        }
+    }
+
     fn resolve_into(&mut self, b: &[f64], out: &mut Vec<f64>) {
-        if !self.factored() {
+        if self.u_max.is_none() {
             out.clear();
             out.resize(self.m.dim(), 0.0);
             return;
@@ -299,7 +433,7 @@ impl LinearSystem for DenseLu {
     }
 
     fn solve_transposed_into(&mut self, c: &[f64], out: &mut Vec<f64>) {
-        if !self.factored() {
+        if self.u_max.is_none() {
             out.clear();
             out.resize(self.m.dim(), 0.0);
             return;
@@ -316,15 +450,12 @@ impl LinearSystem for DenseLu {
         self.m.one_norm()
     }
 
-    fn pivot_growth(&self) -> f64 {
-        if !self.factored() {
-            return 1.0;
-        }
-        let denom = self.m.max_abs();
-        if denom <= 0.0 {
-            return 1.0;
-        }
-        self.lu.max_abs_upper(&self.perm) / denom
+    fn max_abs(&self) -> f64 {
+        self.m.max_abs()
+    }
+
+    fn max_abs_u(&self) -> Option<f64> {
+        self.u_max
     }
 
     fn backend(&self) -> SolverBackend {
@@ -432,6 +563,9 @@ pub struct SparseLu {
     lx: Vec<f64>,
     ux: Vec<f64>,
     udiag: Vec<f64>,
+    /// Largest `|U|` (pivots and `ux`) of the factors in place; read
+    /// only while `sym` is set.
+    u_max: f64,
     // --- scratch (all-zero invariant for `work`) ---
     work: Vec<f64>,
     fwd: Vec<f64>,
@@ -546,6 +680,7 @@ impl SparseLu {
         let mut ux: Vec<f64> = Vec::new();
         let mut udiag = vec![0.0; n];
 
+        let mut u_max = 0.0f64;
         let mut x = vec![0.0; n];
         let mut flag = vec![usize::MAX; n];
         let mut pattern: Vec<usize> = Vec::with_capacity(n);
@@ -653,6 +788,7 @@ impl SparseLu {
             pinv[pr] = k;
             pivot_row[k] = pr;
             udiag[k] = pivot;
+            u_max = max_mag(u_max, pivot.abs());
 
             // Emit the column: pivotal rows go to U (as pivot
             // positions), the rest to L (scaled by the pivot), both
@@ -682,6 +818,7 @@ impl SparseLu {
             for &(i, v) in &ucol {
                 ui.push(i);
                 ux.push(v);
+                u_max = max_mag(u_max, v.abs());
             }
             up.push(ui.len());
         }
@@ -715,6 +852,7 @@ impl SparseLu {
         self.lx = lx;
         self.ux = ux;
         self.udiag = udiag;
+        self.u_max = u_max;
         Ok(())
     }
 
@@ -729,6 +867,7 @@ impl SparseLu {
         };
         let n = self.n;
         let threads = self.threads;
+        let mut u_max = 0.0f64;
         let mut buf = ColumnValues {
             k: 0,
             diag: 0.0,
@@ -752,8 +891,12 @@ impl SparseLu {
                     self.work.fill(0.0);
                     return Err(NumericDegraded);
                 }
-                write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, &buf);
+                u_max = max_mag(
+                    u_max,
+                    write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, &buf),
+                );
             }
+            self.u_max = u_max;
             return Ok(());
         }
         // Level-scheduled parallel refactor: within one level every
@@ -779,7 +922,10 @@ impl SparseLu {
                         self.work.fill(0.0);
                         return Err(NumericDegraded);
                     }
-                    write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, &buf);
+                    u_max = max_mag(
+                        u_max,
+                        write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, &buf),
+                    );
                 }
                 continue;
             }
@@ -831,9 +977,13 @@ impl SparseLu {
                 return Err(NumericDegraded);
             }
             for cv in &level_results {
-                write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, cv);
+                u_max = max_mag(
+                    u_max,
+                    write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, cv),
+                );
             }
         }
+        self.u_max = u_max;
         Ok(())
     }
 
@@ -936,18 +1086,22 @@ fn refactor_column(
 }
 
 /// Writes one column's refactored values back into the shared factor
-/// arrays (disjoint ranges per column, so any write order is fine).
+/// arrays (disjoint ranges per column, so any write order is fine) and
+/// returns the column's largest `|U|`, pivot included.
 fn write_column(
     sym: &Symbolic,
     lx: &mut [f64],
     ux: &mut [f64],
     udiag: &mut [f64],
     cv: &ColumnValues,
-) {
+) -> f64 {
     let k = cv.k;
     udiag[k] = cv.diag;
     ux[sym.up[k]..sym.up[k + 1]].copy_from_slice(&cv.ux);
     lx[sym.lp[k]..sym.lp[k + 1]].copy_from_slice(&cv.lx);
+    cv.ux
+        .iter()
+        .fold(cv.diag.abs(), |m, &v| max_mag(m, v.abs()))
 }
 
 impl LinearSystem for SparseLu {
@@ -1043,6 +1197,33 @@ impl LinearSystem for SparseLu {
         }
     }
 
+    /// One pass over the stamp slots, in slot order — the order
+    /// `matvec_into` and `inf_norm` add them in, so every measurement,
+    /// `resid` included, is bitwise the reference formula's.
+    fn residual_scan(&mut self, b: &[f64], x: &[f64], resid: &mut [f64]) -> ResidualScan {
+        assert_eq!(b.len(), self.n);
+        assert_eq!(x.len(), self.n);
+        assert_eq!(resid.len(), self.n);
+        resid.fill(0.0);
+        self.fwd.clear();
+        self.fwd.resize(self.n, 0.0);
+        let mut a_max = 0.0f64;
+        for (&(r, c), &v) in self.coords.iter().zip(&self.values) {
+            resid[r as usize] += v * x[c as usize];
+            self.fwd[r as usize] += v.abs();
+            a_max = max_mag(a_max, v.abs());
+        }
+        let (resid_max, finite) = subtract_from(b, resid);
+        ResidualScan {
+            resid_max,
+            finite,
+            a_inf: self.fwd.iter().fold(0.0f64, |a, &v| max_mag(a, v)),
+            a_max,
+            x_max: abs_max(x),
+            b_max: abs_max(b),
+        }
+    }
+
     fn resolve_into(&mut self, b: &[f64], out: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n);
         self.lu_solve(b, out);
@@ -1098,20 +1279,12 @@ impl LinearSystem for SparseLu {
         self.fwd.iter().fold(0.0f64, |a, &v| a.max(v))
     }
 
-    fn pivot_growth(&self) -> f64 {
-        if self.sym.is_none() {
-            return 1.0;
-        }
-        let denom = self.values.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-        if denom <= 0.0 {
-            return 1.0;
-        }
-        let num = self
-            .udiag
-            .iter()
-            .chain(self.ux.iter())
-            .fold(0.0f64, |a, &v| a.max(v.abs()));
-        num / denom
+    fn max_abs(&self) -> f64 {
+        abs_max(&self.values)
+    }
+
+    fn max_abs_u(&self) -> Option<f64> {
+        self.sym.as_ref().map(|_| self.u_max)
     }
 
     fn backend(&self) -> SolverBackend {
@@ -1256,6 +1429,13 @@ impl LinearSystem for SolverState {
         }
     }
 
+    fn residual_scan(&mut self, b: &[f64], x: &[f64], resid: &mut [f64]) -> ResidualScan {
+        match self {
+            SolverState::Dense(d) => d.residual_scan(b, x, resid),
+            SolverState::Sparse(s) => s.residual_scan(b, x, resid),
+        }
+    }
+
     fn resolve_into(&mut self, b: &[f64], out: &mut Vec<f64>) {
         match self {
             SolverState::Dense(d) => d.resolve_into(b, out),
@@ -1284,10 +1464,17 @@ impl LinearSystem for SolverState {
         }
     }
 
-    fn pivot_growth(&self) -> f64 {
+    fn max_abs(&self) -> f64 {
         match self {
-            SolverState::Dense(d) => d.pivot_growth(),
-            SolverState::Sparse(s) => s.pivot_growth(),
+            SolverState::Dense(d) => d.max_abs(),
+            SolverState::Sparse(s) => s.max_abs(),
+        }
+    }
+
+    fn max_abs_u(&self) -> Option<f64> {
+        match self {
+            SolverState::Dense(d) => d.max_abs_u(),
+            SolverState::Sparse(s) => s.max_abs_u(),
         }
     }
 
@@ -1621,8 +1808,16 @@ mod tests {
         // Norms of the stamped matrix, and a sane pivot growth.
         assert!((sys.inf_norm() - 5.0).abs() < 1e-15);
         assert!((sys.one_norm() - 5.0).abs() < 1e-15);
-        let growth = sys.pivot_growth();
+        assert_eq!(sys.max_abs(), 4.0);
+        let growth = sys.max_abs_u().expect("factored") / sys.max_abs();
         assert!(growth.is_finite() && growth > 0.0, "growth {growth}");
+
+        // The fused pass measures the same system.
+        let mut resid = vec![0.0; 3];
+        let scan = sys.residual_scan(&b, &x, &mut resid);
+        assert_eq!(scan.a_inf, sys.inf_norm());
+        assert_eq!(scan.a_max, 4.0);
+        assert!(scan.finite && scan.backward_error() < 1e-15, "{scan:?}");
     }
 
     #[test]
@@ -1651,13 +1846,113 @@ mod tests {
         d.add(0, 0, 1.0);
         let mut s = SparseLu::with_dim(2);
         s.add(0, 0, 1.0);
-        assert_eq!(d.pivot_growth(), 1.0);
-        assert_eq!(s.pivot_growth(), 1.0);
+        assert_eq!(d.max_abs_u(), None);
+        assert_eq!(s.max_abs_u(), None);
         let mut out = Vec::new();
         d.resolve_into(&[1.0, 2.0], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
         s.solve_transposed_into(&[1.0, 2.0], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn failed_dense_factorization_stays_unfactored() {
+        let mut d = DenseLu::with_dim(2);
+        d.add(0, 0, 2.0);
+        d.add(1, 1, 4.0);
+        let mut x = Vec::new();
+        d.solve_into(&[2.0, 4.0], &mut x, &tele()).unwrap();
+        assert_eq!(d.max_abs_u(), Some(4.0));
+        // A singular restamp fails after `perm` was filled and the first
+        // column eliminated: neither those half-built factors nor the
+        // previous solve's `|U|` maximum may stay readable.
+        d.clear();
+        d.add(0, 0, 1.0);
+        d.add(0, 1, 2.0);
+        d.add(1, 0, 2.0);
+        d.add(1, 1, 4.0);
+        assert!(matches!(
+            d.solve_into(&[1.0, 2.0], &mut x, &tele()),
+            Err(SpiceError::SingularMatrix { .. })
+        ));
+        assert_eq!(d.max_abs_u(), None);
+        let mut out = vec![9.0];
+        d.resolve_into(&[1.0, 2.0], &mut out);
+        assert_eq!(out, vec![0.0, 0.0]);
+        d.solve_transposed_into(&[1.0, 2.0], &mut out);
+        assert_eq!(out, vec![0.0, 0.0]);
+    }
+
+    /// Deterministic pseudo-random entries for the factor-scan oracles:
+    /// a dominant diagonal plus `per_row` random couplings per row.
+    fn random_entries(n: usize, per_row: usize, seed: u64) -> Vec<(usize, usize, f64)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let mut entries = Vec::new();
+        for r in 0..n {
+            entries.push((r, r, 0.5 + next().abs()));
+            for _ in 0..per_row {
+                let c = ((next().abs() * n as f64) as usize).min(n - 1);
+                entries.push((r, c, 2.0 * next()));
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn dense_u_max_equals_a_full_scan_of_u() {
+        for (n, seed) in [(1usize, 1u64), (5, 2), (17, 3), (40, 4)] {
+            let mut d = DenseLu::with_dim(n);
+            for (r, c, v) in random_entries(n, 3, seed) {
+                d.add(r, c, v);
+            }
+            let b: Vec<f64> = (0..n).map(|i| i as f64 - 2.0).collect();
+            let mut x = Vec::new();
+            d.solve_into(&b, &mut x, &tele()).unwrap();
+            let mut scan = 0.0f64;
+            for (k, &p) in d.perm.iter().enumerate() {
+                for c in k..n {
+                    scan = scan.max(d.lu.get(p, c).abs());
+                }
+            }
+            assert_eq!(d.max_abs_u().map(f64::to_bits), Some(scan.to_bits()));
+        }
+    }
+
+    #[test]
+    fn sparse_u_max_equals_a_scan_of_the_factors() {
+        for (n, seed) in [(1usize, 5u64), (6, 6), (40, 7), (90, 8)] {
+            for parallel in [false, true] {
+                let mut s = SparseLu::with_dim(n).with_parallel_blocks(parallel);
+                let entries = random_entries(n, 2, seed);
+                let b: Vec<f64> = (0..n).map(|i| 1.0 - i as f64).collect();
+                let mut x = Vec::new();
+                // Fresh factorization, then two numeric refactorizations
+                // on scaled values.
+                for scale in [1.0, 3.0, 0.25] {
+                    s.clear();
+                    for &(r, c, v) in &entries {
+                        s.add(r, c, v * scale);
+                    }
+                    s.solve_into(&b, &mut x, &tele()).unwrap();
+                    let scan = s
+                        .udiag
+                        .iter()
+                        .chain(&s.ux)
+                        .fold(0.0f64, |m, &v| m.max(v.abs()));
+                    assert_eq!(
+                        s.max_abs_u().map(f64::to_bits),
+                        Some(scan.to_bits()),
+                        "n={n} parallel={parallel} scale={scale}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,13 @@
 
 use ferrocim_spice::chaos::{corrupt_checkpoint, FileFault};
 use ferrocim_spice::{
-    certify_solution, Budget, DenseLu, HealthPolicy, LinearSystem, McError, MonteCarlo, SparseLu,
-    Telemetry,
+    certify_solution, Budget, DenseLu, HealthPolicy, LinearSystem, Matrix, McError, MonteCarlo,
+    SparseLu, Telemetry,
 };
+use ferrocim_telemetry::SolverBackend;
 use proptest::prelude::*;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,8 +50,217 @@ fn stamp_dominant(system: &mut dyn LinearSystem, n: usize, off: &[f64], boost: f
     }
 }
 
+/// A value that poisons a system: NaN or an infinity.
+const POISON: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// A random finite value over twelve decades, zero one time in ten.
+fn random_value(rng: &mut StdRng) -> f64 {
+    if rng.random_bool(0.1) {
+        return 0.0;
+    }
+    let mag = 10f64.powi(rng.random_range(-6i32..6));
+    (rng.random::<f64>() * 2.0 - 1.0) * mag
+}
+
+/// The reference backward error of `x`: the certification formula
+/// written out over the full-scan oracle primitives (`matvec_into`,
+/// `inf_norm`). Returns it with the raw residual `b − A·x`.
+fn reference_backward_error(
+    system: &mut dyn LinearSystem,
+    b: &[f64],
+    x: &[f64],
+) -> (f64, Vec<f64>) {
+    let mut resid = vec![0.0; system.dim()];
+    system.matvec_into(x, &mut resid);
+    let mut rmax = 0.0f64;
+    for (rk, &bk) in resid.iter_mut().zip(b) {
+        *rk = bk - *rk;
+        rmax = rmax.max(rk.abs());
+    }
+    let xmax = x.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+    let bmax = b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+    let be = if resid.iter().any(|v| !v.is_finite()) || !xmax.is_finite() {
+        f64::INFINITY
+    } else {
+        let scale = system.inf_norm() * xmax + bmax;
+        match (scale == 0.0, rmax == 0.0) {
+            (true, true) => 0.0,
+            (true, false) => f64::INFINITY,
+            (false, _) => rmax / scale,
+        }
+    };
+    (be, resid)
+}
+
+fn abs_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|a| a.abs().to_bits()).collect()
+}
+
+/// Checks one fused certification pass of `x` against the full-scan
+/// oracle, bit for bit.
+fn check_scan(
+    system: &mut dyn LinearSystem,
+    b: &[f64],
+    x: &[f64],
+    label: &str,
+) -> Result<(), proptest::TestCaseError> {
+    let backend = system.backend();
+    let mut resid = vec![0.0; system.dim()];
+    let scan = system.residual_scan(b, x, &mut resid);
+    let (want_be, want_resid) = reference_backward_error(system, b, x);
+    prop_assert_eq!(
+        scan.backward_error().to_bits(),
+        want_be.to_bits(),
+        "{:?} {}: backward error {} vs reference {}",
+        backend,
+        label,
+        scan.backward_error(),
+        want_be
+    );
+    prop_assert_eq!(
+        scan.a_inf.to_bits(),
+        system.inf_norm().to_bits(),
+        "{:?} {}: ‖A‖∞",
+        backend,
+        label
+    );
+    prop_assert_eq!(
+        scan.a_max.to_bits(),
+        system.max_abs().to_bits(),
+        "{:?} {}: max|a|",
+        backend,
+        label
+    );
+    // The dense pass does not form the products of a non-finite `x`
+    // (the residual is non-finite either way, and the verdict above is
+    // already ∞); everywhere else the residual matches up to the sign
+    // of exact zeros.
+    if x.iter().all(|v| v.is_finite()) || backend == SolverBackend::Sparse {
+        prop_assert_eq!(
+            abs_bits(&resid),
+            abs_bits(&want_resid),
+            "{:?} {}: |b − A·x|",
+            backend,
+            label
+        );
+    } else {
+        prop_assert!(!scan.finite, "{:?} {}: non-finite x", backend, label);
+    }
+    Ok(())
+}
+
+/// The pivot-growth numerator by a full scan of a reference dense
+/// factorization of the stamped entries, or `None` when it is singular.
+fn reference_u_max(entries: &[(usize, usize, f64)], b: &[f64]) -> Option<f64> {
+    let n = b.len();
+    let mut lu = Matrix::zeros(n);
+    for &(r, c, v) in entries {
+        lu.add(r, c, v);
+    }
+    let (mut rhs, mut perm, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    lu.solve_into(b, &mut rhs, &mut perm, &mut out).ok()?;
+    let mut u_max = 0.0f64;
+    for (k, &p) in perm.iter().enumerate() {
+        for c in k..n {
+            u_max = u_max.max(lu.get(p, c).abs());
+        }
+    }
+    Some(u_max)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused certification pass equals the full-scan oracle bit for
+    /// bit on both backends: random sparsity (including never-stamped
+    /// rows), repeated stamps, several assemblies on one system with a
+    /// new position appearing in the last, and NaN/±∞ poison in the
+    /// matrix, the right-hand side or `x`.
+    #[test]
+    fn fused_certification_pass_matches_the_full_scan_oracle(
+        n in 1usize..41,
+        density in 0.02f64..1.0,
+        rounds in 2usize..5,
+        poison in 0usize..7,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let zero_row = rng.random_range(0..n + 2);
+        let mut pattern = Vec::new();
+        for r in (0..n).filter(|&r| r != zero_row) {
+            pattern.push((r, r));
+            for c in 0..n {
+                if c != r && rng.random_bool(density) {
+                    pattern.push((r, c));
+                }
+            }
+        }
+        let fresh = (0..n * n)
+            .map(|p| (p / n, p % n))
+            .find(|rc| !pattern.contains(rc));
+        let tele = Telemetry::off();
+        let policy = HealthPolicy::default();
+        let mut dense = DenseLu::with_dim(n);
+        let mut sparse = SparseLu::with_dim(n);
+        for round in 0..rounds {
+            let last = round + 1 == rounds;
+            let mut entries: Vec<(usize, usize, f64)> = pattern
+                .iter()
+                .map(|&(r, c)| {
+                    let v = random_value(&mut rng);
+                    (r, c, if r == c { v + 4.0 * v.signum() } else { v })
+                })
+                .collect();
+            if !entries.is_empty() {
+                // MNA stamps one position more than once.
+                let (r, c, _) = entries[rng.random_range(0..entries.len())];
+                entries.push((r, c, random_value(&mut rng)));
+            }
+            if let (true, Some((r, c))) = (last, fresh) {
+                entries.push((r, c, random_value(&mut rng)));
+            }
+            let mut b: Vec<f64> = (0..n).map(|_| random_value(&mut rng)).collect();
+            let mut x: Vec<f64> = (0..n).map(|_| random_value(&mut rng)).collect();
+            if last && poison > 0 {
+                let value = POISON[poison % 3];
+                match poison {
+                    1..=3 if !entries.is_empty() => {
+                        let at = rng.random_range(0..entries.len());
+                        entries[at].2 = value;
+                    }
+                    4 | 5 => b[rng.random_range(0..n)] = value,
+                    _ => x[rng.random_range(0..n)] = value,
+                }
+            }
+            for system in [&mut dense as &mut dyn LinearSystem, &mut sparse] {
+                system.clear();
+                for &(r, c, v) in &entries {
+                    system.add(r, c, v);
+                }
+                let mut solved = Vec::new();
+                let factored = system.solve_into(&b, &mut solved, &tele).is_ok();
+                check_scan(system, &b, &x, "random x")?;
+                if !factored {
+                    prop_assert_eq!(system.max_abs_u(), None);
+                    continue;
+                }
+                check_scan(system, &b, &solved, "solution")?;
+                let u_max = system.max_abs_u().expect("factored");
+                if system.backend() == SolverBackend::Dense {
+                    prop_assert_eq!(
+                        reference_u_max(&entries, &b).map(f64::to_bits),
+                        Some(u_max.to_bits()),
+                        "dense max|U|"
+                    );
+                }
+                if let Ok(quality) = certify_solution(system, &b, &mut solved, &policy) {
+                    let a_max = system.max_abs();
+                    let growth = if a_max > 0.0 { u_max / a_max } else { 1.0 };
+                    prop_assert_eq!(quality.pivot_growth.to_bits(), growth.to_bits());
+                }
+            }
+        }
+    }
 
     /// Any single truncation or garbage byte in a checkpoint file is
     /// answered with `McError::CorruptCheckpoint` — never an I/O error,
