@@ -98,7 +98,7 @@ fn time_dense_row() -> Result<DenseRowOverhead, Box<dyn std::error::Error>> {
     let cells = ArrayConfig::paper_default().cells_per_row;
     let (_, unknowns) = wide_row_readout(cells)?;
     let block = |health: HealthPolicy| -> Result<(), CimError> {
-        (0..ROW_BLOCK).try_for_each(|_| paper_row_mac(health).map(drop))
+        (0..ROW_BLOCK).try_for_each(|_| paper_row_mac(health, &mut Workspace::new()).map(drop))
     };
     let timing = paired_overhead(
         REPS,

@@ -9,13 +9,16 @@
 //! cubic cost stops being worth timing; the sweep tops out with a
 //! sparse-only 512-cell row plus one end-to-end 512-cell transient MAC
 //! whose factor counters demonstrate the single symbolic analysis being
-//! reused across every Newton iteration. Dumps
+//! reused across every Newton iteration. One more row times the
+//! paper-default 8-cell transient MAC ([`paper_row_mac`], the circuit
+//! of every live solve) on both backends, ungated. Dumps
 //! `results/probe_sparse.json`.
 
-use ferrocim_bench::schema::{LargeRowMac, SparseProbe, SparseWidthPoint};
+use ferrocim_bench::schema::{LargeRowMac, PaperRowMac, SparseProbe, SparseWidthPoint};
 use ferrocim_bench::timing::best_of;
-use ferrocim_bench::{dump_json, print_table, wide_row_mac, wide_row_readout};
-use ferrocim_spice::{Circuit, DcAnalysis, NodeId, SolverConfig, Workspace};
+use ferrocim_bench::{dump_json, paper_row_mac, print_table, wide_row_mac, wide_row_readout};
+use ferrocim_cim::{ArrayConfig, CimError};
+use ferrocim_spice::{Circuit, DcAnalysis, HealthPolicy, NodeId, SolverConfig, Workspace};
 use std::time::Instant;
 
 /// Row widths swept, from the paper's array to a VGG-scale layer row.
@@ -27,6 +30,34 @@ const DENSE_LIMIT: usize = 256;
 
 /// Max-norm node-voltage disagreement tolerated between the backends.
 const PARITY_BOUND: f64 = 1e-10;
+
+/// Timed repetitions of the paper-default row MAC per backend.
+const ROW_REPS: usize = 15;
+
+/// Times the paper-default row's transient MAC on a fresh workspace
+/// per MAC (as a live request runs it), best of [`ROW_REPS`] per
+/// backend, interleaving the backends rep by rep.
+fn time_paper_row() -> Result<PaperRowMac, Box<dyn std::error::Error>> {
+    let cells = ArrayConfig::paper_default().cells_per_row;
+    let (_, unknowns) = wide_row_readout(cells)?;
+    let mac = |config| -> Result<f64, CimError> {
+        let start = Instant::now();
+        paper_row_mac(HealthPolicy::default(), &mut Workspace::with_solver(config))?;
+        Ok(start.elapsed().as_secs_f64() * 1e6)
+    };
+    let (mut dense_us, mut sparse_us) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROW_REPS {
+        dense_us = dense_us.min(mac(SolverConfig::dense())?);
+        sparse_us = sparse_us.min(mac(SolverConfig::sparse())?);
+    }
+    Ok(PaperRowMac {
+        cells_per_row: cells,
+        unknowns,
+        dense_us_per_mac: dense_us,
+        sparse_us_per_mac: sparse_us,
+        speedup: dense_us / sparse_us,
+    })
+}
 
 /// Every distinct node referenced by the circuit's elements (ground
 /// excluded), for the parity comparison.
@@ -124,8 +155,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.expected,
     );
 
+    let paper_row = time_paper_row()?;
+    println!(
+        "\n{}-cell transient MAC ({} unknowns, fresh workspace per MAC, best of {ROW_REPS}): \
+         dense {:.0} us, sparse {:.0} us, speedup {:.2}x",
+        paper_row.cells_per_row,
+        paper_row.unknowns,
+        paper_row.dense_us_per_mac,
+        paper_row.sparse_us_per_mac,
+        paper_row.speedup,
+    );
+
     let probe = SparseProbe {
         widths,
+        paper_row,
         parity_bound: PARITY_BOUND,
         parity_ok,
         large_row: LargeRowMac {

@@ -292,11 +292,32 @@ pub struct LargeRowMac {
     pub numeric_factorizations: u64,
 }
 
+/// The paper-default row's transient MAC timed on both backends, in
+/// `results/probe_sparse.json`: where the backend crossover sits for
+/// the circuit every live solve simulates.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PaperRowMac {
+    /// Cells in the row (the paper's 8).
+    pub cells_per_row: usize,
+    /// MNA unknowns of the row netlist.
+    pub unknowns: usize,
+    /// Best wall clock of one MAC on a fresh dense workspace, in
+    /// microseconds.
+    pub dense_us_per_mac: f64,
+    /// Best wall clock of one MAC on a fresh sparse workspace, in
+    /// microseconds.
+    pub sparse_us_per_mac: f64,
+    /// Dense-to-sparse ratio (`> 1` = sparse faster).
+    pub speedup: f64,
+}
+
 /// Root of `results/probe_sparse.json` (single object).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SparseProbe {
     /// Dense-vs-sparse samples over the row-width sweep.
     pub widths: Vec<SparseWidthPoint>,
+    /// The paper-default row's transient MAC on both backends.
+    pub paper_row: PaperRowMac,
     /// The parity bound every `max_delta_v` is checked against.
     pub parity_bound: f64,
     /// Whether every measured `max_delta_v` stayed within the bound.

@@ -43,21 +43,23 @@ fn mid_scale_operands(cells: usize) -> (Vec<bool>, Vec<bool>) {
     mac_operands(cells, cells / 2 + 1)
 }
 
-/// The paper-default row's mid-scale transient MAC (8 cells, solved
-/// with the dense LU) with every Newton solve certified under
-/// `health`: the dense row `probe_health` times certification on.
+/// The paper-default row's mid-scale transient MAC at 27 °C (8 cells,
+/// 37 unknowns) in `ws`, with every Newton solve certified under
+/// `health`: the dense row `probe_health` times certification on, and
+/// the row `probe_sparse` times on both backends (a fresh
+/// `Workspace::new()` solves it with the dense LU).
 ///
 /// # Errors
 ///
 /// Returns the MAC's error.
-pub fn paper_row_mac(health: HealthPolicy) -> Result<MacOutput, CimError> {
+pub fn paper_row_mac(health: HealthPolicy, ws: &mut Workspace) -> Result<MacOutput, CimError> {
     let cells = ArrayConfig::paper_default().cells_per_row;
     let array = wide_row(cells)?.with_context(RunContext {
         health,
         ..RunContext::default()
     });
     let (weights, inputs) = mid_scale_operands(cells);
-    array.run(&MacRequest::new(&inputs).weights(&weights))
+    array.run_in(&MacRequest::new(&inputs).weights(&weights), ws)
 }
 
 /// The mid-scale readout netlist of a `cells`-wide row and its MNA

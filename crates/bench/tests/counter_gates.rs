@@ -10,11 +10,14 @@
 //! a change in solver work: a broken deduplication, a looser step
 //! control, a lost symbolic-analysis reuse.
 
-use ferrocim_bench::{adaptive_probe, certification_refusal, fault_sweep, wide_row_mac};
+use ferrocim_bench::{
+    adaptive_probe, certification_refusal, fault_sweep, paper_row_mac, wide_row_mac,
+};
 use ferrocim_cim::cells::{OneFefetOneR, TwoTransistorOneFefet};
 use ferrocim_cim::metrics::{EnergyReport, RangeTable};
 use ferrocim_cim::{mac_operands, ArrayConfig, ArrayEngine, CimArray};
 use ferrocim_spice::sweep::temperature_sweep;
+use ferrocim_spice::{HealthPolicy, Workspace};
 use ferrocim_telemetry::{Aggregator, Telemetry};
 use ferrocim_traceview::extract_metrics;
 use ferrocim_units::Celsius;
@@ -179,4 +182,16 @@ fn certification_refusal_walks_the_ladders() {
             ("solves_degraded", 3),
         ],
     );
+}
+
+/// The paper-default 8-cell transient MAC at 27 °C on the dense LU:
+/// every solve that can show it picks the same pivots as the last full
+/// factorization replays that factorization's plan, so full
+/// factorizations run only where the stamped pattern grows or a pivot
+/// choice changes.
+#[test]
+fn paper_row_dense_mac_replays_its_pivot_sequence() {
+    let mut ws = Workspace::new();
+    paper_row_mac(HealthPolicy::default(), &mut ws).expect("the MAC runs");
+    assert_eq!(ws.dense_factor_counts(), Some((9, 1008)));
 }

@@ -78,3 +78,16 @@ fn every_results_artifact_matches_its_schema() {
         "expected at least the 15 known artifacts, validated {validated}"
     );
 }
+
+/// `probe_sparse` times the circuit every live solve simulates: the
+/// paper-default 8-cell row (37 unknowns), on both backends.
+#[test]
+fn probe_sparse_times_the_paper_default_row() {
+    let path = results_dir().join("probe_sparse.json");
+    let text = std::fs::read_to_string(&path).expect("probe_sparse.json is checked in");
+    let probe: SparseProbe = serde_json::from_str(&text).expect("probe_sparse.json parses");
+    let row = probe.paper_row;
+    assert_eq!((row.cells_per_row, row.unknowns), (8, 37));
+    assert!(row.dense_us_per_mac > 0.0 && row.sparse_us_per_mac > 0.0);
+    assert_eq!(row.speedup, row.dense_us_per_mac / row.sparse_us_per_mac);
+}

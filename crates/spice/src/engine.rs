@@ -97,11 +97,6 @@ impl Workspace {
         self.size
     }
 
-    /// The solver configuration backends are selected from.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.config
-    }
-
     /// Changes the solver configuration. The backend is rebuilt on the
     /// next solve if the new configuration selects differently; a
     /// matching configuration is a no-op, preserving any sparse
@@ -129,6 +124,16 @@ impl Workspace {
         self.system
             .as_sparse()
             .map(|s| (s.symbolic_analyses(), s.numeric_factorizations()))
+    }
+
+    /// Full / replayed factorization counts of the dense backend, or
+    /// `None` while the sparse backend is active. On a fixed stamped
+    /// pattern the first count grows only when a replay cannot confirm
+    /// the last full factorization's pivot choices.
+    pub fn dense_factor_counts(&self) -> Option<(u64, u64)> {
+        self.system
+            .as_dense()
+            .map(|d| (d.full_factorizations(), d.replayed_factorizations()))
     }
 
     /// Reshapes the buffers for an `n`-unknown system, rebuilding the

@@ -1,15 +1,23 @@
 //! Dense linear algebra for the MNA system.
 //!
 //! This is the dense backend behind [`crate::LinearSystem`]: an LU
-//! factorization with partial pivoting that wins below roughly
-//! [`crate::SolverConfig::AUTO_SPARSE_THRESHOLD`] unknowns (an 8-cell
-//! CIM row is ≈ 30), where its tight loops beat the sparse machinery's
-//! bookkeeping. Larger systems — wide CIM rows, whole arrays — go to
-//! the KLU-style [`crate::SparseLu`], which this O(n³) kernel cannot
-//! touch. Both `solve_destructive` and `solve_into` share the single
-//! factorization core in [`Matrix::solve_into`].
+//! factorization with partial pivoting, used below
+//! [`crate::SolverConfig::AUTO_SPARSE_THRESHOLD`] unknowns (the
+//! paper's 8-cell CIM row has 37). Its n² pivot scans and updates
+//! alone would lose to the sparse LU even there; what keeps the dense
+//! backend ahead is [`crate::DenseLu`]'s replay of the last pivot
+//! sequence over the positions the stamps and their fill can reach.
+//! [`Matrix::solve_into`] is the full factorization: the replay's
+//! fallback and the reference its tests compare against. Larger
+//! systems — wide CIM rows, whole arrays — go to the KLU-style
+//! [`crate::SparseLu`]. Both `solve_destructive` and `solve_into`
+//! share the single factorization core in [`Matrix::solve_into`].
 
 use crate::SpiceError;
+
+/// The smallest pivot magnitude the dense LU accepts; a column whose
+/// best pivot is smaller (or non-finite) is reported singular.
+pub(crate) const MIN_PIVOT: f64 = 1e-300;
 
 /// One step of a running maximum of magnitudes that starts at `0.0`:
 /// `max(m, a)` for `a ≥ 0`, skipping a NaN `a` exactly as `f64::max`
@@ -133,6 +141,12 @@ impl Matrix {
         &self.data[r * self.n..(r + 1) * self.n]
     }
 
+    /// Every entry, row-major, writable.
+    #[inline]
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Solves `self · x = b` in place via LU with partial pivoting,
     /// destroying the matrix. Returns the solution vector.
     ///
@@ -195,7 +209,7 @@ impl Matrix {
                     pivot_row = r;
                 }
             }
-            if pivot_val < 1e-300 || !pivot_val.is_finite() {
+            if pivot_val < MIN_PIVOT || !pivot_val.is_finite() {
                 return Err(SpiceError::SingularMatrix { row: col });
             }
             perm.swap(col, pivot_row);

@@ -5,8 +5,14 @@
 //! implement it:
 //!
 //! * [`DenseLu`] — the original dense LU with partial pivoting
-//!   ([`crate::Matrix`]), still the fastest option for the
-//!   tens-of-unknowns circuits of a single cell or a short row.
+//!   ([`crate::Matrix`]). After a full factorization it replays that
+//!   pivot sequence on the next solves, touching only the positions the
+//!   stamps and their fill can reach, and falls back to the full
+//!   factorization whenever it cannot show the pivots would be the
+//!   same. The replay is what makes it the faster backend for a single
+//!   cell or a row of up to about 12 cells (≈ 50 unknowns): a full
+//!   dense factorization of the paper's 8-cell row (37 unknowns) loses
+//!   to [`SparseLu`].
 //! * [`SparseLu`] — a KLU-style sparse LU (Gilbert–Peierls
 //!   left-looking factorization). The expensive *symbolic* work — a
 //!   fill-reducing column ordering plus the pivot sequence and the
@@ -31,12 +37,11 @@
 //! [`SolverConfig`] selects the backend. The default
 //! [`SolverKind::Auto`] picks dense below
 //! [`SolverConfig::AUTO_SPARSE_THRESHOLD`] unknowns and sparse at or
-//! above it, which is where the O(n³) dense factorization starts losing
-//! to the near-linear sparse path on MNA matrices (a handful of
-//! nonzeros per row).
+//! above it; that constant's documentation gives the measured
+//! crossover, which lies below it.
 
 use crate::health::ResidualScan;
-use crate::linear::{max_mag, Matrix};
+use crate::linear::{max_mag, Matrix, MIN_PIVOT};
 use crate::SpiceError;
 use ferrocim_telemetry::{SolverBackend, Telemetry};
 use std::collections::HashMap;
@@ -98,9 +103,15 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// System size (unknowns) at which [`SolverKind::Auto`] switches
-    /// from dense to sparse. Calibrated with `probe_sparse`: on MNA
-    /// matrices the sparse path wins from roughly a 32-cell row
-    /// (~100 unknowns) upward.
+    /// from dense to sparse. Measured on a 2-vCPU host: `probe_sparse`
+    /// times the paper's 8-cell row (37 unknowns) at ≈ 4.0 ms per
+    /// transient MAC dense against ≈ 4.3 ms sparse, thanks to
+    /// [`DenseLu`]'s pivot-sequence replay. A one-off timing of the
+    /// same MAC (fresh workspace per MAC, best of 10) on 12-, 16- and
+    /// 24-cell rows read ≈ 1.05×, 1.3× and 1.8× faster sparse, so the
+    /// crossover sits near a 12-cell row (53 unknowns) and this
+    /// threshold, at roughly a 24-cell row, lies above it. Moving it
+    /// would move the bits of every row solved in between.
     pub const AUTO_SPARSE_THRESHOLD: usize = 100;
 
     /// Size-based automatic selection (the default).
@@ -275,15 +286,22 @@ fn subtract_from(b: &[f64], resid: &mut [f64]) -> (f64, bool) {
 
 /// The dense LU backend: the original [`Matrix`] factorization plus its
 /// permutation/RHS scratch, behind the [`LinearSystem`] trait. Results
-/// are bitwise identical to the historical `Matrix::solve_into` path —
-/// same elimination sequence, same buffers. The stamped matrix `m` is
-/// copied into `lu` before factoring, so the assembled values survive
-/// the solve for residual checks and refinement re-solves.
+/// are bitwise identical to the historical `Matrix::solve_into` path
+/// (up to the sign of exact zeros) — same pivots, same elimination
+/// arithmetic. The stamped matrix `m` is copied into `lu` before
+/// factoring, so the assembled values survive the solve for residual
+/// checks and refinement re-solves.
 ///
 /// [`DenseLu::add`] also notes each position it touches for the first
 /// time in a bitset; the certification pass reads only those positions,
 /// through per-row column lists rebuilt from the bitset when it has
 /// grown. Like [`SparseLu`]'s pattern, it grows and never shrinks.
+///
+/// After each full factorization a replay plan records where that
+/// pivot sequence can produce nonzeros, and the next solves replay it:
+/// they eliminate and back-substitute only there, and fall back to the
+/// full factorization whenever the replay cannot show that it makes the
+/// same pivot choices (DESIGN §14).
 #[derive(Debug, Clone, Default)]
 pub struct DenseLu {
     m: Matrix,
@@ -301,6 +319,118 @@ pub struct DenseLu {
     pattern_cols: Vec<usize>,
     /// Whether `stamped` gained a position since the lists were built.
     pattern_stale: bool,
+    /// The structure of the pivot sequence in `perm`, built after the
+    /// last successful full factorization. `None` before one, after a
+    /// failed one, and once a new position has been stamped.
+    plan: Option<ReplayPlan>,
+    /// Full factorizations run (`Matrix::solve_into`, failed ones too).
+    full_count: u64,
+    /// Solves that replayed the plan instead.
+    replay_count: u64,
+}
+
+/// Where one pivot sequence of a dense LU can produce nonzeros.
+///
+/// Built from the stamped pattern and the permutation of a full
+/// factorization by symbolic elimination: at step `k`, every row still
+/// below the pivot row `perm[k]` with a (stamped or filled) entry in
+/// column `k` gains the pivot row's columns right of `k`. Under that
+/// pivot sequence every other position of the factors holds `±0`.
+#[derive(Debug, Clone, Default)]
+struct ReplayPlan {
+    /// Columns of row `r` in the filled pattern (stamped plus fill),
+    /// ascending: `cols[ptr[r]..ptr[r + 1]]`.
+    ptr: Vec<usize>,
+    cols: Vec<u32>,
+    /// Index into `cols` of step `k`'s pivot `(perm[k], k)`; the pivot
+    /// row's `U` tail follows it up to the end of that row.
+    diag: Vec<usize>,
+    /// Rows below step `k`'s pivot with an entry in column `k`:
+    /// `below[below_ptr[k]..below_ptr[k + 1]]`.
+    below_ptr: Vec<usize>,
+    below: Vec<u32>,
+}
+
+impl ReplayPlan {
+    /// The plan of pivot sequence `perm` over the stamped pattern
+    /// (per-row ascending columns), or `None` if a pivot position is
+    /// not in the filled pattern — which no successful factorization
+    /// of that pattern produces.
+    fn build(perm: &[usize], pattern_ptr: &[usize], pattern_cols: &[usize]) -> Option<ReplayPlan> {
+        let n = perm.len();
+        let words = n.div_ceil(64);
+        // Row-aligned bitset of the filled pattern, grown step by step.
+        let mut bits = vec![0u64; n * words];
+        for r in 0..n {
+            for &c in &pattern_cols[pattern_ptr[r]..pattern_ptr[r + 1]] {
+                bits[r * words + c / 64] |= 1 << (c % 64);
+            }
+        }
+        let mut pivot_row = vec![0u64; words];
+        let mut plan = ReplayPlan {
+            below_ptr: Vec::with_capacity(n + 1),
+            diag: Vec::with_capacity(n),
+            ..ReplayPlan::default()
+        };
+        plan.below_ptr.push(0);
+        for k in 0..n {
+            let p = perm[k];
+            // The pivot row's columns right of `k`.
+            let first = (k + 1) / 64;
+            pivot_row[first..].copy_from_slice(&bits[p * words + first..(p + 1) * words]);
+            if first < words {
+                pivot_row[first] &= !0u64 << ((k + 1) % 64);
+            }
+            for &r in &perm[k + 1..] {
+                let row = &mut bits[r * words..(r + 1) * words];
+                if row[k / 64] >> (k % 64) & 1 == 1 {
+                    plan.below.push(r as u32);
+                    for (w, &pw) in row[first..].iter_mut().zip(&pivot_row[first..]) {
+                        *w |= pw;
+                    }
+                }
+            }
+            plan.below_ptr.push(plan.below.len());
+        }
+        plan.ptr.reserve(n + 1);
+        plan.ptr.push(0);
+        for r in 0..n {
+            for (w, &word) in bits[r * words..(r + 1) * words].iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    plan.cols.push((w * 64) as u32 + word.trailing_zeros());
+                    word &= word - 1;
+                }
+            }
+            plan.ptr.push(plan.cols.len());
+        }
+        for (k, &p) in perm.iter().enumerate() {
+            let row = &plan.cols[plan.ptr[p]..plan.ptr[p + 1]];
+            let at = row.binary_search(&(k as u32)).ok()?;
+            plan.diag.push(plan.ptr[p] + at);
+        }
+        Some(plan)
+    }
+
+    /// The `U` tail of step `k`'s pivot row `p`: its columns right of
+    /// `k`, ascending.
+    #[inline]
+    fn tail(&self, k: usize, p: usize) -> &[u32] {
+        &self.cols[self.diag[k] + 1..self.ptr[p + 1]]
+    }
+}
+
+/// Row `p` read-only and row `r` writable, of a row-major `n`-column
+/// matrix (`p != r`).
+#[inline]
+fn row_pair(data: &mut [f64], n: usize, p: usize, r: usize) -> (&[f64], &mut [f64]) {
+    if p < r {
+        let (head, tail) = data.split_at_mut(r * n);
+        (&head[p * n..(p + 1) * n], &mut tail[..n])
+    } else {
+        let (head, tail) = data.split_at_mut(p * n);
+        (&tail[..n], &mut head[r * n..(r + 1) * n])
+    }
 }
 
 impl DenseLu {
@@ -318,9 +448,25 @@ impl DenseLu {
         d
     }
 
+    /// Full factorizations run so far, failed ones included. On a fixed
+    /// stamped pattern every other solve replays the last one's pivot
+    /// sequence, so this stays small while [`DenseLu::replayed_factorizations`]
+    /// grows with every Newton iteration.
+    pub fn full_factorizations(&self) -> u64 {
+        self.full_count
+    }
+
+    /// Solves that replayed the last full factorization's pivot
+    /// sequence.
+    pub fn replayed_factorizations(&self) -> u64 {
+        self.replay_count
+    }
+
     /// Rebuilds the per-row column lists from the bitset. Set bits come
     /// out in row-major order, so each row's columns are ascending —
-    /// the order the full-row sums of `Matrix` add them in.
+    /// the order the full-row sums of `Matrix` add them in. A grown
+    /// pattern also drops the replay plan: it does not cover the new
+    /// positions.
     fn sync_pattern(&mut self) {
         if !self.pattern_stale {
             return;
@@ -341,6 +487,73 @@ impl DenseLu {
         }
         self.pattern_ptr.resize(n + 1, self.pattern_cols.len());
         self.pattern_stale = false;
+        self.plan = None;
+    }
+
+    /// Refactors along the plan's pivot sequence and solves into `out`,
+    /// returning the largest `|U|`. Returns `None`, with `lu`, `rhs` and
+    /// `out` half-written, when there is no plan, when a planned pivot
+    /// is not strictly the largest magnitude of its column (ties and
+    /// NaN included) or not a usable pivot, or when the solution is not
+    /// finite: those solves must take the full factorization.
+    ///
+    /// With the pivot checks passed, the full factorization would pick
+    /// the same pivots — every row outside the plan holds `±0` in the
+    /// pivot column — and each multiplier is at most 1 in magnitude. A
+    /// finite multiplier times a `±0` entry outside the plan adds `±0`,
+    /// so skipping those updates changes at most the sign of exact
+    /// zeros. A finite solution rules out the `0·∞` products the full
+    /// back substitution would form with a non-finite `U` entry.
+    fn replay(&mut self, b: &[f64], out: &mut Vec<f64>) -> Option<f64> {
+        let plan = self.plan.as_ref()?;
+        let n = self.m.dim();
+        self.lu.copy_values_from(&self.m);
+        let lu = self.lu.values_mut();
+        let x = &mut self.rhs;
+        x.clear();
+        x.extend_from_slice(b);
+        for (k, &p) in self.perm.iter().enumerate() {
+            let pivot = lu[p * n + k];
+            let below = &plan.below[plan.below_ptr[k]..plan.below_ptr[k + 1]];
+            let pivot_abs = pivot.abs();
+            if pivot_abs < MIN_PIVOT
+                || !pivot_abs.is_finite()
+                || !below
+                    .iter()
+                    .all(|&r| lu[r as usize * n + k].abs() < pivot_abs)
+            {
+                return None;
+            }
+            let tail = plan.tail(k, p);
+            for &r in below {
+                let r = r as usize;
+                let (pivot_row, row) = row_pair(lu, n, p, r);
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                for &c in tail {
+                    row[c as usize] += -factor * pivot_row[c as usize];
+                }
+                x[r] -= factor * x[p];
+            }
+        }
+        out.clear();
+        out.resize(n, 0.0);
+        let mut u_max = 0.0f64;
+        for (k, &p) in self.perm.iter().enumerate().rev() {
+            let row = &lu[p * n..(p + 1) * n];
+            let mut sum = x[p];
+            for &c in plan.tail(k, p) {
+                let u = row[c as usize];
+                u_max = max_mag(u_max, u.abs());
+                sum -= u * out[c as usize];
+            }
+            u_max = max_mag(u_max, row[k].abs());
+            out[k] = sum / row[k];
+        }
+        out.iter().all(|v| v.is_finite()).then_some(u_max)
     }
 }
 
@@ -364,19 +577,33 @@ impl LinearSystem for DenseLu {
         self.m.add(row, col, value);
     }
 
+    /// Replays the plan when it can; otherwise runs the full
+    /// factorization on a fresh copy of the stamped matrix and plans
+    /// its pivot sequence for the next solves.
     fn solve_into(
         &mut self,
         b: &[f64],
         out: &mut Vec<f64>,
         _tele: &Telemetry,
     ) -> Result<SolveInfo, SpiceError> {
-        self.u_max = None;
-        self.lu.copy_values_from(&self.m);
-        self.u_max = Some(self.lu.solve_into(b, &mut self.rhs, &mut self.perm, out)?);
-        Ok(SolveInfo {
+        assert_eq!(b.len(), self.m.dim());
+        let info = SolveInfo {
             backend: SolverBackend::Dense,
             symbolic: false,
-        })
+        };
+        self.sync_pattern();
+        self.u_max = None;
+        if let Some(u_max) = self.replay(b, out) {
+            self.replay_count += 1;
+            self.u_max = Some(u_max);
+            return Ok(info);
+        }
+        self.full_count += 1;
+        self.plan = None;
+        self.lu.copy_values_from(&self.m);
+        self.u_max = Some(self.lu.solve_into(b, &mut self.rhs, &mut self.perm, out)?);
+        self.plan = ReplayPlan::build(&self.perm, &self.pattern_ptr, &self.pattern_cols);
+        Ok(info)
     }
 
     fn matvec_into(&mut self, x: &[f64], y: &mut [f64]) {
@@ -617,11 +844,6 @@ impl SparseLu {
     /// How many numeric factorizations have run (one per solve).
     pub fn numeric_factorizations(&self) -> u64 {
         self.numeric_count
-    }
-
-    /// Nonzero count of the stamped pattern.
-    pub fn pattern_nnz(&self) -> usize {
-        self.coords.len()
     }
 
     /// Discards the symbolic analysis, forcing the next solve to re-run
@@ -1341,13 +1563,13 @@ fn min_degree(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Vec<usize> {
 /// [`SolverConfig`] and the system size.
 #[derive(Debug, Clone)]
 pub(crate) enum SolverState {
-    Dense(DenseLu),
+    Dense(Box<DenseLu>),
     Sparse(Box<SparseLu>),
 }
 
 impl Default for SolverState {
     fn default() -> Self {
-        SolverState::Dense(DenseLu::default())
+        SolverState::Dense(Box::default())
     }
 }
 
@@ -1361,7 +1583,7 @@ impl SolverState {
                     .with_parallel_blocks(config.parallel_blocks),
             ))
         } else {
-            SolverState::Dense(DenseLu::with_dim(n))
+            SolverState::Dense(Box::new(DenseLu::with_dim(n)))
         }
     }
 
@@ -1383,6 +1605,14 @@ impl SolverState {
         match self {
             SolverState::Sparse(s) => Some(s),
             SolverState::Dense(_) => None,
+        }
+    }
+
+    /// The dense backend, when active (for tests and diagnostics).
+    pub(crate) fn as_dense(&self) -> Option<&DenseLu> {
+        match self {
+            SolverState::Dense(d) => Some(d),
+            SolverState::Sparse(_) => None,
         }
     }
 }
@@ -1902,6 +2132,42 @@ mod tests {
             }
         }
         entries
+    }
+
+    /// The replay on a system whose plan rows span three bitset words,
+    /// restamped with drifting values: every solve equals a full
+    /// factorization of the same stamps, and the plan is replayed.
+    #[test]
+    fn dense_replay_matches_the_full_lu_past_one_bitset_word() {
+        let n = 130;
+        let entries = random_entries(n, 3, 11);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let zero_signless = |v: &[f64]| -> Vec<u64> {
+            v.iter()
+                .map(|&a| if a == 0.0 { 0 } else { a.to_bits() })
+                .collect()
+        };
+        let mut d = DenseLu::with_dim(n);
+        for round in 0..4 {
+            let scale = 1.0 + 1e-3 * round as f64;
+            let mut reference = Matrix::zeros(n);
+            d.clear();
+            for &(r, c, v) in &entries {
+                let v = if r == c { v * scale } else { v };
+                reference.add(r, c, v);
+                d.add(r, c, v);
+            }
+            let mut x = Vec::new();
+            d.solve_into(&b, &mut x, &tele()).unwrap();
+            let (mut rhs, mut perm, mut want) = (Vec::new(), Vec::new(), Vec::new());
+            let u_max = reference
+                .solve_into(&b, &mut rhs, &mut perm, &mut want)
+                .unwrap();
+            assert_eq!(zero_signless(&x), zero_signless(&want), "round {round}");
+            assert_eq!(d.max_abs_u().map(f64::to_bits), Some(u_max.to_bits()));
+        }
+        assert_eq!(d.full_factorizations() + d.replayed_factorizations(), 4);
+        assert!(d.replayed_factorizations() >= 2, "the plan was replayed");
     }
 
     #[test]

@@ -168,6 +168,216 @@ fn reference_u_max(entries: &[(usize, usize, f64)], b: &[f64]) -> Option<f64> {
     Some(u_max)
 }
 
+/// One element of an MNA-like test system.
+#[derive(Debug, Clone, Copy)]
+enum Element {
+    /// A conductance between two unknowns: four stamps.
+    Conductance(usize, usize),
+    /// A conductance to ground: one diagonal stamp.
+    Leak(usize),
+    /// A voltage-source branch row `v` coupled to unknown `a`: two
+    /// stamps and no diagonal, so `v` can only be pivoted by row swaps.
+    Branch(usize, usize),
+    /// A transconductance: one stamp at `(row, col)`.
+    Transconductance(usize, usize),
+}
+
+impl Element {
+    fn stamp(self, value: f64, entries: &mut Vec<(usize, usize, f64)>) {
+        match self {
+            Element::Conductance(a, b) => {
+                entries.extend([(a, a, value), (b, b, value), (a, b, -value), (b, a, -value)])
+            }
+            Element::Leak(a) => entries.push((a, a, value)),
+            Element::Branch(v, a) => entries.extend([(v, a, value), (a, v, value)]),
+            Element::Transconductance(r, c) => entries.push((r, c, value)),
+        }
+    }
+}
+
+/// A random MNA-like element list over `n` unknowns: a leak on most
+/// node rows, random couplings, and the last `n / 5` unknowns as
+/// voltage-source branch rows.
+fn mna_elements(n: usize, density: f64, rng: &mut StdRng) -> Vec<Element> {
+    let nodes = n - n / 5;
+    let mut elements = Vec::new();
+    for a in 0..nodes {
+        if rng.random_bool(0.8) {
+            elements.push(Element::Leak(a));
+        }
+        for b in a + 1..nodes {
+            if rng.random_bool(density) {
+                elements.push(Element::Conductance(a, b));
+            }
+        }
+    }
+    for v in nodes..n {
+        elements.push(Element::Branch(v, rng.random_range(0..nodes)));
+    }
+    elements
+}
+
+/// Bits of `v` with every exact zero read as `+0.0` and every NaN as
+/// one NaN: what "bitwise equal up to the sign of exact zeros" compares.
+fn canonical_bits(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|&a| {
+            if a == 0.0 {
+                0
+            } else if a.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                a.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// How the values of one replay-test round differ from the last.
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    /// Every value moves by at most 0.05 %: the pivot order holds.
+    Drift,
+    /// Each branch takes its node's assembled diagonal, negated or
+    /// not: the two rows tie in that column.
+    Tie,
+    /// Fresh values: the pivot order may flip.
+    Jump,
+    /// One stamp or right-hand-side entry is NaN or ±∞.
+    Poison,
+    /// Every stamp of one row is zero.
+    Singular,
+}
+
+impl Change {
+    /// Drift three times as often as each other change.
+    const ALL: [Change; 7] = [
+        Change::Drift,
+        Change::Drift,
+        Change::Drift,
+        Change::Tie,
+        Change::Jump,
+        Change::Poison,
+        Change::Singular,
+    ];
+}
+
+/// Applies `change` to `values` (one per element; a jump also sizes
+/// them to `elements`) and returns the stamps, in element order, and a
+/// right-hand side.
+fn next_round(
+    change: Change,
+    n: usize,
+    elements: &[Element],
+    values: &mut Vec<f64>,
+    rng: &mut StdRng,
+) -> (Vec<(usize, usize, f64)>, Vec<f64>) {
+    let stamps = |values: &[f64]| {
+        let mut entries = Vec::new();
+        for (&e, &v) in elements.iter().zip(values) {
+            e.stamp(v, &mut entries);
+        }
+        entries
+    };
+    match change {
+        Change::Drift => {
+            for v in values.iter_mut() {
+                *v *= 1.0 + 1e-3 * (rng.random::<f64>() - 0.5);
+            }
+        }
+        Change::Tie => {
+            let entries = stamps(values);
+            for (&e, v) in elements.iter().zip(values.iter_mut()) {
+                if let Element::Branch(_, a) = e {
+                    let diagonal = entries
+                        .iter()
+                        .filter(|&&(r, c, _)| r == a && c == a)
+                        .fold(0.0, |sum, &(_, _, d)| sum + d);
+                    *v = if rng.random_bool(0.5) {
+                        diagonal
+                    } else {
+                        -diagonal
+                    };
+                }
+            }
+        }
+        _ => {
+            values.clear();
+            values.extend((0..elements.len()).map(|_| random_value(rng).abs() + 1e-3));
+        }
+    }
+    let mut entries = stamps(values);
+    let mut b: Vec<f64> = (0..n).map(|_| random_value(rng)).collect();
+    match change {
+        _ if entries.is_empty() => {}
+        Change::Poison => {
+            let value = POISON[rng.random_range(0..POISON.len())];
+            if rng.random_bool(0.5) {
+                let at = rng.random_range(0..entries.len());
+                entries[at].2 = value;
+            } else {
+                let at = rng.random_range(0..b.len());
+                b[at] = value;
+            }
+        }
+        Change::Singular => {
+            let row = entries[rng.random_range(0..entries.len())].0;
+            for entry in entries.iter_mut().filter(|e| e.0 == row) {
+                entry.2 = 0.0;
+            }
+        }
+        _ => {}
+    }
+    (entries, b)
+}
+
+/// Restamps `dense` with `entries`, solves, and compares everything the
+/// solve leaves behind with a full factorization of the same stamps.
+fn check_replay_round(
+    dense: &mut DenseLu,
+    entries: &[(usize, usize, f64)],
+    b: &[f64],
+    rng: &mut StdRng,
+) -> Result<(), String> {
+    let n = dense.dim();
+    let mut reference = Matrix::zeros(n);
+    dense.clear();
+    for &(r, c, v) in entries {
+        reference.add(r, c, v);
+        dense.add(r, c, v);
+    }
+    let (mut rhs, mut perm, mut want) = (Vec::new(), Vec::new(), Vec::new());
+    let want_u = reference.solve_into(b, &mut rhs, &mut perm, &mut want);
+    let mut got = Vec::new();
+    let got_err = dense.solve_into(b, &mut got, &Telemetry::off()).err();
+    let compare = |what: &str, got: &[f64], want: &[f64]| {
+        if canonical_bits(got) == canonical_bits(want) {
+            Ok(())
+        } else {
+            Err(format!("{what}: {got:?} vs {want:?}"))
+        }
+    };
+    if got_err.as_ref() != want_u.as_ref().err() {
+        return Err(format!("outcome {got_err:?} vs {want_u:?}"));
+    }
+    let want_u = want_u.ok();
+    if dense.max_abs_u().map(f64::to_bits) != want_u.map(f64::to_bits) {
+        return Err(format!("max|U| {:?} vs {want_u:?}", dense.max_abs_u()));
+    }
+    if want_u.is_none() {
+        return Ok(());
+    }
+    compare("x", &got, &want)?;
+    let c: Vec<f64> = (0..n).map(|_| random_value(rng)).collect();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    dense.resolve_into(&c, &mut got);
+    reference.solve_factored(&c, &perm, &mut rhs, &mut want);
+    compare("resolve", &got, &want)?;
+    dense.solve_transposed_into(&c, &mut got);
+    reference.solve_transposed_factored(&c, &perm, &mut rhs, &mut want);
+    compare("transposed solve", &got, &want)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -369,5 +579,57 @@ proptest! {
                 system.backend()
             );
         }
+    }
+
+    /// The dense LU's plan replay equals a full factorization of the
+    /// same stamps (`Matrix::solve_into` on a copy) bit for bit, up to
+    /// the sign of exact zeros: the result or error, `max|U|`, and
+    /// re-solves through the factors (`resolve_into`,
+    /// `solve_transposed_into`). One `DenseLu` solves MNA-like systems
+    /// over and over while the values drift (the pivot order holds),
+    /// tie, jump (it may flip), carry NaN or ±∞, or leave a row zero
+    /// (singular), and a new position is stamped part-way through.
+    #[test]
+    fn dense_plan_replay_matches_the_full_factorization(
+        n in 1usize..41,
+        density in 0.02f64..0.5,
+        rounds in 2usize..16,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut elements = mna_elements(n, density, &mut rng);
+        let mut values = Vec::new();
+        let grow_at = rng.random_range(1..rounds + 1);
+        let mut dense = DenseLu::with_dim(n);
+        for round in 0..rounds {
+            if round == grow_at {
+                // A position the pattern has never seen.
+                let mut stamped = Vec::new();
+                for &e in &elements {
+                    e.stamp(0.0, &mut stamped);
+                }
+                let fresh: Vec<usize> = (0..n * n)
+                    .filter(|&p| !stamped.iter().any(|&(r, c, _)| r * n + c == p))
+                    .collect();
+                if !fresh.is_empty() {
+                    let p = fresh[rng.random_range(0..fresh.len())];
+                    elements.push(Element::Transconductance(p / n, p % n));
+                }
+            }
+            let change = if round == 0 || values.len() < elements.len() {
+                Change::Jump
+            } else {
+                Change::ALL[rng.random_range(0..Change::ALL.len())]
+            };
+            let (entries, b) = next_round(change, n, &elements, &mut values, &mut rng);
+            check_replay_round(&mut dense, &entries, &b, &mut rng)
+                .map_err(|e| {
+                    proptest::TestCaseError::fail(format!("round {round} ({change:?}): {e}"))
+                })?;
+        }
+        prop_assert_eq!(
+            dense.full_factorizations() + dense.replayed_factorizations(),
+            rounds as u64
+        );
     }
 }
