@@ -250,24 +250,9 @@ impl MacRequest {
         &self.inputs
     }
 
-    /// The stored weights.
-    pub fn cell_weights(&self) -> &[CellWeight] {
-        &self.weights
-    }
-
     /// The simulation temperature.
     pub fn temperature(&self) -> Celsius {
         self.temp
-    }
-
-    /// The per-cell offsets, if any were set.
-    pub fn cell_offsets(&self) -> Option<&[CellOffsets]> {
-        self.offsets.as_deref()
-    }
-
-    /// The selected evaluation path.
-    pub fn mac_path(&self) -> MacPath {
-        self.path
     }
 }
 
@@ -359,11 +344,6 @@ impl<C: CellDesign> CimArray<C> {
     /// The installed per-column faults.
     pub fn faults(&self) -> &[Option<CellFault>] {
         &self.faults
-    }
-
-    /// True when at least one cell has an injected fault.
-    pub fn has_faults(&self) -> bool {
-        self.faults.iter().any(|f| f.is_some())
     }
 
     /// The weight cell `i` effectively stores, after stuck-at faults.

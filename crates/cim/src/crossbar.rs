@@ -10,13 +10,11 @@
 
 use crate::array::{CimArray, MacPath, MacRequest};
 use crate::cells::{CellDesign, CellWeight};
-use crate::engine::{fail_fast, settle};
+use crate::engine::{fail_fast, run_row_batch};
 use crate::fault::{CellFault, FaultPlan};
 use crate::transfer::Adc;
 use crate::CimError;
-use ferrocim_spice::{
-    try_fan_out, FailurePolicy, FanOutError, FanOutReport, JobError, RunContext, Workspace,
-};
+use ferrocim_spice::{FailurePolicy, FanOutError, FanOutReport, RunContext, Workspace};
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Celsius, Joule, Volt};
 use serde::{Deserialize, Serialize};
@@ -152,11 +150,6 @@ impl<C: CellDesign> Crossbar<C> {
         self.faults.row_faults(row)
     }
 
-    /// The number of rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The number of cells (columns) per row.
     pub fn columns(&self) -> usize {
         self.array.config().cells_per_row
@@ -289,37 +282,6 @@ impl<C: CellDesign> Crossbar<C> {
         fail_fast(self.try_matvec_batch(inputs, temp, &FailurePolicy::FailFast))
     }
 
-    /// Deduplicates the `inputs × rows` row-MAC jobs of the well-formed
-    /// inputs: two jobs collapse when their input vectors, stored
-    /// weights, and per-row faults all match. Returns the unique
-    /// `(input, row)` jobs and, for every original job in input-major
-    /// order, its unique-slot index (`None` for a malformed input).
-    fn dedupe_row_jobs(&self, inputs: &[Vec<bool>]) -> (Vec<(usize, usize)>, Vec<Option<usize>>) {
-        let row_faults: Vec<Vec<Option<CellFault>>> = (0..self.rows.len())
-            .map(|r| self.row_fault_vec(r))
-            .collect();
-        let mut unique: Vec<(usize, usize)> = Vec::new();
-        let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(inputs.len() * self.rows.len());
-        for i in 0..inputs.len() {
-            for r in 0..self.rows.len() {
-                if inputs[i].len() != self.columns() {
-                    slot_of.push(None);
-                    continue;
-                }
-                let found = unique.iter().position(|&(j, s)| {
-                    inputs[j] == inputs[i]
-                        && self.rows[s] == self.rows[r]
-                        && row_faults[s] == row_faults[r]
-                });
-                slot_of.push(Some(found.unwrap_or_else(|| {
-                    unique.push((i, r));
-                    unique.len() - 1
-                })));
-            }
-        }
-        (unique, slot_of)
-    }
-
     /// Fault-tolerant form of [`Crossbar::matvec_batch`]: each input
     /// vector is one job, which succeeds only when every one of its row
     /// MACs succeeds (failures include both typed errors and panics
@@ -341,78 +303,38 @@ impl<C: CellDesign> Crossbar<C> {
         temp: Celsius,
         policy: &FailurePolicy<MatVecOutput>,
     ) -> Result<FanOutReport<MatVecOutput, CimError>, FanOutError<CimError>> {
-        let malformed = |i: usize| CimError::MismatchedOperands {
-            weights: self.columns(),
-            inputs: inputs[i].len(),
-            cells_per_row: self.columns(),
-        };
-        // A malformed input is a failed job that is never scheduled;
-        // under FailFast it fails the batch before any solve, span,
-        // event or budget charge.
-        if matches!(policy, FailurePolicy::FailFast) {
-            if let Some(index) = inputs.iter().position(|x| x.len() != self.columns()) {
-                return Err(FanOutError::Job {
-                    index,
-                    error: JobError::Failed(malformed(index)),
-                });
-            }
-        }
-        let (unique, slot_of) = self.dedupe_row_jobs(inputs);
-        let job_count = (inputs.len() * self.rows.len()) as u64;
-        let solve_count = unique.len() as u64;
-        let ctx = self.array.context();
-        let batch_span = ctx.telemetry.span("cim.mac_batch");
-        let batch_id = batch_span.id();
-        ctx.telemetry.emit(|| Event::MacIssued {
-            jobs: job_count,
-            solves: solve_count,
-        });
-        let solved = try_fan_out(
-            unique.len(),
+        // Row MACs collapse when their input vectors, stored weights
+        // and per-row faults all match.
+        let row_faults: Vec<Vec<Option<CellFault>>> = (0..self.rows.len())
+            .map(|r| self.row_fault_vec(r))
+            .collect();
+        let jobs: Vec<(usize, usize)> = (0..inputs.len())
+            .flat_map(|i| (0..self.rows.len()).map(move |r| (i, r)))
+            .collect();
+        run_row_batch(
+            &self.array,
             true,
-            &FailurePolicy::SkipAndReport {
-                max_failures: usize::MAX,
-            },
+            inputs,
+            &jobs,
+            self.rows.len(),
+            |s: usize, r: usize| self.rows[s] == self.rows[r] && row_faults[s] == row_faults[r],
             Workspace::new,
-            |ws, u| {
-                let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
-                ctx.budget.check()?;
-                ctx.budget.charge_steps(1)?;
-                let (i, r) = unique[u];
-                let request = MacRequest::new(&inputs[i])
+            |ws, x, r| {
+                let request = MacRequest::new(x)
                     .weighted(&self.rows[r])
                     .at(temp)
                     .path(MacPath::Analytic);
                 self.row_array(r).run_in(&request, ws)
             },
-        )?;
-        // One *input vector* is one job from the policy's point of
-        // view: it succeeds only when all of its row MACs succeeded,
-        // and it fails with the first row failure otherwise.
-        let results: Vec<Result<MatVecOutput, JobError<CimError>>> = slot_of
-            .chunks(self.rows.len())
-            .enumerate()
-            .map(|(i, slots)| {
-                let mut digital = Vec::with_capacity(slots.len());
-                let mut analog = Vec::with_capacity(slots.len());
-                let mut energy = 0.0;
-                for &u in slots {
-                    let mac = match u {
-                        Some(u) => solved.results[u].as_ref().map_err(Clone::clone)?,
-                        None => return Err(JobError::Failed(malformed(i))),
-                    };
-                    digital.push(self.adc.quantize(mac.v_acc));
-                    analog.push(mac.v_acc);
-                    energy += mac.energy.value();
-                }
-                Ok(MatVecOutput {
-                    digital,
-                    analog,
-                    energy: Joule(energy),
-                })
-            })
-            .collect();
-        settle(results, policy, &ctx.telemetry)
+            // One input vector is one job from the policy's point of
+            // view: its row MACs, read out and summed in row order.
+            |macs| MatVecOutput {
+                digital: macs.iter().map(|m| self.adc.quantize(m.v_acc)).collect(),
+                analog: macs.iter().map(|m| m.v_acc).collect(),
+                energy: Joule(macs.iter().fold(0.0, |e, m| e + m.energy.value())),
+            },
+            policy,
+        )
     }
 }
 
@@ -421,6 +343,7 @@ mod tests {
     use super::*;
     use crate::cells::TwoTransistorOneFefet;
     use crate::ArrayConfig;
+    use ferrocim_spice::JobError;
     use ferrocim_units::Second;
 
     const ROOM: Celsius = Celsius(27.0);

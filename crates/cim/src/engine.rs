@@ -213,100 +213,38 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         self.run_jobs(inputs, &jobs, policy)
     }
 
-    /// The one batch body behind every batch entry point: validates
-    /// widths, deduplicates and executes `(input, temperature)` jobs,
-    /// scatters each unique outcome back to every slot that requested
-    /// it, and applies `policy` per job.
+    /// The batch body behind every engine batch entry point: one row
+    /// MAC per `(input, temperature)` job, each its own policy job.
     fn run_jobs(
         &self,
         inputs: &[Vec<bool>],
         jobs: &[(usize, Celsius)],
         policy: &FailurePolicy<MacOutput>,
     ) -> Result<FanOutReport<MacOutput, CimError>, FanOutError<CimError>> {
-        let n = self.array.config().cells_per_row;
-        let malformed = |i: usize| CimError::MismatchedOperands {
-            weights: n,
-            inputs: inputs[i].len(),
-            cells_per_row: n,
-        };
-        // A malformed input is a failed job that is never scheduled;
-        // under FailFast it fails the batch before any solve, span,
-        // event or budget charge.
-        if matches!(policy, FailurePolicy::FailFast) {
-            if let Some(index) = jobs.iter().position(|&(i, _)| inputs[i].len() != n) {
-                return Err(FanOutError::Job {
-                    index,
-                    error: JobError::Failed(malformed(jobs[index].0)),
-                });
-            }
-        }
-        // Identical (inputs, temperature) pairs collapse onto one
-        // simulation — on repetitive workloads (bit-serial NN inputs,
-        // level tables) this is where the batch throughput comes from.
-        let mut unique: Vec<(usize, Celsius)> = Vec::new();
-        let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(jobs.len());
-        for &(i, t) in jobs {
-            if inputs[i].len() != n {
-                slot_of.push(None);
-                continue;
-            }
-            let found = unique
-                .iter()
-                .position(|&(j, u)| u.0.to_bits() == t.0.to_bits() && inputs[j] == inputs[i]);
-            slot_of.push(Some(found.unwrap_or_else(|| {
-                unique.push((i, t));
-                unique.len() - 1
-            })));
-        }
-        let job_count = jobs.len() as u64;
-        let solve_count = unique.len() as u64;
-        let ctx = self.array.context();
-        let batch_span = ctx.telemetry.span("cim.mac_batch");
-        let batch_id = batch_span.id();
-        ctx.telemetry.emit(|| Event::MacIssued {
-            jobs: job_count,
-            solves: solve_count,
-        });
-        // Solve the unique jobs tolerating every failure; the caller's
-        // policy applies after the scatter, so it counts requested
-        // jobs, not deduplicated simulations.
-        let solved = try_fan_out(
-            unique.len(),
+        run_row_batch(
+            self.array,
             self.parallel,
-            &FailurePolicy::SkipAndReport {
-                max_failures: usize::MAX,
-            },
+            inputs,
+            jobs,
+            1,
+            |a: Celsius, b: Celsius| a.0.to_bits() == b.0.to_bits(),
             || (Workspace::new(), self.base.clone()),
-            |(ws, ckt), u| {
-                // Parent this worker-side solve under the issuing batch
-                // span: fan-out workers run on their own threads, so
-                // the thread-local parent chain must be bridged by id.
-                let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
-                ctx.budget.check()?;
-                ctx.budget.charge_steps(1)?;
-                let (i, t) = unique[u];
-                self.array.retarget_inputs(ckt, &inputs[i])?;
+            |(ws, ckt), x, t| {
+                self.array.retarget_inputs(ckt, x)?;
                 self.array.eval_row_transient(
                     ckt,
                     &self.outs,
                     self.acc,
                     &self.weights,
-                    &inputs[i],
+                    x,
                     t,
-                    ctx,
+                    self.array.context(),
                     ws,
                 )
             },
-        )?;
-        let results: Vec<Result<MacOutput, JobError<CimError>>> = jobs
-            .iter()
-            .zip(slot_of)
-            .map(|(&(i, _), u)| match u {
-                Some(u) => solved.results[u].clone(),
-                None => Err(JobError::Failed(malformed(i))),
-            })
-            .collect();
-        settle(results, policy, &ctx.telemetry)
+            |macs| macs[0].clone(),
+            policy,
+        )
     }
 
     /// The per-call reference this engine accelerates: one
@@ -335,6 +273,117 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             })
             .collect()
     }
+}
+
+/// The one batch body behind [`ArrayEngine`]'s and
+/// [`crate::Crossbar`]'s batch entry points.
+///
+/// Each of `jobs` is one row MAC on `array`'s hardware: the index of
+/// the input vector it reads plus a `key` (a temperature, a crossbar
+/// row) that `solve` turns into the simulation. Every run of `group`
+/// consecutive row MACs is one job of the caller's `policy`; `gather`
+/// folds its outputs into that job's value, and it fails with its first
+/// failed row MAC.
+///
+/// A row MAC on an input of the wrong width is a failure that is never
+/// scheduled; under [`FailurePolicy::FailFast`] it fails the batch
+/// before any solve, span, event or budget charge. Row MACs with equal
+/// inputs and keys `same` calls equal collapse onto one simulation — on
+/// repetitive workloads (bit-serial NN inputs, level tables) this is
+/// where the batch throughput comes from. The unique ones are solved
+/// under one `cim.mac_batch` span and one [`Event::MacIssued`], each
+/// charging one budget step, tolerating every failure: `policy` applies
+/// after the scatter, so it counts requested jobs, not deduplicated
+/// simulations.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_row_batch<C, K, S, T>(
+    array: &CimArray<C>,
+    parallel: bool,
+    inputs: &[Vec<bool>],
+    jobs: &[(usize, K)],
+    group: usize,
+    same: impl Fn(K, K) -> bool,
+    init: impl Fn() -> S + Sync,
+    solve: impl Fn(&mut S, &[bool], K) -> Result<MacOutput, CimError> + Sync,
+    gather: impl Fn(&[&MacOutput]) -> T,
+    policy: &FailurePolicy<T>,
+) -> Result<FanOutReport<T, CimError>, FanOutError<CimError>>
+where
+    C: CellDesign,
+    K: Copy + Sync,
+    T: Clone,
+{
+    let n = array.config().cells_per_row;
+    let malformed = |i: usize| CimError::MismatchedOperands {
+        weights: n,
+        inputs: inputs[i].len(),
+        cells_per_row: n,
+    };
+    if matches!(policy, FailurePolicy::FailFast) {
+        if let Some(k) = jobs.iter().position(|&(i, _)| inputs[i].len() != n) {
+            return Err(FanOutError::Job {
+                index: k / group,
+                error: JobError::Failed(malformed(jobs[k].0)),
+            });
+        }
+    }
+    let mut unique: Vec<(usize, K)> = Vec::new();
+    let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(jobs.len());
+    for &(i, key) in jobs {
+        if inputs[i].len() != n {
+            slot_of.push(None);
+            continue;
+        }
+        let found = unique
+            .iter()
+            .position(|&(j, u)| same(u, key) && inputs[j] == inputs[i]);
+        slot_of.push(Some(found.unwrap_or_else(|| {
+            unique.push((i, key));
+            unique.len() - 1
+        })));
+    }
+    let job_count = jobs.len() as u64;
+    let solve_count = unique.len() as u64;
+    let ctx = array.context();
+    let batch_span = ctx.telemetry.span("cim.mac_batch");
+    let batch_id = batch_span.id();
+    ctx.telemetry.emit(|| Event::MacIssued {
+        jobs: job_count,
+        solves: solve_count,
+    });
+    let solved = try_fan_out(
+        unique.len(),
+        parallel,
+        &FailurePolicy::SkipAndReport {
+            max_failures: usize::MAX,
+        },
+        init,
+        |state, u| {
+            // Parent this worker-side solve under the issuing batch
+            // span: fan-out workers run on their own threads, so the
+            // thread-local parent chain must be bridged by id.
+            let _solve_span = ctx.telemetry.span_under("cim.row_solve", batch_id);
+            ctx.budget.check()?;
+            ctx.budget.charge_steps(1)?;
+            let (i, key) = unique[u];
+            solve(state, &inputs[i], key)
+        },
+    )?;
+    let results: Vec<Result<T, JobError<CimError>>> = jobs
+        .chunks(group)
+        .zip(slot_of.chunks(group))
+        .map(|(row_macs, slots)| {
+            let mut macs = Vec::with_capacity(slots.len());
+            for (&(i, _), &u) in row_macs.iter().zip(slots) {
+                match u {
+                    Some(u) => macs.push(solved.results[u].as_ref().map_err(Clone::clone)?),
+                    None => return Err(JobError::Failed(malformed(i))),
+                }
+            }
+            Ok(gather(&macs))
+        })
+        .collect();
+    settle(results, policy, &ctx.telemetry)
 }
 
 /// Applies the caller's `policy` to per-job batch results, reporting

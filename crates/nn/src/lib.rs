@@ -40,12 +40,11 @@ pub mod layers;
 pub mod metrics;
 pub mod network;
 pub mod quant;
-pub mod surrogate_oracle;
 pub mod tensor;
 pub mod vgg;
 
 pub use network::{
-    train, try_train, try_train_recorded, EpochStats, Network, Optimizer, TrainConfig, TrainError,
+    try_train, try_train_recorded, EpochStats, Network, Optimizer, TrainConfig, TrainError,
 };
 pub use tensor::Tensor;
 

@@ -45,22 +45,6 @@ impl ConfusionMatrix {
         cm
     }
 
-    /// Accumulates predictions from an arbitrary classifier closure
-    /// (e.g. a CIM-mapped network with an oracle baked in).
-    pub fn evaluate_with<F: FnMut(&Tensor) -> usize>(
-        inputs: &[Tensor],
-        labels: &[usize],
-        classes: usize,
-        mut predict: F,
-    ) -> ConfusionMatrix {
-        assert_eq!(inputs.len(), labels.len());
-        let mut cm = ConfusionMatrix::new(classes);
-        for (x, &y) in inputs.iter().zip(labels) {
-            cm.record(y, predict(x));
-        }
-        cm
-    }
-
     /// The number of classes.
     pub fn classes(&self) -> usize {
         self.counts.len()

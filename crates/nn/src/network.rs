@@ -349,32 +349,9 @@ pub(crate) fn fail_fast_error<E>(err: FanOutError<E>, panicked: fn(String) -> E)
 
 /// Trains the network in place with minibatch SGD + momentum, returning
 /// per-epoch statistics. Gradients within a batch are computed in
-/// parallel over [`TrainConfig::threads`] chunks.
-///
-/// # Panics
-///
-/// Panics if `inputs` and `labels` lengths differ, the set is empty, or
-/// a gradient worker panicked ([`try_train`] reports all three as typed
-/// errors instead).
-pub fn train(
-    network: &mut Network,
-    inputs: &[Tensor],
-    labels: &[usize],
-    config: &TrainConfig,
-) -> Vec<EpochStats> {
-    match try_train(network, inputs, labels, config) {
-        Ok(stats) => stats,
-        Err(TrainError::EmptyTrainingSet) => panic!("empty training set"),
-        Err(e @ TrainError::LengthMismatch { .. }) => {
-            panic!("inputs/labels length mismatch: {e}")
-        }
-        Err(e) => panic!("training failed: {e}"),
-    }
-}
-
-/// Fallible [`train`]: worker panics are contained and surfaced as
-/// [`TrainError::WorkerPanicked`], and operand problems are typed
-/// errors rather than panics.
+/// parallel over [`TrainConfig::threads`] chunks. Worker panics are
+/// contained and surfaced as [`TrainError::WorkerPanicked`], and operand
+/// problems are typed errors rather than panics.
 ///
 /// # Errors
 ///
@@ -576,7 +553,7 @@ mod tests {
             threads: 2,
             ..TrainConfig::default()
         };
-        let stats = train(&mut net, &inputs, &labels, &config);
+        let stats = try_train(&mut net, &inputs, &labels, &config).expect("trains");
         let final_acc = stats.last().unwrap().train_accuracy;
         assert!(final_acc > 0.98, "accuracy {final_acc}");
         // Loss decreased.
@@ -598,8 +575,8 @@ mod tests {
         };
         let mut a = build(&mut rng.clone());
         let mut b = build(&mut rng);
-        let sa = train(&mut a, &inputs, &labels, &config);
-        let sb = train(&mut b, &inputs, &labels, &config);
+        let sa = try_train(&mut a, &inputs, &labels, &config).expect("trains");
+        let sb = try_train(&mut b, &inputs, &labels, &config).expect("trains");
         assert_eq!(sa, sb);
         assert_eq!(a, b);
     }
@@ -630,7 +607,7 @@ mod tests {
             threads: 1,
             ..TrainConfig::default()
         };
-        let stats = train(&mut net, &inputs, &labels, &config);
+        let stats = try_train(&mut net, &inputs, &labels, &config).expect("trains");
         let final_acc = stats.last().unwrap().train_accuracy;
         assert!(final_acc > 0.97, "adam accuracy {final_acc}");
     }
@@ -681,12 +658,5 @@ mod tests {
         let update = state.update(&grad, Optimizer::adam());
         assert!(state.v.is_some());
         assert!(update.weight.data().iter().all(|u| u.is_finite()));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty training set")]
-    fn train_rejects_empty_set() {
-        let mut net = Network::new(vec![]);
-        let _ = train(&mut net, &[], &[], &TrainConfig::default());
     }
 }

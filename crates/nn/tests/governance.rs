@@ -3,7 +3,7 @@
 
 use ferrocim_nn::cim_exec::{CimMapping, CimNetwork, ExecError, IdealMac, MacOracle};
 use ferrocim_nn::layers::{Layer, Linear};
-use ferrocim_nn::{train, try_train, Network, Tensor, TrainConfig, TrainError};
+use ferrocim_nn::{try_train, Network, Tensor, TrainConfig, TrainError};
 use ferrocim_spice::{Budget, CancelToken, SpiceError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,7 +72,7 @@ fn train_still_learns_after_the_refactor() {
         threads: 2,
         ..TrainConfig::default()
     };
-    let stats = train(&mut net, &inputs, &labels, &config);
+    let stats = try_train(&mut net, &inputs, &labels, &config).expect("trains");
     assert_eq!(stats.len(), 2);
 }
 

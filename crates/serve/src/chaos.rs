@@ -27,18 +27,6 @@ pub struct ChaosPlan {
     pub panic_probability: f64,
 }
 
-impl ChaosPlan {
-    /// No injected faults; the wrapper becomes transparent.
-    pub fn quiet(seed: u64) -> ChaosPlan {
-        ChaosPlan {
-            seed,
-            blowup_probability: 0.0,
-            uncertified_probability: 0.0,
-            panic_probability: 0.0,
-        }
-    }
-}
-
 /// A [`MacBackend`] decorator injecting seeded faults before the inner
 /// solve runs.
 pub struct ChaosBackend<B> {
@@ -55,11 +43,6 @@ impl<B: MacBackend> ChaosBackend<B> {
             plan,
             solves: AtomicU64::new(0),
         }
-    }
-
-    /// Live solves attempted so far (including faulted ones).
-    pub fn solves_attempted(&self) -> u64 {
-        self.solves.load(Ordering::Relaxed)
     }
 }
 

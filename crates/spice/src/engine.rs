@@ -24,7 +24,7 @@ use crate::health::SolveQuality;
 use crate::mna::NewtonOptions;
 use crate::netlist::Circuit;
 use crate::rescue::RescuePolicy;
-use crate::solver::{FillOrdering, LinearSystem, SolverConfig, SolverKind, SolverState};
+use crate::solver::{FillOrdering, SolverConfig, SolverState};
 use crate::transient::{AdaptiveOptions, Integrator, TransientAnalysis, TransientResult};
 use crate::{RunContext, SpiceError};
 use ferrocim_telemetry::{DegradeStageKind, SolverBackend, Telemetry};
@@ -112,7 +112,7 @@ impl Workspace {
 
     /// The backend currently selected for the workspace's size.
     pub fn solver_backend(&self) -> SolverBackend {
-        self.system.backend()
+        self.system.system_ref().backend()
     }
 
     /// Symbolic / numeric factorization counts of the sparse backend,
@@ -188,11 +188,7 @@ impl Workspace {
                     FillOrdering::MinDegree => FillOrdering::Natural,
                     FillOrdering::Natural => FillOrdering::MinDegree,
                 };
-                SolverConfig {
-                    kind: SolverKind::Sparse,
-                    ordering: flipped,
-                    ..self.config
-                }
+                SolverConfig::sparse().with_ordering(flipped)
             }
             _ => SolverConfig::dense(),
         }
@@ -339,21 +335,6 @@ impl SimEngine {
     /// The current simulation temperature.
     pub fn temperature(&self) -> Celsius {
         self.temp
-    }
-
-    /// Changes the temperature without discarding the warm-start state —
-    /// exactly what a fine temperature sweep wants, since the operating
-    /// point moves continuously with temperature.
-    pub fn set_temperature(&mut self, temp: Celsius) {
-        self.temp = temp;
-    }
-
-    /// Drops the remembered operating point, forcing the next solve to
-    /// start cold. Call this when switching to an unrelated circuit
-    /// topology (a size mismatch is detected automatically, but a
-    /// same-size different circuit is not).
-    pub fn clear_warm_start(&mut self) {
-        self.last_op = None;
     }
 
     /// The operating point of the most recent successful DC solve.
@@ -580,7 +561,7 @@ mod tests {
         assert_eq!(ws.size(), 4);
         ws.ensure_size(9);
         assert_eq!(ws.size(), 9);
-        assert_eq!(ws.system.dim(), 9);
+        assert_eq!(ws.system.system_ref().dim(), 9);
         ws.ensure_size(9);
         assert_eq!(ws.size(), 9);
     }
@@ -649,7 +630,7 @@ mod tests {
         ws.set_solver(SolverConfig::sparse());
         assert_eq!(ws.degrade_level(), 1);
         // …but a genuinely different config resets it.
-        ws.set_solver(SolverConfig::sparse().with_parallel_blocks(true));
+        ws.set_solver(SolverConfig::sparse().with_ordering(FillOrdering::Natural));
         assert_eq!(ws.degrade_level(), 0);
     }
 

@@ -105,24 +105,6 @@ impl HealthPolicy {
             ..HealthPolicy::default()
         }
     }
-
-    /// Overrides the backward-error tolerance (builder style).
-    pub fn with_residual_tol(mut self, tol: f64) -> HealthPolicy {
-        self.residual_tol = tol;
-        self
-    }
-
-    /// Overrides the refinement-pass bound (builder style).
-    pub fn with_max_refinement_passes(mut self, passes: u32) -> HealthPolicy {
-        self.max_refinement_passes = passes;
-        self
-    }
-
-    /// Enables or disables the condition estimate (builder style).
-    pub fn with_condition_estimate(mut self, on: bool) -> HealthPolicy {
-        self.estimate_condition = on;
-        self
-    }
 }
 
 /// What one certification pass ([`LinearSystem::residual_scan`])

@@ -447,6 +447,7 @@ pub(crate) fn newton_solve_in(
                     corr,
                     ..
                 } = &mut *ws;
+                let system = system.system();
                 assemble(circuit, layout, x, t, caps, settings, system, z);
                 let info = system.solve_into(z, x_new, tele)?;
                 if observed {

@@ -23,17 +23,6 @@
 //!   one analysis because MNA stamping never changes the sparsity
 //!   pattern, only the values.
 //!
-//! The sparse backend additionally exploits the bordered-block-diagonal
-//! structure of a CIM row (cells couple only through the shared
-//! accumulation/bitline node): the columns of each cell block are
-//! mutually independent in the elimination DAG, so the numeric
-//! refactorization is *level-scheduled* — all columns whose
-//! dependencies are satisfied factor in parallel, cell blocks first,
-//! the small border system last. Enable it with
-//! [`SolverConfig::with_parallel_blocks`]; results are bitwise
-//! identical to the sequential refactorization because every column's
-//! arithmetic is independent of the schedule.
-//!
 //! [`SolverConfig`] selects the backend. The default
 //! [`SolverKind::Auto`] picks dense below
 //! [`SolverConfig::AUTO_SPARSE_THRESHOLD`] unknowns and sparse at or
@@ -84,7 +73,6 @@ pub enum FillOrdering {
 ///
 /// let cfg = SolverConfig::sparse().with_ordering(FillOrdering::MinDegree);
 /// assert_eq!(cfg.kind, SolverKind::Sparse);
-/// assert!(!cfg.parallel_blocks);
 /// // Auto picks by size.
 /// assert!(!SolverConfig::auto().wants_sparse(30));
 /// assert!(SolverConfig::auto().wants_sparse(500));
@@ -95,10 +83,6 @@ pub struct SolverConfig {
     pub kind: SolverKind,
     /// Column ordering used by the sparse backend.
     pub ordering: FillOrdering,
-    /// Level-scheduled parallel numeric refactorization (sparse backend
-    /// only). Off by default: it only pays on wide rows where many cell
-    /// blocks factor concurrently.
-    pub parallel_blocks: bool,
 }
 
 impl SolverConfig {
@@ -138,13 +122,6 @@ impl SolverConfig {
     /// Overrides the sparse column ordering (builder style).
     pub fn with_ordering(mut self, ordering: FillOrdering) -> SolverConfig {
         self.ordering = ordering;
-        self
-    }
-
-    /// Enables or disables the level-scheduled parallel numeric
-    /// refactorization (builder style).
-    pub fn with_parallel_blocks(mut self, parallel: bool) -> SolverConfig {
-        self.parallel_blocks = parallel;
         self
     }
 
@@ -701,10 +678,6 @@ const PIVOT_TOL: f64 = 0.1;
 /// is no longer trustworthy and a fresh symbolic analysis runs instead.
 const REFACTOR_TOL: f64 = 1e-8;
 
-/// Minimum number of same-level columns before the parallel refactor
-/// bothers spawning threads for that level.
-const PAR_MIN_WIDTH: usize = 16;
-
 /// The immutable product of one symbolic analysis: column order, pivot
 /// sequence, and the `L`/`U` nonzero patterns, reused by every numeric
 /// refactorization on the same topology.
@@ -723,26 +696,11 @@ struct Symbolic {
     up: Vec<usize>,
     /// Row indices of `U` as pivot positions `< k`, ascending.
     ui: Vec<usize>,
-    /// Level-scheduled column groups: columns in one level have all
-    /// their `U`-pattern dependencies in strictly lower levels, so they
-    /// refactor independently. On a CIM row the cell blocks land in the
-    /// low levels and the bitline border in the top ones.
-    levels: Vec<Vec<usize>>,
 }
 
 /// Returned by the numeric refactorization when a reused pivot has
 /// degraded; the caller falls back to a fresh symbolic analysis.
 struct NumericDegraded;
-
-/// The values of one refactored column, produced by the shared numeric
-/// core and written back by either the sequential or the parallel
-/// scheduler.
-struct ColumnValues {
-    k: usize,
-    diag: f64,
-    ux: Vec<f64>,
-    lx: Vec<f64>,
-}
 
 /// The sparse KLU-style LU backend.
 ///
@@ -767,10 +725,6 @@ struct ColumnValues {
 pub struct SparseLu {
     n: usize,
     ordering: FillOrdering,
-    parallel: bool,
-    /// Worker threads of the parallel refactorization, resolved once
-    /// when parallel blocks are switched on (below 2: sequential).
-    threads: usize,
     // --- stamp capture ---
     slot_of: HashMap<(u32, u32), u32>,
     coords: Vec<(u32, u32)>,
@@ -803,8 +757,7 @@ pub struct SparseLu {
 }
 
 impl SparseLu {
-    /// A sparse system of dimension `n` with default ordering and
-    /// sequential refactorization.
+    /// A sparse system of dimension `n` with the default ordering.
     pub fn with_dim(n: usize) -> SparseLu {
         SparseLu {
             n,
@@ -818,20 +771,6 @@ impl SparseLu {
     pub fn with_ordering(mut self, ordering: FillOrdering) -> SparseLu {
         self.ordering = ordering;
         self.sym = None;
-        self
-    }
-
-    /// Enables the level-scheduled parallel numeric refactorization
-    /// (builder style).
-    pub fn with_parallel_blocks(mut self, parallel: bool) -> SparseLu {
-        self.parallel = parallel;
-        self.threads = if parallel {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        } else {
-            1
-        };
         self
     }
 
@@ -1045,23 +984,6 @@ impl SparseLu {
             up.push(ui.len());
         }
 
-        // Level schedule for the parallel refactor: a column's only
-        // cross-column inputs are the L columns named by its U pattern.
-        let mut level = vec![0usize; n];
-        let mut max_level = 0usize;
-        for k in 0..n {
-            let mut lv = 0usize;
-            for p in up[k]..up[k + 1] {
-                lv = lv.max(level[ui[p]] + 1);
-            }
-            level[k] = lv;
-            max_level = max_level.max(lv);
-        }
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
-        for (k, &lv) in level.iter().enumerate() {
-            levels[lv].push(k);
-        }
-
         self.sym = Some(Symbolic {
             q,
             pivot_row,
@@ -1069,7 +991,6 @@ impl SparseLu {
             li,
             up,
             ui,
-            levels,
         });
         self.lx = lx;
         self.ux = ux;
@@ -1079,131 +1000,65 @@ impl SparseLu {
     }
 
     /// Numeric-only refactorization along the stored pattern: no
-    /// ordering, no DFS, no pivot search. Columns are processed
-    /// sequentially, or level-by-level in parallel when
-    /// `parallel_blocks` is on — the per-column arithmetic is identical
-    /// either way, so both schedules produce bitwise-equal factors.
+    /// ordering, no DFS, no pivot search. Each column is refactored in
+    /// place, in pivot order, with `work` as its dense scatter buffer
+    /// (all-zero before and after every column). Fails when a reused
+    /// pivot has degraded below [`REFACTOR_TOL`] of its column maximum
+    /// (or is non-finite); the factors are then partly overwritten, and
+    /// the caller re-runs the symbolic analysis.
     fn refactor(&mut self) -> Result<(), NumericDegraded> {
         let Some(sym) = &self.sym else {
             return Err(NumericDegraded);
         };
-        let n = self.n;
-        let threads = self.threads;
+        let (lx, ux, x) = (&mut self.lx, &mut self.ux, &mut self.work);
         let mut u_max = 0.0f64;
-        let mut buf = ColumnValues {
-            k: 0,
-            diag: 0.0,
-            ux: Vec::new(),
-            lx: Vec::new(),
-        };
-        if threads < 2 {
-            for k in 0..n {
-                buf.k = k;
-                if refactor_column(
-                    sym,
-                    &self.col_ptr,
-                    &self.row_idx,
-                    &self.csc_vals,
-                    &self.lx,
-                    &mut self.work,
-                    &mut buf,
-                )
-                .is_err()
-                {
-                    self.work.fill(0.0);
-                    return Err(NumericDegraded);
-                }
-                u_max = max_mag(
-                    u_max,
-                    write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, &buf),
-                );
+        for k in 0..self.n {
+            let col = sym.q[k];
+            for p in self.col_ptr[col]..self.col_ptr[col + 1] {
+                x[self.row_idx[p]] = self.csc_vals[p];
             }
-            self.u_max = u_max;
-            return Ok(());
-        }
-        // Level-scheduled parallel refactor: within one level every
-        // column's dependencies are already final, so levels narrow
-        // enough to not amortize a spawn run sequentially and wide ones
-        // (the independent cell blocks of a CIM row) fan out.
-        for lev in 0..sym.levels.len() {
-            let cols = &sym.levels[lev];
-            if cols.len() < PAR_MIN_WIDTH {
-                for &k in cols {
-                    buf.k = k;
-                    if refactor_column(
-                        sym,
-                        &self.col_ptr,
-                        &self.row_idx,
-                        &self.csc_vals,
-                        &self.lx,
-                        &mut self.work,
-                        &mut buf,
-                    )
-                    .is_err()
-                    {
-                        self.work.fill(0.0);
-                        return Err(NumericDegraded);
+            let us = sym.up[k]..sym.up[k + 1];
+            for (u, &i) in ux[us.clone()].iter_mut().zip(&sym.ui[us]) {
+                let xv = x[sym.pivot_row[i]];
+                *u = xv;
+                if xv != 0.0 {
+                    for p2 in sym.lp[i]..sym.lp[i + 1] {
+                        x[sym.li[p2]] -= lx[p2] * xv;
                     }
-                    u_max = max_mag(
-                        u_max,
-                        write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, &buf),
-                    );
                 }
-                continue;
             }
-            let workers = threads.min(cols.len());
-            let chunk = cols.len().div_ceil(workers);
-            let (level_results, degraded) = {
-                let lx_ref: &Vec<f64> = &self.lx;
-                let col_ptr = &self.col_ptr;
-                let row_idx = &self.row_idx;
-                let csc_vals = &self.csc_vals;
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(workers);
-                    for part in cols.chunks(chunk) {
-                        handles.push(scope.spawn(move || {
-                            let mut x = vec![0.0; n];
-                            let mut out = Vec::with_capacity(part.len());
-                            for &k in part {
-                                let mut cv = ColumnValues {
-                                    k,
-                                    diag: 0.0,
-                                    ux: Vec::new(),
-                                    lx: Vec::new(),
-                                };
-                                if refactor_column(
-                                    sym, col_ptr, row_idx, csc_vals, lx_ref, &mut x, &mut cv,
-                                )
-                                .is_err()
-                                {
-                                    return Err(NumericDegraded);
-                                }
-                                out.push(cv);
-                            }
-                            Ok(out)
-                        }));
-                    }
-                    let mut all = Vec::with_capacity(cols.len());
-                    let mut failed = false;
-                    for h in handles {
-                        match h.join() {
-                            Ok(Ok(part)) => all.extend(part),
-                            Ok(Err(NumericDegraded)) => failed = true,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    }
-                    (all, failed)
-                })
-            };
-            if degraded {
+            let pr = sym.pivot_row[k];
+            let piv = x[pr];
+            let mut colmax = piv.abs();
+            for p2 in sym.lp[k]..sym.lp[k + 1] {
+                colmax = colmax.max(x[sym.li[p2]].abs());
+            }
+            let ok = piv.is_finite()
+                && colmax.is_finite()
+                && piv.abs() >= 1e-300
+                && piv.abs() >= REFACTOR_TOL * colmax;
+            if !ok {
+                x.fill(0.0);
                 return Err(NumericDegraded);
             }
-            for cv in &level_results {
-                u_max = max_mag(
-                    u_max,
-                    write_column(sym, &mut self.lx, &mut self.ux, &mut self.udiag, cv),
-                );
+            self.udiag[k] = piv;
+            for p2 in sym.lp[k]..sym.lp[k + 1] {
+                lx[p2] = x[sym.li[p2]] / piv;
             }
+            // Restore the all-zero scatter invariant: the touched rows
+            // are exactly the column's pattern (U pivot rows, L rows,
+            // the pivot).
+            for p in sym.up[k]..sym.up[k + 1] {
+                x[sym.pivot_row[sym.ui[p]]] = 0.0;
+            }
+            for p2 in sym.lp[k]..sym.lp[k + 1] {
+                x[sym.li[p2]] = 0.0;
+            }
+            x[pr] = 0.0;
+            let col_max = ux[sym.up[k]..sym.up[k + 1]]
+                .iter()
+                .fold(piv.abs(), |m, &v| max_mag(m, v.abs()));
+            u_max = max_mag(u_max, col_max);
         }
         self.u_max = u_max;
         Ok(())
@@ -1242,88 +1097,6 @@ impl SparseLu {
             }
         }
     }
-}
-
-/// The shared numeric core of the refactorization: computes the `U`
-/// values, `L` values, and pivot of one column into `cv`, using `x` as
-/// a dense scatter buffer (all-zero on entry and on exit). Fails when
-/// the reused pivot has degraded below [`REFACTOR_TOL`] of its column
-/// maximum (or is non-finite).
-fn refactor_column(
-    sym: &Symbolic,
-    col_ptr: &[usize],
-    row_idx: &[usize],
-    csc_vals: &[f64],
-    lx_all: &[f64],
-    x: &mut [f64],
-    cv: &mut ColumnValues,
-) -> Result<(), NumericDegraded> {
-    let k = cv.k;
-    let col = sym.q[k];
-    for p in col_ptr[col]..col_ptr[col + 1] {
-        x[row_idx[p]] = csc_vals[p];
-    }
-    cv.ux.clear();
-    for p in sym.up[k]..sym.up[k + 1] {
-        let i = sym.ui[p];
-        let xv = x[sym.pivot_row[i]];
-        cv.ux.push(xv);
-        if xv != 0.0 {
-            for p2 in sym.lp[i]..sym.lp[i + 1] {
-                x[sym.li[p2]] -= lx_all[p2] * xv;
-            }
-        }
-    }
-    let pr = sym.pivot_row[k];
-    let piv = x[pr];
-    let mut colmax = piv.abs();
-    for p2 in sym.lp[k]..sym.lp[k + 1] {
-        colmax = colmax.max(x[sym.li[p2]].abs());
-    }
-    let ok = piv.is_finite()
-        && colmax.is_finite()
-        && piv.abs() >= 1e-300
-        && piv.abs() >= REFACTOR_TOL * colmax;
-    if ok {
-        cv.diag = piv;
-        cv.lx.clear();
-        for p2 in sym.lp[k]..sym.lp[k + 1] {
-            cv.lx.push(x[sym.li[p2]] / piv);
-        }
-    }
-    // Restore the all-zero scatter invariant: the touched rows are
-    // exactly the column's pattern (U pivot rows, L rows, the pivot).
-    for p in sym.up[k]..sym.up[k + 1] {
-        x[sym.pivot_row[sym.ui[p]]] = 0.0;
-    }
-    for p2 in sym.lp[k]..sym.lp[k + 1] {
-        x[sym.li[p2]] = 0.0;
-    }
-    x[pr] = 0.0;
-    if ok {
-        Ok(())
-    } else {
-        Err(NumericDegraded)
-    }
-}
-
-/// Writes one column's refactored values back into the shared factor
-/// arrays (disjoint ranges per column, so any write order is fine) and
-/// returns the column's largest `|U|`, pivot included.
-fn write_column(
-    sym: &Symbolic,
-    lx: &mut [f64],
-    ux: &mut [f64],
-    udiag: &mut [f64],
-    cv: &ColumnValues,
-) -> f64 {
-    let k = cv.k;
-    udiag[k] = cv.diag;
-    ux[sym.up[k]..sym.up[k + 1]].copy_from_slice(&cv.ux);
-    lx[sym.lp[k]..sym.lp[k + 1]].copy_from_slice(&cv.lx);
-    cv.ux
-        .iter()
-        .fold(cv.diag.abs(), |m, &v| max_mag(m, v.abs()))
 }
 
 impl LinearSystem for SparseLu {
@@ -1578,9 +1351,7 @@ impl SolverState {
     pub(crate) fn for_config(n: usize, config: SolverConfig) -> SolverState {
         if config.wants_sparse(n) {
             SolverState::Sparse(Box::new(
-                SparseLu::with_dim(n)
-                    .with_ordering(config.ordering)
-                    .with_parallel_blocks(config.parallel_blocks),
+                SparseLu::with_dim(n).with_ordering(config.ordering),
             ))
         } else {
             SolverState::Dense(Box::new(DenseLu::with_dim(n)))
@@ -1592,11 +1363,24 @@ impl SolverState {
         match self {
             SolverState::Dense(d) => d.dim() == n && !config.wants_sparse(n),
             SolverState::Sparse(s) => {
-                s.dim() == n
-                    && config.wants_sparse(n)
-                    && s.ordering == config.ordering
-                    && s.parallel == config.parallel_blocks
+                s.dim() == n && config.wants_sparse(n) && s.ordering == config.ordering
             }
+        }
+    }
+
+    /// The active backend, for stamping, solving and certifying.
+    pub(crate) fn system(&mut self) -> &mut dyn LinearSystem {
+        match self {
+            SolverState::Dense(d) => d.as_mut(),
+            SolverState::Sparse(s) => s.as_mut(),
+        }
+    }
+
+    /// The active backend, read-only.
+    pub(crate) fn system_ref(&self) -> &dyn LinearSystem {
+        match self {
+            SolverState::Dense(d) => d.as_ref(),
+            SolverState::Sparse(s) => s.as_ref(),
         }
     }
 
@@ -1613,105 +1397,6 @@ impl SolverState {
         match self {
             SolverState::Dense(d) => Some(d),
             SolverState::Sparse(_) => None,
-        }
-    }
-}
-
-impl LinearSystem for SolverState {
-    fn dim(&self) -> usize {
-        match self {
-            SolverState::Dense(d) => d.dim(),
-            SolverState::Sparse(s) => s.dim(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            SolverState::Dense(d) => d.clear(),
-            SolverState::Sparse(s) => s.clear(),
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, row: usize, col: usize, value: f64) {
-        match self {
-            SolverState::Dense(d) => d.add(row, col, value),
-            SolverState::Sparse(s) => s.add(row, col, value),
-        }
-    }
-
-    fn solve_into(
-        &mut self,
-        b: &[f64],
-        out: &mut Vec<f64>,
-        tele: &Telemetry,
-    ) -> Result<SolveInfo, SpiceError> {
-        match self {
-            SolverState::Dense(d) => d.solve_into(b, out, tele),
-            SolverState::Sparse(s) => s.solve_into(b, out, tele),
-        }
-    }
-
-    fn matvec_into(&mut self, x: &[f64], y: &mut [f64]) {
-        match self {
-            SolverState::Dense(d) => d.matvec_into(x, y),
-            SolverState::Sparse(s) => s.matvec_into(x, y),
-        }
-    }
-
-    fn residual_scan(&mut self, b: &[f64], x: &[f64], resid: &mut [f64]) -> ResidualScan {
-        match self {
-            SolverState::Dense(d) => d.residual_scan(b, x, resid),
-            SolverState::Sparse(s) => s.residual_scan(b, x, resid),
-        }
-    }
-
-    fn resolve_into(&mut self, b: &[f64], out: &mut Vec<f64>) {
-        match self {
-            SolverState::Dense(d) => d.resolve_into(b, out),
-            SolverState::Sparse(s) => s.resolve_into(b, out),
-        }
-    }
-
-    fn solve_transposed_into(&mut self, c: &[f64], out: &mut Vec<f64>) {
-        match self {
-            SolverState::Dense(d) => d.solve_transposed_into(c, out),
-            SolverState::Sparse(s) => s.solve_transposed_into(c, out),
-        }
-    }
-
-    fn inf_norm(&mut self) -> f64 {
-        match self {
-            SolverState::Dense(d) => d.inf_norm(),
-            SolverState::Sparse(s) => s.inf_norm(),
-        }
-    }
-
-    fn one_norm(&mut self) -> f64 {
-        match self {
-            SolverState::Dense(d) => d.one_norm(),
-            SolverState::Sparse(s) => s.one_norm(),
-        }
-    }
-
-    fn max_abs(&self) -> f64 {
-        match self {
-            SolverState::Dense(d) => d.max_abs(),
-            SolverState::Sparse(s) => s.max_abs(),
-        }
-    }
-
-    fn max_abs_u(&self) -> Option<f64> {
-        match self {
-            SolverState::Dense(d) => d.max_abs_u(),
-            SolverState::Sparse(s) => s.max_abs_u(),
-        }
-    }
-
-    fn backend(&self) -> SolverBackend {
-        match self {
-            SolverState::Dense(d) => d.backend(),
-            SolverState::Sparse(s) => s.backend(),
         }
     }
 }
@@ -1903,43 +1588,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_refactor_is_bitwise_equal_to_sequential() {
-        // A bordered-block-diagonal system shaped like a CIM row: many
-        // independent 2×2 blocks plus one shared border unknown.
-        let blocks = 40usize;
-        let n = 2 * blocks + 1;
-        let border = n - 1;
-        let build = |parallel: bool| {
-            let mut s = SparseLu::with_dim(n).with_parallel_blocks(parallel);
-            for blk in 0..blocks {
-                let a = 2 * blk;
-                let b = a + 1;
-                s.add(a, a, 3.0 + blk as f64 * 0.01);
-                s.add(a, b, -1.0);
-                s.add(b, a, -1.0);
-                s.add(b, b, 2.5);
-                s.add(b, border, -0.5);
-                s.add(border, b, -0.5);
-            }
-            s.add(border, border, blocks as f64);
-            s
-        };
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let solve_twice = |mut s: SparseLu| {
-            let mut first = Vec::new();
-            s.solve_into(&b, &mut first, &tele()).unwrap();
-            // Second solve exercises the refactor path.
-            let mut second = Vec::new();
-            s.solve_into(&b, &mut second, &tele()).unwrap();
-            (first, second)
-        };
-        let (seq1, seq2) = solve_twice(build(false));
-        let (par1, par2) = solve_twice(build(true));
-        assert_eq!(seq1, par1, "first (symbolic) solves must agree");
-        assert_eq!(seq2, par2, "refactor solves must be bitwise equal");
-    }
-
-    #[test]
     fn min_degree_is_a_permutation_and_prefers_leaves() {
         // Star graph: the hub must be eliminated last.
         let n = 6;
@@ -1970,12 +1618,12 @@ mod tests {
     #[test]
     fn auto_threshold_selects_backends() {
         let small = SolverState::for_config(10, SolverConfig::auto());
-        assert_eq!(small.backend(), SolverBackend::Dense);
+        assert_eq!(small.system_ref().backend(), SolverBackend::Dense);
         let large =
             SolverState::for_config(SolverConfig::AUTO_SPARSE_THRESHOLD, SolverConfig::auto());
-        assert_eq!(large.backend(), SolverBackend::Sparse);
+        assert_eq!(large.system_ref().backend(), SolverBackend::Sparse);
         let forced = SolverState::for_config(2, SolverConfig::sparse());
-        assert_eq!(forced.backend(), SolverBackend::Sparse);
+        assert_eq!(forced.system_ref().backend(), SolverBackend::Sparse);
         assert!(forced.matches(2, SolverConfig::sparse()));
         assert!(!forced.matches(2, SolverConfig::dense()));
         assert!(!forced.matches(3, SolverConfig::sparse()));
@@ -2193,30 +1841,28 @@ mod tests {
     #[test]
     fn sparse_u_max_equals_a_scan_of_the_factors() {
         for (n, seed) in [(1usize, 5u64), (6, 6), (40, 7), (90, 8)] {
-            for parallel in [false, true] {
-                let mut s = SparseLu::with_dim(n).with_parallel_blocks(parallel);
-                let entries = random_entries(n, 2, seed);
-                let b: Vec<f64> = (0..n).map(|i| 1.0 - i as f64).collect();
-                let mut x = Vec::new();
-                // Fresh factorization, then two numeric refactorizations
-                // on scaled values.
-                for scale in [1.0, 3.0, 0.25] {
-                    s.clear();
-                    for &(r, c, v) in &entries {
-                        s.add(r, c, v * scale);
-                    }
-                    s.solve_into(&b, &mut x, &tele()).unwrap();
-                    let scan = s
-                        .udiag
-                        .iter()
-                        .chain(&s.ux)
-                        .fold(0.0f64, |m, &v| m.max(v.abs()));
-                    assert_eq!(
-                        s.max_abs_u().map(f64::to_bits),
-                        Some(scan.to_bits()),
-                        "n={n} parallel={parallel} scale={scale}"
-                    );
+            let mut s = SparseLu::with_dim(n);
+            let entries = random_entries(n, 2, seed);
+            let b: Vec<f64> = (0..n).map(|i| 1.0 - i as f64).collect();
+            let mut x = Vec::new();
+            // Fresh factorization, then two numeric refactorizations
+            // on scaled values.
+            for scale in [1.0, 3.0, 0.25] {
+                s.clear();
+                for &(r, c, v) in &entries {
+                    s.add(r, c, v * scale);
                 }
+                s.solve_into(&b, &mut x, &tele()).unwrap();
+                let scan = s
+                    .udiag
+                    .iter()
+                    .chain(&s.ux)
+                    .fold(0.0f64, |m, &v| m.max(v.abs()));
+                assert_eq!(
+                    s.max_abs_u().map(f64::to_bits),
+                    Some(scan.to_bits()),
+                    "n={n} scale={scale}"
+                );
             }
         }
     }

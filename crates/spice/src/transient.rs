@@ -212,27 +212,6 @@ impl TransientResult {
             .collect()
     }
 
-    /// The node voltage linearly interpolated at an arbitrary time
-    /// inside the simulated interval (clamped outside it). Useful for
-    /// comparing runs sampled on different grids.
-    pub fn voltage_interp(&self, node: NodeId, t: Second) -> Volt {
-        let t = t.value();
-        let idx = node.index();
-        match self.times.iter().position(|&ti| ti >= t) {
-            None => Volt(self.voltages[self.voltages.len() - 1][idx]),
-            Some(0) => Volt(self.voltages[0][idx]),
-            Some(i) => {
-                let (t0, t1) = (self.times[i - 1], self.times[i]);
-                let (v0, v1) = (self.voltages[i - 1][idx], self.voltages[i][idx]);
-                if t1 <= t0 {
-                    Volt(v1)
-                } else {
-                    Volt(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
-                }
-            }
-        }
-    }
-
     /// The branch current of a voltage source at the final time point.
     ///
     /// # Errors

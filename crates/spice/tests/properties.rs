@@ -377,27 +377,23 @@ proptest! {
             .solve()
             .expect("dense dc");
         for ordering in [FillOrdering::MinDegree, FillOrdering::Natural] {
-            for parallel in [false, true] {
-                let config = SolverConfig::sparse()
-                    .with_ordering(ordering)
-                    .with_parallel_blocks(parallel);
-                let sparse = DcAnalysis::new(&ckt)
-                    .with_context(RunContext {
-                        solver: Some(config),
-                        ..RunContext::default()
-                    })
-                    .solve()
-                    .expect("sparse dc");
-                for i in 0..n {
-                    let node = ckt.find_node(&format!("n{i}")).expect("node");
-                    let dv = (dense.voltage(node).value()
-                        - sparse.voltage(node).value())
-                        .abs();
-                    prop_assert!(
-                        dv <= 1e-10,
-                        "node n{i} disagrees by {dv:e} ({ordering:?}, parallel {parallel})"
-                    );
-                }
+            let config = SolverConfig::sparse().with_ordering(ordering);
+            let sparse = DcAnalysis::new(&ckt)
+                .with_context(RunContext {
+                    solver: Some(config),
+                    ..RunContext::default()
+                })
+                .solve()
+                .expect("sparse dc");
+            for i in 0..n {
+                let node = ckt.find_node(&format!("n{i}")).expect("node");
+                let dv = (dense.voltage(node).value()
+                    - sparse.voltage(node).value())
+                    .abs();
+                prop_assert!(
+                    dv <= 1e-10,
+                    "node n{i} disagrees by {dv:e} ({ordering:?})"
+                );
             }
         }
     }

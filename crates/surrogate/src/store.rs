@@ -67,13 +67,6 @@ impl CheckPolicy {
         }
     }
 
-    /// Overrides the subsample seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Whether query number `n` is selected for a live check.
     fn selects(&self, n: u64) -> bool {
         // SplitMix64-style finalizer: cheap, well-mixed, deterministic.

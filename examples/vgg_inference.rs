@@ -13,7 +13,7 @@ use ferrocim::cim::{ArrayConfig, CimArray};
 use ferrocim::nn::cim_exec::{CimMapping, CimNetwork, IdealMac};
 use ferrocim::nn::data::Generator;
 use ferrocim::nn::vgg::vgg_nano;
-use ferrocim::nn::{train, TrainConfig};
+use ferrocim::nn::{try_train, TrainConfig};
 use ferrocim::units::Celsius;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(7);
     let mut net = vgg_nano(&mut rng);
     println!("training VGG-nano ({} params)...", net.parameter_count());
-    let stats = train(
+    let stats = try_train(
         &mut net,
         &train_set.images,
         &train_set.labels,
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             learning_rate: 0.01,
             ..TrainConfig::default()
         },
-    );
+    )?;
     println!(
         "final train accuracy: {:.3}",
         stats.last().map(|s| s.train_accuracy).unwrap_or(0.0)

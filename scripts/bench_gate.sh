@@ -35,7 +35,7 @@ if [[ $# -ne 0 ]]; then
 fi
 
 echo "==> building release benches and the trace CLI"
-cargo build --release --offline -q -p ferrocim-bench -p ferrocim-traceview
+cargo build --release --locked --offline -q -p ferrocim-bench -p ferrocim-traceview
 TRACE=target/release/trace
 mkdir -p "$OUT/results"
 export FERROCIM_RESULTS_DIR="$OUT/results"

@@ -7,32 +7,38 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> lockfiles: both manifests resolve without rewriting their Cargo.lock"
+# Every later cargo step passes --locked too; cargo fmt takes no such
+# flag, so the lockfiles are checked before it runs.
+cargo metadata --locked --offline --format-version 1 > /dev/null
+cargo metadata --locked --offline --format-version 1 --manifest-path cimbench/Cargo.toml > /dev/null
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo clippy --locked --offline --workspace --all-targets -- -D warnings
 
 echo "==> clippy (no unwrap/expect in units+device+telemetry+spice+cim+surrogate+nn+traceview+serve lib code)"
-cargo clippy --offline --no-deps -p ferrocim-units -p ferrocim-device -p ferrocim-telemetry \
+cargo clippy --locked --offline --no-deps -p ferrocim-units -p ferrocim-device -p ferrocim-telemetry \
   -p ferrocim-spice -p ferrocim-cim -p ferrocim-surrogate -p ferrocim-nn -p ferrocim-traceview \
   -p ferrocim-serve \
   --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "==> cargo doc (rustdoc warnings are errors; our crates only, not vendor/)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --offline --no-deps \
   -p ferrocim-units -p ferrocim-device -p ferrocim-telemetry \
   -p ferrocim-spice -p ferrocim-cim -p ferrocim-surrogate -p ferrocim-nn -p ferrocim-traceview \
   -p ferrocim-serve -p ferrocim-bench -p ferrocim
 
 echo "==> release build"
-cargo build --release --offline
+cargo build --release --locked --offline
 
 echo "==> figure artifacts: a fresh run must equal results/ byte for byte"
 # Every deterministic artifact whose default run writes it. The tracked
 # table2_summary.json carries the --accuracy column (minutes of
 # training), so only its schema is checked (crates/bench/tests).
-cargo build --release --offline -q -p ferrocim-bench --bins
+cargo build --release --locked --offline -q -p ferrocim-bench --bins
 artifacts=$(mktemp -d)
 trap 'rm -rf "$artifacts"' EXIT
 for bin in ablation_feedback ablation_multilevel ablation_write_verify fig1_fefet_iv \
@@ -50,7 +56,7 @@ for bin in ablation_feedback ablation_multilevel ablation_write_verify fig1_fefe
 done
 
 echo "==> benchmark build (cimbench is its own package, outside the workspace)"
-cargo build --release --offline --manifest-path cimbench/Cargo.toml --bins
+cargo build --release --locked --offline --manifest-path cimbench/Cargo.toml --bins
 
 echo "==> benchmark smoke: every cimbench workload must report correct output"
 # Seed-1 output digests. The solver workloads' digests do not depend on
@@ -90,7 +96,7 @@ for workload in row_transient mc_variation vgg_cim serve_mix; do
 done
 
 echo "==> every workspace test suite, vendored crates excluded (full backtraces)"
-RUST_BACKTRACE=1 cargo test -q --offline --workspace --exclude proptest \
+RUST_BACKTRACE=1 cargo test -q --locked --offline --workspace --exclude proptest \
   --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
 
 echo "==> all checks passed"

@@ -14,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> building ferrocim-serve"
-cargo build --release --offline -q -p ferrocim-serve
+cargo build --release --locked --offline -q -p ferrocim-serve
 
 echo "==> self-check: boot, MAC request, /healthz, /metrics, /debug/*, shutdown"
 target/release/ferrocim-serve --self-check --flight 256 --flight-dump target/serve-smoke-flight

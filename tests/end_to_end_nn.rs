@@ -9,7 +9,7 @@ use ferrocim::device::variation::VariationModel;
 use ferrocim::nn::cim_exec::{CimMapping, CimNetwork, IdealMac, MacOracle};
 use ferrocim::nn::data::Generator;
 use ferrocim::nn::layers::{Layer, Linear};
-use ferrocim::nn::{train, Network, TrainConfig};
+use ferrocim::nn::{try_train, Network, TrainConfig};
 use ferrocim::units::Celsius;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +52,7 @@ fn small_mlp_and_data() -> (Network, Vec<ferrocim::nn::Tensor>, Vec<usize>) {
 #[test]
 fn mlp_trains_on_synthetic_data_and_survives_cim_mapping() {
     let (mut net, inputs, labels) = small_mlp_and_data();
-    let stats = train(
+    let stats = try_train(
         &mut net,
         &inputs,
         &labels,
@@ -62,7 +62,8 @@ fn mlp_trains_on_synthetic_data_and_survives_cim_mapping() {
             batch_size: 16,
             ..TrainConfig::default()
         },
-    );
+    )
+    .expect("trains");
     let clean = stats.last().unwrap().train_accuracy;
     assert!(clean > 0.8, "clean accuracy {clean}");
     // Quantized execution through ideal CIM rows barely degrades.
