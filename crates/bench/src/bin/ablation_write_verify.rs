@@ -10,7 +10,7 @@ use ferrocim_cim::program::{write_verify_row, WriteVerifyConfig};
 use ferrocim_cim::transfer::Adc;
 use ferrocim_cim::{mac_operands, ArrayConfig, CimArray, MacPath, MacRequest};
 use ferrocim_device::variation::{GaussianSampler, VariationModel};
-use ferrocim_spice::MonteCarlo;
+use ferrocim_spice::{FailurePolicy, MonteCarlo};
 use ferrocim_units::Celsius;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = ferrocim_bench::Trace::from_args()?;
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for verify in [false, true] {
         let mc = MonteCarlo::new(runs, 0xA11CE).with_recorder(trace.telemetry());
-        let samples: Vec<Result<(usize, f64, f64), ferrocim_cim::CimError>> = mc.run(|_, rng| {
+        let samples = mc.try_run(&FailurePolicy::FailFast, |_, rng| {
             let mut sampler = GaussianSampler::new();
             let mut worst = 0usize;
             let mut total = 0.0f64;
@@ -65,13 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 worst = worst.max(read.abs_diff(k));
                 total += read.abs_diff(k) as f64;
             }
-            Ok((worst, total / 3.0, iters / 3.0))
-        });
+            Ok::<_, ferrocim_cim::CimError>((worst, total / 3.0, iters / 3.0))
+        })?;
         let mut worst = 0usize;
         let mut mean = 0.0;
         let mut iters = 0.0;
-        for s in samples {
-            let (w, m, i) = s?;
+        for &(w, m, i) in samples.values() {
             worst = worst.max(w);
             mean += m / runs as f64;
             iters += i / runs as f64;

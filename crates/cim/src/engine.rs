@@ -407,7 +407,7 @@ pub(crate) fn settle<T: Clone>(
 /// Folds a batch outcome under [`FailurePolicy::FailFast`] into plain
 /// values: every value when the batch succeeded, else the first failed
 /// job's error. A job that panicked re-raises its message on the
-/// caller's thread, as [`ferrocim_spice::fan_out`] does.
+/// caller's thread.
 pub(crate) fn fail_fast<T>(
     outcome: Result<FanOutReport<T, CimError>, FanOutError<CimError>>,
 ) -> Result<Vec<T>, CimError> {

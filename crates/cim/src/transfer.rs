@@ -14,9 +14,10 @@
 
 use crate::array::{mac_operands, CimArray};
 use crate::cells::{CellDesign, CellOffsets};
+use crate::engine::fail_fast;
 use crate::CimError;
 use ferrocim_device::variation::{GaussianSampler, VariationModel};
-use ferrocim_spice::MonteCarlo;
+use ferrocim_spice::{FailurePolicy, MonteCarlo};
 use ferrocim_units::{Celsius, Volt};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -213,7 +214,7 @@ impl TransferModel {
         for k in 0..=n {
             let (w, x) = mac_operands(n, k);
             let mc = MonteCarlo::new(config.samples_per_level, config.seed ^ (k as u64) << 32);
-            let reads: Vec<Result<usize, CimError>> = mc.run(|_, rng| {
+            let reads = fail_fast(mc.try_run(&FailurePolicy::FailFast, |_, rng| {
                 let _sample_span = array
                     .context()
                     .telemetry
@@ -233,9 +234,8 @@ impl TransferModel {
                     .path(crate::MacPath::Analytic);
                 let out = array.run(&request)?;
                 Ok(adc.quantize(out.v_acc))
-            });
+            }))?;
             for read in reads {
-                let read = read?;
                 confusion[k][read] += 1.0;
                 max_abs_error[k] = max_abs_error[k].max(read.abs_diff(k));
             }

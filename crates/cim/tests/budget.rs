@@ -2,6 +2,7 @@
 
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::fault::{CellFault, FaultPlan};
+use ferrocim_cim::transfer::{Adc, TransferConfig, TransferModel};
 use ferrocim_cim::{ArrayConfig, ArrayEngine, CimArray, CimError, Crossbar, RunContext};
 use ferrocim_spice::{
     Budget, BudgetResource, CancelToken, FailurePolicy, FanOutError, JobError, SpiceError,
@@ -225,4 +226,48 @@ fn malformed_inputs_are_rejected_before_any_budget_charge() {
         Err(CimError::MismatchedOperands { .. })
     ));
     assert_eq!(budget.steps_spent(), 0, "crossbar charged a rejected input");
+}
+
+/// Steps charged by `f` under a step cap too large to bind (spend is
+/// only counted while a cap is configured).
+fn steps_spent_by(f: impl FnOnce(RunContext)) -> u64 {
+    let counted = Budget::unlimited().with_max_steps(u64::MAX);
+    f(budgeted(counted.clone()));
+    counted.steps_spent()
+}
+
+#[test]
+fn transfer_measurement_returns_the_budget_error_of_its_samples() {
+    let config = TransferConfig {
+        samples_per_level: 2,
+        ..TransferConfig::paper_default(ROOM)
+    };
+    // Size the cap from counted runs: the replica ADC calibration fits,
+    // the Monte-Carlo samples that follow it do not.
+    let calibration = steps_spent_by(|ctx| {
+        Adc::calibrate(&small_array().with_context(ctx), config.temp).unwrap();
+    });
+    let measurement = steps_spent_by(|ctx| {
+        TransferModel::measure(&small_array().with_context(ctx), &config).unwrap();
+    });
+    assert!(calibration < measurement, "{calibration} vs {measurement}");
+    let cap = calibration + (measurement - calibration) / 2;
+    let array = small_array().with_context(budgeted(Budget::unlimited().with_max_steps(cap)));
+    let err = TransferModel::measure(&array, &config).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CimError::Spice(SpiceError::BudgetExceeded {
+                resource: BudgetResource::Steps { .. }
+            })
+        ),
+        "{err}"
+    );
+
+    // An unlimited budget changes nothing.
+    let unlimited = small_array().with_context(budgeted(Budget::unlimited()));
+    assert_eq!(
+        TransferModel::measure(&unlimited, &config).unwrap(),
+        TransferModel::measure(&small_array(), &config).unwrap()
+    );
 }

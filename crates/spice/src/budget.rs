@@ -112,13 +112,14 @@ impl std::fmt::Display for BudgetResource {
 /// The default budget is unlimited and adds near-zero overhead: solvers
 /// only pay for the checks that are actually configured. Spend counters
 /// live behind [`Arc`]s, so clones of one budget draw from a shared
-/// pool — hand the same budget to a [`crate::MonteCarlo`] fan-out and
-/// the cap covers the sum of all samples.
+/// pool — hand the same budget to every job of a fan-out (the samples
+/// of a [`crate::MonteCarlo`] sweep, the rows of a batch) and the cap
+/// covers the sum of all of them.
 ///
 /// Step accounting is coarse by design: a transient charges one step
-/// per attempted time step, a DC sweep one per point, Monte Carlo one
-/// per sample. Newton iterations are charged one per linearized solve,
-/// including rescue-ladder retries.
+/// per attempted time step, a DC sweep one per point. Newton iterations
+/// are charged one per linearized solve, including rescue-ladder
+/// retries.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     max_newton_iterations: Option<u64>,

@@ -15,15 +15,11 @@
 //!   applied through the public [`LinearSystem`] stamp interface, which
 //!   is exactly where assembly bugs or corrupted device evaluations
 //!   would land.
-//! * [`corrupt_checkpoint`] — byte truncation and garbage overwrites of
-//!   `McCheckpoint` files, which resume must answer with
-//!   `McError::CorruptCheckpoint`.
 //! * Worker panics and deadline expiry are injected directly by the
-//!   soak test through `fan_out` closures and pre-expired
+//!   soak test through [`crate::try_fan_out`] closures and pre-expired
 //!   [`crate::Deadline`]s — no helper needed beyond [`ChaosRng`].
 
 use crate::solver::LinearSystem;
-use std::path::Path;
 
 /// A tiny deterministic RNG (splitmix64) for fault planning.
 ///
@@ -142,61 +138,6 @@ impl MatrixFault {
     }
 }
 
-/// How to damage a checkpoint file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileFault {
-    /// Keep only the first `keep` bytes (a crash mid-write).
-    Truncate {
-        /// Bytes to keep.
-        keep: usize,
-    },
-    /// Overwrite one byte at `at` with `byte` (media corruption).
-    GarbageByte {
-        /// Byte offset (clamped to the file length).
-        at: usize,
-        /// The replacement byte.
-        byte: u8,
-    },
-}
-
-impl FileFault {
-    /// Draws a file fault for a `len`-byte file.
-    pub fn draw(rng: &mut ChaosRng, len: usize) -> FileFault {
-        if len == 0 || rng.chance(0.5) {
-            FileFault::Truncate {
-                keep: if len == 0 { 0 } else { rng.below(len) },
-            }
-        } else {
-            FileFault::GarbageByte {
-                at: rng.below(len),
-                byte: (rng.next_u64() & 0xff) as u8,
-            }
-        }
-    }
-}
-
-/// Applies a [`FileFault`] to a checkpoint (or any) file in place.
-///
-/// # Errors
-///
-/// Propagates I/O errors from reading or rewriting the file.
-pub fn corrupt_checkpoint(path: &Path, fault: FileFault) -> std::io::Result<()> {
-    let mut bytes = std::fs::read(path)?;
-    match fault {
-        FileFault::Truncate { keep } => bytes.truncate(keep),
-        FileFault::GarbageByte { at, byte } => {
-            if bytes.is_empty() {
-                return Ok(());
-            }
-            let at = at.min(bytes.len() - 1);
-            // Flipping to the same byte would be a no-op injection; make
-            // sure the write actually changes the payload.
-            bytes[at] = if bytes[at] == byte { !byte } else { byte };
-        }
-    }
-    std::fs::write(path, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,22 +185,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw_all(), draw_all());
-    }
-
-    #[test]
-    fn checkpoint_corruption_truncates_and_garbles() {
-        let dir = std::env::temp_dir().join(format!("ferrocim-chaos-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        std::fs::write(&path, b"0123456789").unwrap();
-        corrupt_checkpoint(&path, FileFault::Truncate { keep: 4 }).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"0123");
-        corrupt_checkpoint(&path, FileFault::GarbageByte { at: 0, byte: b'0' }).unwrap();
-        assert_ne!(
-            std::fs::read(&path).unwrap()[0],
-            b'0',
-            "garbage injection must change the byte"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -74,8 +74,8 @@ pub use health::{certify_solution, HealthPolicy, ResidualScan, SolveQuality};
 pub use linear::Matrix;
 pub use mna::NewtonOptions;
 pub use montecarlo::{
-    apply_policy, fan_out, histogram, try_fan_out, FailurePolicy, FanOutError, FanOutReport,
-    JobError, McCheckpoint, McError, MonteCarlo, SampleStats,
+    apply_policy, histogram, try_fan_out, FailurePolicy, FanOutError, FanOutReport, JobError,
+    MonteCarlo, SampleStats,
 };
 pub use netlist::{Circuit, Element, NodeId, SwitchSchedule};
 pub use rescue::{RescuePolicy, RescueReport, RescueRung, RungAttempt};

@@ -6,25 +6,23 @@
 //! under test is the crate's robustness contract: **no injected fault
 //! may produce a silent wrong answer** — every solve either certifies
 //! (and then independently re-verifies here), fails with a typed
-//! [`SpiceError`] / [`McError`] / [`JobError`], or panics inside a
-//! fan-out worker where the harness converts it to a typed job failure.
+//! [`SpiceError`] / [`JobError`], or panics inside a fan-out worker
+//! where the harness converts it to a typed job failure.
 //!
-//! The file runs well over 1000 seeded injections:
+//! The file runs 930 seeded injections:
 //! * 600 matrix faults (NaN poison, large perturbations, zeroed pivots)
 //!   through both solver backends,
 //! * 200 forced factorization failures inside a Monte-Carlo fleet,
-//! * 120 checkpoint corruptions (truncation + garbage bytes),
 //! * 100 panicking fan-out workers,
-//! * 60 deadlines expiring mid-transient and mid-sweep.
+//! * 30 deadlines expiring mid-transient.
 
-use ferrocim_spice::chaos::{corrupt_checkpoint, ChaosRng, FileFault, MatrixFault};
+use ferrocim_spice::chaos::{ChaosRng, MatrixFault};
 use ferrocim_spice::{
-    certify_solution, fan_out, try_fan_out, Budget, BudgetResource, Circuit, Deadline, DenseLu,
-    Element, FailurePolicy, HealthPolicy, JobError, LinearSystem, McError, MonteCarlo, NodeId,
-    RunContext, SparseLu, SpiceError, Telemetry, TransientAnalysis, Waveform,
+    certify_solution, try_fan_out, Budget, BudgetResource, Circuit, Deadline, DenseLu, Element,
+    FailurePolicy, HealthPolicy, JobError, LinearSystem, MonteCarlo, NodeId, RunContext, SparseLu,
+    SpiceError, Telemetry, TransientAnalysis, Waveform,
 };
 use ferrocim_units::{Farad, Ohm, Second, Volt};
-use std::path::PathBuf;
 use std::time::Duration;
 
 const DIM: usize = 6;
@@ -76,16 +74,6 @@ fn independent_backward_error(system: &mut dyn LinearSystem, b: &[f64], x: &[f64
     } else {
         rmax / scale
     }
-}
-
-fn scratch_path(tag: &str, seed: u64) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "ferrocim-chaos-soak-{tag}-{}-{seed}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
 }
 
 /// 600 seeded matrix faults through both backends: every outcome must
@@ -223,57 +211,6 @@ fn mc_fleet_survives_forced_factorization_failures() {
     }
 }
 
-/// 120 seeded checkpoint corruptions: every truncation or garbage byte
-/// is answered with `McError::CorruptCheckpoint` (the envelope checksum
-/// catches even flips that still parse as valid JSON), and a repaired
-/// rerun reproduces the uninterrupted sweep bitwise.
-#[test]
-fn corrupted_checkpoints_always_fail_typed_and_repair_bitwise() {
-    let mc = MonteCarlo::new(6, 21).sequential();
-    let sample = |i: usize, rng: &mut rand::rngs::StdRng| {
-        use rand::Rng;
-        rng.random::<f64>() * (i as f64 + 1.0)
-    };
-    let clean: Vec<f64> = {
-        let path = scratch_path("clean", 0);
-        let out = mc
-            .run_resumable(&path, 2, &Budget::unlimited(), sample)
-            .unwrap();
-        let _ = std::fs::remove_file(&path);
-        out
-    };
-
-    for seed in 0..120u64 {
-        let path = scratch_path("corrupt", seed);
-        mc.run_resumable(&path, 2, &Budget::unlimited(), sample)
-            .unwrap();
-        let len = std::fs::metadata(&path).unwrap().len() as usize;
-        let fault = FileFault::draw(&mut ChaosRng::new(seed), len);
-        corrupt_checkpoint(&path, fault).unwrap();
-
-        let err = mc
-            .run_resumable(&path, 2, &Budget::unlimited(), sample)
-            .unwrap_err();
-        assert!(
-            matches!(err, McError::CorruptCheckpoint { .. }),
-            "seed {seed} ({fault:?}): corruption not detected — got {err:?}"
-        );
-
-        // Repair (operator deletes the damaged file) and rerun: the
-        // result must be bitwise identical to the uninterrupted sweep.
-        std::fs::remove_file(&path).unwrap();
-        let repaired = mc
-            .run_resumable(&path, 2, &Budget::unlimited(), sample)
-            .unwrap();
-        assert_eq!(
-            repaired.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            clean.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "seed {seed}: repaired rerun diverged"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-}
-
 /// 100 fan-out jobs with a deterministic subset panicking mid-job: the
 /// fault-tolerant harness converts each panic to a typed `JobError`
 /// and the surviving jobs stay bitwise correct.
@@ -315,28 +252,10 @@ fn panicking_workers_become_typed_job_errors() {
             Err(JobError::Failed(e)) => panic!("job {job}: unexpected typed failure {e:?}"),
         }
     }
-
-    // The plain fan_out contract is the opposite and equally typed: a
-    // panicking job takes the batch down by re-raising the payload.
-    let outcome = std::panic::catch_unwind(|| {
-        fan_out(
-            4,
-            false,
-            || (),
-            |(), i| {
-                if i == 2 {
-                    panic!("chaos panic in job 2");
-                }
-                i
-            },
-        )
-    });
-    assert!(outcome.is_err(), "fan_out must re-raise worker panics");
 }
 
-/// 60 deadline expiries injected mid-transient and mid-sweep: the
-/// budget layer must answer each with its typed wall-clock error, and a
-/// checkpointed sweep must keep its partial results recoverable.
+/// 30 deadline expiries injected mid-transient: the budget layer must
+/// answer each with its typed wall-clock error.
 #[test]
 fn expired_deadlines_abort_with_typed_errors() {
     let mut ckt = Circuit::new();
@@ -380,35 +299,5 @@ fn expired_deadlines_abort_with_typed_errors() {
             ),
             "seed {seed}: expected a wall-clock abort, got {err:?}"
         );
-    }
-
-    for seed in 0..30u64 {
-        let path = scratch_path("deadline", seed);
-        let mc = MonteCarlo::new(4, seed).sequential();
-        let budget = Budget::unlimited().with_deadline(Deadline::after(Duration::ZERO));
-        let err = mc
-            .run_resumable(&path, 2, &budget, |i, _| i as f64)
-            .unwrap_err();
-        match err {
-            McError::Interrupted { reason, .. } => {
-                assert!(
-                    matches!(
-                        reason,
-                        SpiceError::BudgetExceeded {
-                            resource: BudgetResource::WallClock
-                        }
-                    ),
-                    "seed {seed}: wrong interruption reason {reason:?}"
-                );
-            }
-            other => panic!("seed {seed}: expected Interrupted, got {other:?}"),
-        }
-        // The save raced nothing: the checkpoint on disk is readable
-        // and resumable once the deadline pressure is gone.
-        let resumed = mc
-            .run_resumable(&path, 2, &Budget::unlimited(), |i, _| i as f64)
-            .unwrap();
-        assert_eq!(resumed, vec![0.0, 1.0, 2.0, 3.0]);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,6 +7,7 @@ use ferrocim_spice::{
 };
 use ferrocim_units::{Ampere, Celsius, Farad, Ohm, Second, Volt};
 use rand::Rng;
+use std::convert::Infallible;
 
 #[test]
 fn floating_node_is_rescued_by_gmin() {
@@ -343,7 +344,14 @@ fn panicking_monte_carlo_job_is_contained() {
     ));
     // Every other job's value is bitwise identical to a clean run: the
     // per-run RNG stream does not depend on its neighbours' fate.
-    let clean = mc.run(|_, rng| rng.random::<f64>());
+    let clean: Vec<f64> = mc
+        .try_run(&FailurePolicy::FailFast, |_, rng| {
+            Ok::<_, Infallible>(rng.random::<f64>())
+        })
+        .expect("infallible jobs")
+        .values()
+        .copied()
+        .collect();
     for (run, slot) in report.results.iter().enumerate() {
         if run != 3 {
             assert_eq!(slot.as_ref().ok(), Some(&clean[run]), "run {run}");

@@ -1,31 +1,13 @@
-//! Property-based tests of the numerical-health layer and checkpoint
-//! durability: invariants that must hold for *any* system and *any*
-//! corruption, not just hand-picked examples.
+//! Property-based tests of the numerical-health layer: invariants that
+//! must hold for *any* system, not just hand-picked examples.
 
-use ferrocim_spice::chaos::{corrupt_checkpoint, FileFault};
 use ferrocim_spice::{
-    certify_solution, Budget, DenseLu, HealthPolicy, LinearSystem, Matrix, McError, MonteCarlo,
-    SparseLu, Telemetry,
+    certify_solution, DenseLu, HealthPolicy, LinearSystem, Matrix, SparseLu, Telemetry,
 };
 use ferrocim_telemetry::SolverBackend;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_path(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "ferrocim-health-prop-{tag}-{}-{}.json",
-        std::process::id(),
-        SCRATCH_ID.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
-}
 
 /// Stamps a strictly diagonally dominant `n`×`n` system from the
 /// proptest-supplied off-diagonal pool: well-conditioned by
@@ -470,57 +452,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Any single truncation or garbage byte in a checkpoint file is
-    /// answered with `McError::CorruptCheckpoint` — never an I/O error,
-    /// never a silently-resumed sweep — and deleting the damaged file
-    /// and rerunning reproduces the uninterrupted result bit for bit.
-    #[test]
-    fn checkpoint_corruption_is_typed_and_repair_is_bitwise(
-        runs in 2usize..6,
-        seed in any::<u64>(),
-        every in 1usize..4,
-        truncate in any::<bool>(),
-        pos in any::<u64>(),
-        byte in any::<u8>(),
-    ) {
-        let mc = MonteCarlo::new(runs, seed).sequential();
-        let sample = |i: usize, rng: &mut rand::rngs::StdRng| {
-            rng.random::<f64>() * (i as f64 + 1.0)
-        };
-        let clean: Vec<f64> = mc.run(sample);
-
-        let path = scratch_path("ckpt");
-        mc.run_resumable(&path, every, &Budget::unlimited(), sample)
-            .expect("uninjected sweep");
-        let len = std::fs::metadata(&path).expect("checkpoint exists").len() as usize;
-        let at = (pos % len as u64) as usize;
-        let fault = if truncate {
-            FileFault::Truncate { keep: at }
-        } else {
-            FileFault::GarbageByte { at, byte }
-        };
-        corrupt_checkpoint(&path, fault).expect("inject fault");
-
-        let err = mc
-            .run_resumable(&path, every, &Budget::unlimited(), sample)
-            .expect_err("corruption must not resume");
-        prop_assert!(
-            matches!(err, McError::CorruptCheckpoint { .. }),
-            "fault {fault:?} at len {len}: got {err:?}"
-        );
-
-        // Repair: drop the damaged checkpoint and rerun from scratch.
-        std::fs::remove_file(&path).expect("repair");
-        let repaired = mc
-            .run_resumable(&path, every, &Budget::unlimited(), sample)
-            .expect("repaired sweep");
-        let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(
-            repaired.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            clean.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     /// Refinement parity: on a well-conditioned system the certified

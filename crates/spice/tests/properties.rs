@@ -259,14 +259,15 @@ mod fault_tolerant_fan_out {
     use ferrocim_spice::{FailurePolicy, FanOutError, JobError, MonteCarlo, SpiceError};
     use rand::rngs::StdRng;
     use rand::Rng;
+    use std::convert::Infallible;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// For every failure policy and failure pattern, the jobs that
         /// succeed under `try_run` produce results bitwise identical to
-        /// a plain `run` with the same seed: fault tolerance must never
-        /// perturb healthy work.
+        /// a clean `FailFast` sweep with the same seed: fault tolerance
+        /// must never perturb healthy work.
         #[test]
         fn try_run_successes_match_run_bitwise(
             runs in 1usize..12,
@@ -279,7 +280,14 @@ mod fault_tolerant_fan_out {
             if !parallel {
                 mc = mc.sequential();
             }
-            let clean: Vec<f64> = mc.run(|_, rng| rng.random::<f64>());
+            let clean: Vec<f64> = mc
+                .try_run(&FailurePolicy::FailFast, |_, rng| {
+                    Ok::<_, Infallible>(rng.random::<f64>())
+                })
+                .expect("infallible jobs")
+                .values()
+                .copied()
+                .collect();
             let policy = match policy_kind {
                 0 => FailurePolicy::FailFast,
                 1 => FailurePolicy::SkipAndReport { max_failures: runs },
@@ -320,7 +328,7 @@ mod fault_tolerant_fan_out {
                             }
                         } else {
                             // The healthy job's value is bit-for-bit the
-                            // plain run's value.
+                            // clean sweep's value.
                             prop_assert_eq!(
                                 report.results[run].as_ref().ok().map(|v| v.to_bits()),
                                 Some(clean[run].to_bits())

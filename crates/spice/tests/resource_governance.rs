@@ -1,17 +1,15 @@
 //! Integration tests for the resource-governance layer: adaptive LTE
 //! stepping against analytic references and fine fixed-step runs,
-//! budget/deadline/cancellation aborts across every analysis entry
-//! point, and killed-and-resumed Monte-Carlo sweeps.
+//! and budget/deadline/cancellation aborts across every analysis entry
+//! point.
 
 use ferrocim_spice::{
     AdaptiveOptions, Budget, BudgetResource, CancelToken, Circuit, DcAnalysis, DcSweep, Deadline,
-    Element, HealthPolicy, Integrator, McError, MonteCarlo, NewtonOptions, NodeId, RunContext,
-    SimEngine, SolverConfig, SpiceError, TransientAnalysis,
+    Element, HealthPolicy, Integrator, NodeId, RunContext, SimEngine, SolverConfig, SpiceError,
+    TransientAnalysis,
 };
-use ferrocim_units::{Celsius, Farad, Ohm, Second, Volt};
+use ferrocim_units::{Farad, Ohm, Second, Volt};
 use proptest::prelude::*;
-use rand::Rng;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// A series RC charged from a DC source: `v_c(t) = V·(1 − e^(−t/RC))`.
@@ -62,16 +60,6 @@ fn budgeted(budget: Budget) -> RunContext {
         budget,
         ..RunContext::default()
     }
-}
-
-fn scratch_path(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "ferrocim-governance-{tag}-{}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
 }
 
 proptest! {
@@ -344,98 +332,4 @@ fn unlimited_budget_changes_nothing() {
             governed.voltage_at(node, i).value().to_bits()
         );
     }
-}
-
-/// One Monte-Carlo sample: the DC solution of an RC divider whose
-/// resistor is drawn from the run's RNG.
-fn mc_sample(run: usize, rng: &mut rand::rngs::StdRng) -> f64 {
-    let r: f64 = rng.random_range(1e3..1e6);
-    let mut ckt = Circuit::new();
-    let a = ckt.node("a");
-    let b = ckt.node("b");
-    ckt.add(Element::vdc("V1", a, NodeId::GROUND, Volt(1.0)))
-        .expect("add source");
-    ckt.add(Element::resistor("R1", a, b, Ohm(r)))
-        .expect("add top resistor");
-    ckt.add(Element::resistor(
-        "R2",
-        b,
-        NodeId::GROUND,
-        Ohm(1e4 + run as f64),
-    ))
-    .expect("add bottom resistor");
-    DcAnalysis::new(&ckt)
-        .with_options(NewtonOptions::default())
-        .at(Celsius::ROOM)
-        .solve()
-        .expect("divider solves")
-        .voltage(b)
-        .value()
-}
-
-#[test]
-fn killed_and_resumed_monte_carlo_is_bitwise_identical() {
-    let mc = MonteCarlo::new(12, 0xFEED_F00D).sequential();
-    let uninterrupted: Vec<f64> = mc.run(mc_sample);
-
-    let path = scratch_path("mc-resume");
-    // "Kill" the sweep partway via a step budget: only 5 samples fit.
-    let tight = Budget::unlimited().with_max_steps(5);
-    let err = mc
-        .run_resumable(&path, 2, &tight, mc_sample)
-        .expect_err("tight budget must interrupt");
-    match &err {
-        McError::Interrupted { reason, partial } => {
-            assert!(
-                matches!(reason, SpiceError::BudgetExceeded { .. }),
-                "{reason}"
-            );
-            assert!(!partial.is_empty() && partial.len() < 12);
-            // Completed samples match the uninterrupted run exactly.
-            for (run, value) in partial {
-                assert_eq!(value.to_bits(), uninterrupted[*run].to_bits());
-            }
-        }
-        other => panic!("expected Interrupted, got {other:?}"),
-    }
-    assert!(path.exists(), "checkpoint file must survive the kill");
-
-    // Resume without limits: bitwise identical to the uninterrupted run.
-    let resumed = mc
-        .run_resumable(&path, 2, &Budget::unlimited(), mc_sample)
-        .expect("resume completes");
-    assert_eq!(resumed.len(), uninterrupted.len());
-    for (a, b) in resumed.iter().zip(&uninterrupted) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn cancelled_monte_carlo_preserves_partial_results() {
-    let mc = MonteCarlo::new(6, 7).sequential();
-    let path = scratch_path("mc-cancel");
-    let token = CancelToken::new();
-    // Cancel after the first chunk by budgeting exactly one chunk of
-    // steps and cancelling from the typed error path.
-    let budget = Budget::unlimited().with_max_steps(2);
-    let err = mc
-        .run_resumable(&path, 2, &budget, mc_sample)
-        .expect_err("must interrupt");
-    assert!(matches!(err, McError::Interrupted { .. }));
-    // A cancelled token aborts immediately with Cancelled.
-    token.cancel();
-    let cancelled = Budget::unlimited().with_cancel_token(&token);
-    let err = mc
-        .run_resumable(&path, 2, &cancelled, mc_sample)
-        .expect_err("cancelled");
-    match err {
-        McError::Interrupted { reason, partial } => {
-            assert!(matches!(reason, SpiceError::Cancelled), "{reason}");
-            // The first chunk from the earlier attempt is preserved.
-            assert_eq!(partial.len(), 2);
-        }
-        other => panic!("expected Interrupted, got {other:?}"),
-    }
-    let _ = std::fs::remove_file(&path);
 }

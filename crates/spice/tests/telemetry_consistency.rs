@@ -6,11 +6,12 @@
 
 use ferrocim_device::{MosfetModel, MosfetParams};
 use ferrocim_spice::{
-    fan_out, Circuit, DcAnalysis, Element, FailurePolicy, MonteCarlo, NewtonOptions, NodeId,
+    try_fan_out, Circuit, DcAnalysis, Element, FailurePolicy, MonteCarlo, NewtonOptions, NodeId,
     TransientAnalysis, Waveform,
 };
 use ferrocim_telemetry::{Aggregator, Event, Telemetry};
 use ferrocim_units::{Farad, Ohm, Second, Volt};
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
 /// A pulsed RC divider: the fast edges force the adaptive controller to
@@ -154,16 +155,21 @@ fn merged_per_thread_aggregators_equal_the_shared_total() {
             ok: !job.is_multiple_of(3),
         });
     };
-    fan_out(
+    try_fan_out(
         JOBS,
         true,
+        &FailurePolicy::FailFast,
         || {
             let agg = Arc::new(Aggregator::new());
             locals.lock().expect("no poison").push(agg.clone());
             Telemetry::new(agg)
         },
-        |tele, job| emit(tele, job),
-    );
+        |tele, job| {
+            emit(tele, job);
+            Ok::<_, Infallible>(())
+        },
+    )
+    .expect("infallible jobs");
     let merged = Aggregator::new();
     for local in locals.lock().expect("no poison").iter() {
         merged.merge_from(local);
@@ -215,22 +221,28 @@ fn mc_fleet_reuses_one_symbolic_analysis_across_runs() {
     let fleet = MonteCarlo::new(runs, 0xfe_f37)
         .sequential()
         .with_recorder(tele.clone());
-    let outs = fleet.run(|_run, rng| {
-        let mut ckt = base.clone();
-        for i in 0..n {
-            if let Some(Element::Resistor { resistance, .. }) = ckt.element_mut(&format!("R{i}")) {
-                *resistance = Ohm(1e3 * (1.0 + 0.2 * rng.random::<f64>()));
+    let outs = fleet
+        .try_run(&FailurePolicy::FailFast, |_run, rng| {
+            let mut ckt = base.clone();
+            for i in 0..n {
+                if let Some(Element::Resistor { resistance, .. }) =
+                    ckt.element_mut(&format!("R{i}"))
+                {
+                    *resistance = Ohm(1e3 * (1.0 + 0.2 * rng.random::<f64>()));
+                }
             }
-        }
-        let mut ws = ws.lock().expect("no poisoned lock");
-        DcAnalysis::new(&ckt)
-            .with_recorder(tele.clone())
-            .solve_in(&mut ws)
-            .expect("a resistor ladder converges")
-            .voltage(nodes[n - 1])
-            .value()
-    });
-    assert_eq!(outs.len(), runs);
+            let mut ws = ws.lock().expect("no poisoned lock");
+            Ok::<_, Infallible>(
+                DcAnalysis::new(&ckt)
+                    .with_recorder(tele.clone())
+                    .solve_in(&mut ws)
+                    .expect("a resistor ladder converges")
+                    .voltage(nodes[n - 1])
+                    .value(),
+            )
+        })
+        .expect("infallible jobs");
+    assert_eq!(outs.results.len(), runs);
     let counts = agg.counts();
     // At least one linear solve per run happened through the recorder…
     assert!(counts.solver_solves >= runs as u64);

@@ -51,7 +51,7 @@ fn atomic_f64_add(cell: &AtomicU64, value: f64) {
 /// such bound wins, Prometheus `le` semantics); one extra overflow
 /// bucket catches everything above the last bound. Recording is
 /// lock-free, and two histograms with identical bounds can be merged
-/// bucket-wise (the `fan_out` per-thread pattern).
+/// bucket-wise (the `try_fan_out` per-thread pattern).
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<f64>,
@@ -520,7 +520,7 @@ counters! {
 /// solve and span latencies.
 ///
 /// The aggregator is `Sync`, so one instance can be shared across
-/// `fan_out` worker threads directly; alternatively, give each thread
+/// `try_fan_out` worker threads directly; alternatively, give each thread
 /// its own and combine them with [`Aggregator::merge_from`].
 #[derive(Debug)]
 pub struct Aggregator {
@@ -688,7 +688,7 @@ impl Aggregator {
     }
 
     /// Adds `other`'s counters and histograms into `self` (the
-    /// per-thread `fan_out` merge pattern).
+    /// per-thread `try_fan_out` merge pattern).
     pub fn merge_from(&self, other: &Aggregator) {
         for (mine, theirs) in self.counters.iter().zip(&other.counters) {
             mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);

@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 /// Schema version string carried by the header line of every JSONL
-/// trace (see [`crate::JsonlSink`]), mirroring the versioned
-/// `ferrocim-mc-checkpoint-v1` convention of `McCheckpoint`.
+/// trace (see [`crate::JsonlSink`]); readers refuse a trace whose header
+/// names another version.
 pub const TRACE_FORMAT: &str = "ferrocim-trace-v1";
 
 /// Which budgeted resource a [`Event::BudgetSpend`] charge drew from.

@@ -12,7 +12,7 @@
 //!   `ferrocim-nn` (training epochs).
 //! * [`Recorder`] — the sink trait; [`NoopRecorder`], [`Aggregator`]
 //!   (atomic counters + fixed-bucket histograms, mergeable across
-//!   `fan_out` threads, with a Prometheus-style text exposition), and
+//!   `try_fan_out` threads, with a Prometheus-style text exposition), and
 //!   [`JsonlSink`] (buffered JSONL stream with a versioned schema and
 //!   atomic tmp+rename close) implement it. [`Tee`] fans one event
 //!   stream out to several sinks.

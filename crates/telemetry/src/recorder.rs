@@ -11,7 +11,7 @@ use std::time::Instant;
 /// A sink for telemetry [`Event`]s.
 ///
 /// Implementations must be thread-safe: one recorder is shared (via the
-/// clone-cheap [`Telemetry`] handle) across every `fan_out` worker of a
+/// clone-cheap [`Telemetry`] handle) across every `try_fan_out` worker of a
 /// batched run, exactly like the `Arc`-pooled `Budget`.
 pub trait Recorder: Send + Sync {
     /// Consumes one event. Must not panic; sinks with fallible
@@ -99,7 +99,7 @@ impl DetailLevel {
 ///
 /// Ids are process-unique and never 0 (0 is the wire encoding of "no
 /// parent"). Pass one to [`Telemetry::span_under`] to parent work done
-/// on another thread — e.g. `fan_out` workers — under the issuing span.
+/// on another thread — e.g. `try_fan_out` workers — under the issuing span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(u64);
 
@@ -257,7 +257,7 @@ impl Telemetry {
 
     /// Like [`Telemetry::span`], but with an explicit parent instead of
     /// the thread-local one — the bridge for handing causality across
-    /// threads (a `fan_out` worker parents its spans under the batch
+    /// threads (a `try_fan_out` worker parents its spans under the batch
     /// span via [`Span::id`]). `None` makes a root span.
     #[must_use = "the span measures until it is dropped"]
     pub fn span_under(&self, name: &'static str, parent: Option<SpanId>) -> Span<'_> {

@@ -11,11 +11,11 @@ use std::sync::Mutex;
 
 /// A buffered [`Recorder`] streaming one JSON object per line.
 ///
-/// The file layout is versioned like `McCheckpoint`: the first line is
-/// a header object carrying [`TRACE_FORMAT`], each following line is
-/// one [`Event`]. Writes go to `<path>.tmp`; [`JsonlSink::finish`]
-/// flushes and atomically renames it onto `path`, so a crashed run
-/// never leaves a half-written file at the advertised location.
+/// The file layout is versioned: the first line is a header object
+/// carrying [`TRACE_FORMAT`], each following line is one [`Event`].
+/// Writes go to `<path>.tmp`; [`JsonlSink::finish`] flushes and fsyncs
+/// it, then atomically renames it onto `path`, so a crashed run never
+/// leaves a half-written file at the advertised location.
 ///
 /// `record` cannot return an error, so I/O failures are latched and
 /// surfaced by `finish` (taking the write path down mid-run would

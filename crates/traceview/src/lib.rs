@@ -7,7 +7,7 @@
 //!
 //! * [`SpanTree`] — reconstructs the causal span tree from
 //!   `SpanBegin`/`SpanEnd` pairs (network → layer → MAC batch → solve),
-//!   including parents bridged across `fan_out` threads by explicit id.
+//!   including parents bridged across `try_fan_out` threads by explicit id.
 //! * [`Summary`] — counts, histograms, and top spans for one trace
 //!   (`trace summary`).
 //! * [`diff_metrics`] — per-metric deltas between two traces with a
