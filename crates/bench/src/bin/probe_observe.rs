@@ -234,7 +234,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 min_samples: 4,
                 trip_error_rate: 0.5,
                 cooldown: Duration::from_millis(200),
-                ..BreakerConfig::default()
             },
             ..ServeConfig::default()
         },

@@ -59,6 +59,7 @@ fn run() -> Result<ExitCode, String> {
         ..ServeConfig::default()
     };
     let mut self_check = false;
+    let mut surrogate_check_every: usize = 0;
     let mut flight_capacity: usize = 256;
     let mut flight_dump: Option<String> = None;
     let mut iter = args.iter();
@@ -73,7 +74,7 @@ fn run() -> Result<ExitCode, String> {
                 config.tenant_quota = parse_count(iter.next(), "--tenant-quota")?.max(1);
             }
             "--surrogate-check" => {
-                config.surrogate_check_every = parse_count(iter.next(), "--surrogate-check")?;
+                surrogate_check_every = parse_count(iter.next(), "--surrogate-check")?;
             }
             "--flight" => flight_capacity = parse_count(iter.next(), "--flight")?,
             "--flight-dump" => {
@@ -117,7 +118,7 @@ fn run() -> Result<ExitCode, String> {
         None => Telemetry::new(aggregator.clone()),
     };
     eprintln!("calibrating surrogate store (all-ones curve, 0-85 \u{b0}C grid)...");
-    let backend = CimBackend::new(telemetry.clone(), config.surrogate_check_every)
+    let backend = CimBackend::new(telemetry.clone(), surrogate_check_every)
         .map_err(|e| format!("backend calibration failed: {e}"))?;
     let server = Server::start_observed(config, Arc::new(backend), telemetry, aggregator, flight)
         .map_err(|e| format!("bind failed: {e}"))?;

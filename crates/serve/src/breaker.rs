@@ -27,9 +27,10 @@ pub struct BreakerConfig {
     pub trip_error_rate: f64,
     /// How long the breaker stays open before probing.
     pub cooldown: Duration,
-    /// Live probes allowed concurrently while half-open.
-    pub half_open_probes: usize,
 }
+
+/// Live probes allowed concurrently while half-open.
+const HALF_OPEN_PROBES: usize = 1;
 
 impl Default for BreakerConfig {
     fn default() -> BreakerConfig {
@@ -38,7 +39,6 @@ impl Default for BreakerConfig {
             min_samples: 8,
             trip_error_rate: 0.5,
             cooldown: Duration::from_millis(500),
-            half_open_probes: 1,
         }
     }
 }
@@ -200,7 +200,7 @@ impl CircuitBreaker {
             State::Closed { .. } => BreakerDecision::Allow,
             State::Open { .. } => BreakerDecision::Deny,
             State::HalfOpen { in_flight } => {
-                if *in_flight < self.config.half_open_probes {
+                if *in_flight < HALF_OPEN_PROBES {
                     *in_flight += 1;
                     BreakerDecision::Probe
                 } else {
@@ -266,7 +266,6 @@ mod tests {
             min_samples: 4,
             trip_error_rate: 0.5,
             cooldown: Duration::from_millis(10),
-            half_open_probes: 1,
         }
     }
 

@@ -76,29 +76,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Concurrent requests allowed per tenant.
     pub tenant_quota: usize,
-    /// Deadline applied when a request carries no `timeout_ms`.
-    pub default_timeout_ms: u64,
-    /// Upper clamp on client-requested deadlines.
-    pub max_timeout_ms: u64,
-    /// Per-connection socket read timeout, also the deadline for a
-    /// whole request to arrive.
-    pub read_timeout: Duration,
     /// The retry ladder for transient solve failures.
     pub retry: RetryPolicy,
-    /// Base seed for the per-request jittered backoff schedules.
-    pub retry_seed: u64,
-    /// Milli-tokens deposited into the retry budget per admission
-    /// (1000 = one whole retry; 100 caps retries at 10% of traffic).
-    pub retry_deposit_millis: u64,
-    /// Retries the budget may bank.
-    pub retry_budget_cap: u64,
     /// Per-tenant circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Surrogate check-mode sampling period: roughly one in this many
-    /// surrogate-answered queries is re-solved live and compared to the
-    /// certified error envelope; 0 disables checking (only used by
-    /// backends built through [`crate::CimBackend::new`]).
-    pub surrogate_check_every: usize,
 }
 
 impl Default for ServeConfig {
@@ -108,15 +89,8 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 16,
             tenant_quota: 4,
-            default_timeout_ms: 2_000,
-            max_timeout_ms: 30_000,
-            read_timeout: Duration::from_secs(2),
             retry: RetryPolicy::default(),
-            retry_seed: 0x5EED,
-            retry_deposit_millis: 100,
-            retry_budget_cap: 10,
             breaker: BreakerConfig::default(),
-            surrogate_check_every: 0,
         }
     }
 }
@@ -128,8 +102,8 @@ struct Job {
 }
 
 /// SplitMix64: turns the sequential accept counter into well-mixed,
-/// reproducible request ids (seeded by `ServeConfig::retry_seed`, so a
-/// test run's ids are stable).
+/// reproducible request ids (seeded by [`RETRY_SEED`], so a test run's
+/// ids are stable).
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -224,10 +198,10 @@ impl Shared {
 
     /// Allocates the next request id: a seeded SplitMix64 mix of the
     /// accept counter, so ids look random on the wire but replay
-    /// identically for a fixed `retry_seed`.
+    /// identically from run to run.
     fn next_request_id(&self) -> u64 {
         let seq = self.request_seq.fetch_add(1, Ordering::Relaxed);
-        splitmix64(self.config.retry_seed ^ seq)
+        splitmix64(RETRY_SEED ^ seq)
     }
 
     /// Emits the terminal [`Event::ServeDone`] for one MAC request and
@@ -350,7 +324,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             governor: TenantGovernor::new(config.tenant_quota),
-            retry_budget: RetryBudget::new(config.retry_deposit_millis, config.retry_budget_cap),
+            retry_budget: RetryBudget::new(RETRY_DEPOSIT_MILLIS, RETRY_BUDGET_CAP),
             breakers: Mutex::new(Vec::new()),
             aggregator,
             telemetry,
@@ -448,7 +422,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
             );
             return;
         }
-        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let _ = stream.set_nodelay(true);
         match shared.queue.push(Job {
             stream,
@@ -470,6 +444,27 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
 /// How long the acceptor waits on a peer: for the request it reads
 /// before shedding, and for the drain after a shed reply.
 const SHED_READ_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Per-connection socket read timeout on the workers, also the deadline
+/// for a whole request to arrive.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Deadline applied when a request carries no `timeout_ms`.
+const DEFAULT_TIMEOUT_MS: u64 = 2_000;
+
+/// Upper clamp on client-requested deadlines.
+const MAX_TIMEOUT_MS: u64 = 30_000;
+
+/// Base seed of the request ids, which in turn seed each request's
+/// jittered backoff schedule.
+const RETRY_SEED: u64 = 0x5EED;
+
+/// Milli-tokens deposited into the retry budget per admission (1000 =
+/// one whole retry, so 100 caps retries at 10% of traffic).
+const RETRY_DEPOSIT_MILLIS: u64 = 100;
+
+/// Retries the retry budget may bank.
+const RETRY_BUDGET_CAP: u64 = 10;
 
 /// The queue-full path. Introspection must keep working *especially*
 /// under overload, so before shedding, the acceptor reads the request
@@ -554,7 +549,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn handle_connection(shared: &Shared, mut job: Job) {
-    let request = match http::read_request(&mut job.stream, shared.config.read_timeout) {
+    let request = match http::read_request(&mut job.stream, READ_TIMEOUT) {
         Ok(request) => request,
         Err(HttpError::Disconnected) => return,
         Err(e @ (HttpError::Malformed(_) | HttpError::TooLarge(_))) => {
@@ -872,8 +867,8 @@ fn handle_mac(shared: &Shared, mut job: Job, request: &Request) {
     // The deadline runs from *admission*, so time spent queued counts.
     let timeout_ms = parsed
         .timeout_ms
-        .unwrap_or(shared.config.default_timeout_ms)
-        .min(shared.config.max_timeout_ms);
+        .unwrap_or(DEFAULT_TIMEOUT_MS)
+        .min(MAX_TIMEOUT_MS);
     let deadline_at = job.admitted_at + Duration::from_millis(timeout_ms);
     if Instant::now() >= deadline_at {
         shared.finish_request(

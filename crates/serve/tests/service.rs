@@ -15,7 +15,8 @@ use ferrocim_serve::{
 use ferrocim_telemetry::{Aggregator, FlightRecorder, Tee, Telemetry};
 use ferrocim_units::Volt;
 use serde_json::Value;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A fast deterministic backend that honors the request budget while
@@ -303,6 +304,114 @@ fn expired_deadline_is_a_typed_504() {
     server.shutdown();
 }
 
+/// A backend whose solves block until the test opens its gate, so a
+/// request can be inspected through `/debug/requests` mid-solve.
+struct GatedBackend {
+    inner: StubBackend,
+    entered: AtomicUsize,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl GatedBackend {
+    fn new(width: usize) -> GatedBackend {
+        GatedBackend {
+            inner: StubBackend::instant(width),
+            entered: AtomicUsize::new(0),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().expect("gate lock") = true;
+        self.opened.notify_all();
+    }
+}
+
+impl MacBackend for GatedBackend {
+    fn solve(&self, request: &SolveRequest) -> Result<Solution, CimError> {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.open.lock().expect("gate lock");
+        while !*open {
+            open = self.opened.wait(open).expect("gate lock");
+        }
+        drop(open);
+        self.inner.solve(request)
+    }
+
+    fn fallback(&self, request: &SolveRequest) -> Solution {
+        self.inner.fallback(request)
+    }
+
+    fn cells_per_row(&self) -> usize {
+        self.inner.cells_per_row()
+    }
+}
+
+/// A request without `timeout_ms` runs under a 2 s deadline, and a
+/// client-requested deadline is clamped to 30 s. Both are read off
+/// `/debug/requests` while the solves block: the remaining budget plus
+/// the age since admission is the deadline, to the millisecond (each
+/// of the two is truncated to whole milliseconds).
+#[test]
+fn request_deadlines_default_to_2_s_and_clamp_at_30_s() {
+    let backend = Arc::new(GatedBackend::new(4));
+    let server = start(ServeConfig::default(), backend.clone());
+    let addr = server.addr();
+    let bodies = [
+        br#"{"tenant":"no-timeout","inputs":[true,false,true,false],"weights":[true,true,true,true]}"#
+            .to_vec(),
+        mac_body("long-timeout", 60_000),
+    ];
+    let clients: Vec<_> = bodies
+        .into_iter()
+        .map(|body| {
+            std::thread::spawn(move || http_request(addr, "POST", "/v1/mac", &body, CLIENT_TIMEOUT))
+        })
+        .collect();
+    let waiting_since = Instant::now();
+    while backend.entered.load(Ordering::SeqCst) < 2 {
+        assert!(
+            waiting_since.elapsed() < CLIENT_TIMEOUT,
+            "both requests reach the backend"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let debug =
+        http_request(addr, "GET", "/debug/requests", b"", CLIENT_TIMEOUT).expect("debug requests");
+    backend.open();
+    let doc = debug.json().expect("JSON");
+    let Some(Value::Array(rows)) = doc.get("requests") else {
+        panic!("requests array: {doc:?}");
+    };
+    let number = |row: &Value, key: &str| match row.get(key) {
+        Some(Value::Number(n)) => *n,
+        other => panic!("{key}: {other:?}"),
+    };
+    for (tenant, deadline_ms) in [("no-timeout", 2_000.0), ("long-timeout", 30_000.0)] {
+        let row = rows
+            .iter()
+            .find(|row| matches!(row.get("tenant"), Some(Value::String(t)) if t == tenant))
+            .unwrap_or_else(|| panic!("{tenant} is in flight: {rows:?}"));
+        let remaining = number(row, "budget_remaining_ms");
+        let age = number(row, "age_ms");
+        assert!(
+            remaining <= deadline_ms,
+            "{tenant}: {remaining} ms left exceeds the {deadline_ms} ms deadline"
+        );
+        assert!(
+            remaining + age >= deadline_ms - 1.0,
+            "{tenant}: {remaining} ms left after {age} ms falls short of {deadline_ms} ms"
+        );
+    }
+    for client in clients {
+        let resp = client.join().expect("client").expect("response");
+        typed_json(resp.status, &resp.body);
+    }
+    server.shutdown();
+}
+
 #[test]
 fn malformed_bodies_get_typed_400() {
     let server = start(ServeConfig::default(), Arc::new(StubBackend::instant(4)));
@@ -332,7 +441,6 @@ fn temperature_below_absolute_zero_is_a_typed_400_that_spares_the_breaker() {
             min_samples: 2,
             trip_error_rate: 0.5,
             cooldown: Duration::from_secs(30),
-            half_open_probes: 1,
         },
         ..ServeConfig::default()
     };
@@ -389,7 +497,6 @@ fn chaos_faults_degrade_then_trip_the_breaker() {
             min_samples: 4,
             trip_error_rate: 0.5,
             cooldown: Duration::from_secs(30),
-            half_open_probes: 1,
         },
         ..ServeConfig::default()
     };

@@ -7,10 +7,9 @@ use ferrocim_telemetry::Telemetry;
 /// What governs a solve: its resource [`Budget`], its [`Telemetry`]
 /// handle, its linear-solver selection, and its numerical-health
 /// policy. Every layer that issues solves — [`crate::DcAnalysis`],
-/// [`crate::TransientAnalysis`], [`crate::DcSweep`],
-/// [`crate::SimEngine`], and the CIM array types above them — holds
-/// one and hands a clone to the layer below, so a setting made at the
-/// top reaches the leaf Newton solve unchanged.
+/// [`crate::TransientAnalysis`], and the CIM array types above them —
+/// holds one and hands a clone to the layer below, so a setting made
+/// at the top reaches the leaf Newton solve unchanged.
 ///
 /// The default is an unlimited budget, telemetry off, `solver: None`
 /// and [`HealthPolicy::default`]. Cloning is cheap: a [`Budget`]

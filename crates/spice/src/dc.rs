@@ -18,7 +18,8 @@ pub struct OperatingPoint {
     /// flows from the `pos` terminal through the source to `neg`
     /// (i.e. a battery *delivering* power shows a negative value).
     branch_currents: HashMap<String, f64>,
-    /// Raw unknown vector, used to warm-start subsequent analyses.
+    /// Raw unknown vector; a transient starts its time loop from the
+    /// one its `t = 0` DC solve returns.
     pub(crate) raw: Vec<f64>,
     /// How the solve converged (which rescue rungs ran, if any).
     rescue: RescueReport,
@@ -105,7 +106,6 @@ pub struct DcAnalysis<'a> {
     circuit: &'a Circuit,
     temp: Celsius,
     options: NewtonOptions,
-    initial_guess: Option<Vec<f64>>,
     rescue: RescuePolicy,
     ctx: RunContext,
 }
@@ -118,7 +118,6 @@ impl<'a> DcAnalysis<'a> {
             circuit,
             temp: Celsius::ROOM,
             options: NewtonOptions::default(),
-            initial_guess: None,
             rescue: RescuePolicy::default(),
             ctx: RunContext::default(),
         }
@@ -158,13 +157,6 @@ impl<'a> DcAnalysis<'a> {
         self
     }
 
-    /// Warm-starts from a previous operating point (useful when sweeping
-    /// temperature in small steps).
-    pub fn warm_start(mut self, op: &OperatingPoint) -> Self {
-        self.initial_guess = Some(op.raw.clone());
-        self
-    }
-
     /// Solves for the operating point. If plain Newton fails and the
     /// rescue policy enables it, the solve escalates through the
     /// rescue ladder (see [`RescuePolicy`]) before giving up.
@@ -196,11 +188,7 @@ impl<'a> DcAnalysis<'a> {
             ws.set_solver(config);
         }
         let layout = Layout::of(self.circuit, self.temp)?;
-        let initial: Vec<f64> = match &self.initial_guess {
-            Some(guess) if guess.len() == layout.size => guess.clone(),
-            _ => vec![0.0; layout.size],
-        };
-        let mut x = initial.clone();
+        let mut x = vec![0.0; layout.size];
         let report = match newton_solve_in(
             self.circuit,
             &layout,
@@ -219,7 +207,8 @@ impl<'a> DcAnalysis<'a> {
                 Second::ZERO,
                 CapMode::Open,
                 &mut x,
-                &initial,
+                // Every rung restarts from the cold (all-zero) guess.
+                &vec![0.0; layout.size],
                 &self.options,
                 &self.rescue,
                 &self.ctx,
@@ -404,22 +393,6 @@ mod tests {
         let on = build(PolarizationState::LowVt).abs();
         let off = build(PolarizationState::HighVt).abs();
         assert!(on / off.max(1e-30) > 1e3, "on {on} off {off}");
-    }
-
-    #[test]
-    fn warm_start_reproduces_cold_solution() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.add(Element::vdc("V1", vin, NodeId::GROUND, Volt(1.0)))
-            .unwrap();
-        ckt.add(Element::resistor("R1", vin, out, Ohm(1e3)))
-            .unwrap();
-        ckt.add(Element::resistor("R2", out, NodeId::GROUND, Ohm(3e3)))
-            .unwrap();
-        let cold = DcAnalysis::new(&ckt).solve().unwrap();
-        let warm = DcAnalysis::new(&ckt).warm_start(&cold).solve().unwrap();
-        assert!((cold.voltage(out).value() - warm.voltage(out).value()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,34 +1,21 @@
-//! The reusable simulation engine: solver workspaces and warm-started
-//! repeated analyses.
+//! The reusable solver workspace.
 //!
 //! A single DC or transient solve allocates its system matrix and
 //! vectors once, which is fine. Batched workloads — a 64-point `I–V`
 //! sweep, a 100-sample Monte-Carlo run, a bit-serial neural-network
 //! inference issuing thousands of MAC reads — repeat near-identical
-//! solves where the per-solve allocations and cold Newton starts
-//! dominate. This module factors both out:
+//! solves where the per-solve allocations dominate. [`Workspace`] owns
+//! the LU matrix, right-hand side, permutation and solution buffers,
+//! reused across every solve that goes through it.
 //!
-//! * [`Workspace`] owns the LU matrix, right-hand side, permutation and
-//!   solution buffers, reused across every solve that goes through it.
-//! * [`SimEngine`] owns a [`Workspace`] plus the last operating point,
-//!   and seeds each new solve from the previous one (falling back to a
-//!   cold start if the warm-started iteration fails to converge).
-//!
-//! Both are deliberately dumb containers: all numerical behavior lives
-//! in [`crate::DcAnalysis`] / [`crate::TransientAnalysis`], and a solve
+//! It is deliberately a dumb container: all numerical behavior lives in
+//! [`crate::DcAnalysis`] / [`crate::TransientAnalysis`], and a solve
 //! routed through a fresh workspace is bitwise identical to the
 //! allocating path.
 
-use crate::dc::{DcAnalysis, OperatingPoint};
 use crate::health::SolveQuality;
-use crate::mna::NewtonOptions;
-use crate::netlist::Circuit;
-use crate::rescue::RescuePolicy;
 use crate::solver::{FillOrdering, SolverConfig, SolverState};
-use crate::transient::{AdaptiveOptions, Integrator, TransientAnalysis, TransientResult};
-use crate::{RunContext, SpiceError};
-use ferrocim_telemetry::{DegradeStageKind, SolverBackend, Telemetry};
-use ferrocim_units::{Celsius, Second};
+use ferrocim_telemetry::{DegradeStageKind, SolverBackend};
 
 /// Reusable solver state: the linear-system backend (dense matrix or
 /// sparse slot table + factors, selected by a [`SolverConfig`]) plus the
@@ -228,225 +215,13 @@ impl Workspace {
     }
 }
 
-/// A warm-starting simulation engine for repeated solves on the same
-/// (or similar) circuits.
-///
-/// The engine carries a [`Workspace`] so repeated solves stop paying
-/// per-solve allocation, and remembers the last operating point so each
-/// DC solve starts from the previous solution — the continuation
-/// strategy that makes fine sweeps through exponential subthreshold
-/// regions converge in a handful of Newton iterations. If a warm start
-/// fails to converge (the new point is too far from the old one), the
-/// engine transparently retries from a cold start before reporting an
-/// error.
-///
-/// # Examples
-///
-/// ```
-/// use ferrocim_spice::{Circuit, Element, NodeId, SimEngine, Waveform};
-/// use ferrocim_units::{Celsius, Ohm, Volt};
-///
-/// # fn main() -> Result<(), ferrocim_spice::SpiceError> {
-/// let mut ckt = Circuit::new();
-/// let a = ckt.node("a");
-/// ckt.add(Element::vdc("V1", a, NodeId::GROUND, Volt(0.0)))?;
-/// ckt.add(Element::resistor("R1", a, NodeId::GROUND, Ohm(1e3)))?;
-///
-/// let mut engine = SimEngine::new().at(Celsius(27.0));
-/// for mv in 0..5 {
-///     if let Some(Element::VoltageSource { waveform, .. }) = ckt.element_mut("V1") {
-///         *waveform = Waveform::dc(Volt(mv as f64 * 0.1));
-///     }
-///     // Each solve warm-starts from the previous point.
-///     let op = engine.dc(&ckt)?;
-///     assert!((op.voltage(a).value() - mv as f64 * 0.1).abs() < 1e-6);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SimEngine {
-    temp: Celsius,
-    options: NewtonOptions,
-    integrator: Integrator,
-    rescue: Option<RescuePolicy>,
-    ctx: RunContext,
-    workspace: Workspace,
-    last_op: Option<OperatingPoint>,
-}
-
-impl SimEngine {
-    /// Creates an engine at the default temperature (27 °C).
-    pub fn new() -> Self {
-        SimEngine {
-            temp: Celsius::ROOM,
-            ..SimEngine::default()
-        }
-    }
-
-    /// Sets the simulation temperature (builder style).
-    pub fn at(mut self, temp: Celsius) -> Self {
-        self.temp = temp;
-        self
-    }
-
-    /// Overrides the Newton iteration options.
-    pub fn with_options(mut self, options: NewtonOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Selects the transient integration method.
-    pub fn with_integrator(mut self, integrator: Integrator) -> Self {
-        self.integrator = integrator;
-        self
-    }
-
-    /// Overrides the convergence-rescue policy used by DC solves. The
-    /// default is the full ladder ([`RescuePolicy::default`]); pass
-    /// [`RescuePolicy::none`] for fail-fast behaviour.
-    pub fn with_rescue(mut self, policy: RescuePolicy) -> Self {
-        self.rescue = Some(policy);
-        self
-    }
-
-    /// Replaces the whole [`RunContext`] forwarded to every DC and
-    /// transient analysis issued through this engine: one budget spans
-    /// a whole warm-started campaign, and a solver selection applies to
-    /// the engine's [`Workspace`].
-    pub fn with_context(mut self, ctx: RunContext) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Replaces only the context's telemetry handle, so one recorder
-    /// observes a whole warm-started campaign. The default handle is
-    /// off.
-    pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.ctx.telemetry = telemetry;
-        self
-    }
-
-    /// The context forwarded to this engine's analyses.
-    pub fn context(&self) -> &RunContext {
-        &self.ctx
-    }
-
-    /// The current simulation temperature.
-    pub fn temperature(&self) -> Celsius {
-        self.temp
-    }
-
-    /// The operating point of the most recent successful DC solve.
-    pub fn last_operating_point(&self) -> Option<&OperatingPoint> {
-        self.last_op.as_ref()
-    }
-
-    /// Direct access to the underlying workspace, for callers that mix
-    /// engine-driven and hand-built analyses.
-    pub fn workspace(&mut self) -> &mut Workspace {
-        &mut self.workspace
-    }
-
-    /// Solves the DC operating point, warm-started from the previous
-    /// solve when one exists.
-    ///
-    /// # Errors
-    ///
-    /// * [`SpiceError::NoConvergence`] if Newton iteration fails even
-    ///   from a cold start.
-    /// * [`SpiceError::SingularMatrix`] for degenerate circuits.
-    pub fn dc(&mut self, circuit: &Circuit) -> Result<OperatingPoint, SpiceError> {
-        let mut cold = DcAnalysis::new(circuit)
-            .at(self.temp)
-            .with_options(self.options)
-            .with_context(self.ctx.clone());
-        if let Some(policy) = &self.rescue {
-            cold = cold.with_rescue(policy.clone());
-        }
-        let op = match &self.last_op {
-            Some(prev) => {
-                let warm = cold.clone().warm_start(prev);
-                match warm.solve_in(&mut self.workspace) {
-                    Ok(op) => op,
-                    // Continuation fallback: a warm start far from the
-                    // new solution can diverge (or blow up) where a cold
-                    // start would not. Retry once from zero before
-                    // giving up.
-                    Err(SpiceError::NoConvergence { .. } | SpiceError::NumericalBlowup { .. }) => {
-                        cold.solve_in(&mut self.workspace)?
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            None => cold.solve_in(&mut self.workspace)?,
-        };
-        self.last_op = Some(op.clone());
-        Ok(op)
-    }
-
-    /// Runs a transient analysis whose initial condition is the
-    /// (warm-started) DC operating point of `circuit`.
-    ///
-    /// # Errors
-    ///
-    /// * [`SpiceError::InvalidValue`] for a bad timestep or stop time.
-    /// * DC / per-step Newton errors as for [`SimEngine::dc`].
-    pub fn transient(
-        &mut self,
-        circuit: &Circuit,
-        dt: Second,
-        t_stop: Second,
-    ) -> Result<TransientResult, SpiceError> {
-        let op = self.dc(circuit)?;
-        TransientAnalysis::over(circuit, t_stop)
-            .with_fixed_step(dt)
-            .at(self.temp)
-            .with_options(self.options)
-            .with_integrator(self.integrator)
-            .with_context(self.ctx.clone())
-            .start_from(&op)
-            .run_in(&mut self.workspace)
-    }
-
-    /// Runs an adaptive (LTE-controlled) transient analysis whose
-    /// initial condition is the (warm-started) DC operating point of
-    /// `circuit`. Pass [`AdaptiveOptions::for_duration`] or tweak it.
-    ///
-    /// # Errors
-    ///
-    /// * [`SpiceError::InvalidValue`] for bad adaptive options.
-    /// * DC / per-step Newton errors as for [`SimEngine::dc`].
-    /// * [`SpiceError::BudgetExceeded`] / [`SpiceError::Cancelled`]
-    ///   when the engine budget runs out.
-    pub fn transient_adaptive(
-        &mut self,
-        circuit: &Circuit,
-        t_stop: Second,
-        opts: AdaptiveOptions,
-    ) -> Result<TransientResult, SpiceError> {
-        let op = self.dc(circuit)?;
-        let mut analysis = TransientAnalysis::over(circuit, t_stop)
-            .with_adaptive_options(opts)
-            .at(self.temp)
-            .with_options(self.options)
-            .with_integrator(self.integrator)
-            .with_context(self.ctx.clone())
-            .start_from(&op);
-        if let Some(policy) = &self.rescue {
-            analysis = analysis.with_rescue(policy.clone());
-        }
-        analysis.run_in(&mut self.workspace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{Element, NodeId};
-    use crate::Waveform;
+    use crate::netlist::{Circuit, Element, NodeId};
+    use crate::{DcAnalysis, RunContext};
     use ferrocim_device::{MosfetModel, MosfetParams};
-    use ferrocim_units::{Farad, Ohm, Volt};
+    use ferrocim_units::{Ohm, Volt};
 
     fn transistor_divider() -> Circuit {
         let mut ckt = Circuit::new();
@@ -467,92 +242,6 @@ mod tests {
         ))
         .unwrap();
         ckt
-    }
-
-    #[test]
-    fn engine_dc_matches_standalone_analysis() {
-        let ckt = transistor_divider();
-        let standalone = DcAnalysis::new(&ckt).solve().unwrap();
-        let mut engine = SimEngine::new();
-        let first = engine.dc(&ckt).unwrap();
-        // First engine solve is a cold start through the workspace path:
-        // bitwise identical to the allocating path.
-        assert_eq!(first.raw, standalone.raw);
-        // Second solve warm-starts but must land on the same point.
-        let second = engine.dc(&ckt).unwrap();
-        let d = ckt.find_node("d").unwrap();
-        assert!((second.voltage(d).value() - first.voltage(d).value()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_survives_a_gate_step() {
-        let mut ckt = transistor_divider();
-        let mut engine = SimEngine::new();
-        let d = ckt.find_node("d").unwrap();
-        let mut last = f64::INFINITY;
-        for step in 0..8 {
-            let vg = 0.20 + 0.05 * step as f64;
-            if let Some(Element::VoltageSource { waveform, .. }) = ckt.element_mut("VG") {
-                *waveform = Waveform::dc(Volt(vg));
-            }
-            let op = engine.dc(&ckt).unwrap();
-            let vd = op.voltage(d).value();
-            assert!(vd <= last + 1e-9, "drain must fall as the gate rises");
-            last = vd;
-        }
-        assert!(engine.last_operating_point().is_some());
-    }
-
-    #[test]
-    fn size_mismatch_falls_back_to_cold_start() {
-        let mut engine = SimEngine::new();
-        let ckt = transistor_divider();
-        engine.dc(&ckt).unwrap();
-        // A different, smaller circuit: the stale warm-start vector has
-        // the wrong length and must be ignored, not mis-applied.
-        let mut small = Circuit::new();
-        let a = small.node("a");
-        small
-            .add(Element::vdc("V1", a, NodeId::GROUND, Volt(0.7)))
-            .unwrap();
-        small
-            .add(Element::resistor("R1", a, NodeId::GROUND, Ohm(1e3)))
-            .unwrap();
-        let op = engine.dc(&small).unwrap();
-        assert!((op.voltage(a).value() - 0.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn engine_transient_matches_standalone_run() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.add(Element::vsource(
-            "V1",
-            vin,
-            NodeId::GROUND,
-            Waveform::step(Volt(0.0), Volt(1.0), ferrocim_units::Second(1e-12)),
-        ))
-        .unwrap();
-        ckt.add(Element::resistor("R1", vin, out, Ohm(1e3)))
-            .unwrap();
-        ckt.add(Element::Capacitor {
-            name: "C1".into(),
-            a: out,
-            b: NodeId::GROUND,
-            capacitance: Farad(1e-12),
-            initial: Some(Volt(0.0)),
-        })
-        .unwrap();
-        let standalone = TransientAnalysis::over(&ckt, Second(2e-9))
-            .with_fixed_step(Second(5e-12))
-            .run()
-            .unwrap();
-        let mut engine = SimEngine::new();
-        let engined = engine.transient(&ckt, Second(5e-12), Second(2e-9)).unwrap();
-        assert_eq!(standalone.len(), engined.len());
-        let dv = (standalone.final_voltage(out).value() - engined.final_voltage(out).value()).abs();
-        assert!(dv < 1e-12, "dv = {dv}");
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub struct SolveQuality {
 ///
 /// let default = HealthPolicy::default();
 /// assert!(default.enabled);
-/// assert_eq!(default.max_refinement_passes, 2);
+/// assert_eq!(default.residual_tol, 1e-9);
 /// let off = HealthPolicy::off();
 /// assert!(!off.enabled);
 /// ```
@@ -77,12 +77,6 @@ pub struct HealthPolicy {
     /// factorization passes untouched while genuine degradation
     /// (pivot-growth blowups, poisoned entries) is caught.
     pub residual_tol: f64,
-    /// Upper bound on iterative-refinement passes per solve.
-    pub max_refinement_passes: u32,
-    /// Whether to compute the Hager condition estimate when a solve
-    /// fails certification (diagnostic only; costs extra triangular
-    /// solves on the already-cold failure path).
-    pub estimate_condition: bool,
 }
 
 impl Default for HealthPolicy {
@@ -90,11 +84,12 @@ impl Default for HealthPolicy {
         HealthPolicy {
             enabled: true,
             residual_tol: 1e-9,
-            max_refinement_passes: 2,
-            estimate_condition: true,
         }
     }
 }
+
+/// Upper bound on iterative-refinement passes per certified solve.
+const MAX_REFINEMENT_PASSES: u32 = 2;
 
 impl HealthPolicy {
     /// Certification disabled: solves behave exactly as before the
@@ -245,10 +240,7 @@ pub(crate) fn certify(
     let mut measured = scan(system, b, x, resid);
     let mut residual = measured.backward_error();
     let mut passes = 0u32;
-    while residual > policy.residual_tol
-        && residual.is_finite()
-        && passes < policy.max_refinement_passes
-    {
+    while residual > policy.residual_tol && residual.is_finite() && passes < MAX_REFINEMENT_PASSES {
         system.resolve_into(resid, corr);
         for (xk, &ck) in x.iter_mut().zip(corr.iter()) {
             *xk += ck;
@@ -258,7 +250,9 @@ pub(crate) fn certify(
         residual = measured.backward_error();
     }
     let acceptable = residual <= policy.residual_tol;
-    let cond_estimate = if !acceptable && policy.estimate_condition {
+    // The Hager estimate is diagnostic only; its extra triangular solves
+    // run on the already-cold failure path.
+    let cond_estimate = if !acceptable {
         Some(hager_condest(system))
     } else {
         None

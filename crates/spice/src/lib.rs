@@ -7,10 +7,9 @@
 //!   capacitors, sources, scheduled switches, EKV MOSFETs and FeFETs
 //!   from [`ferrocim_device`]).
 //! * [`DcAnalysis`] — damped Newton–Raphson operating point.
-//! * [`TransientAnalysis`] — fixed-step implicit integration (backward
-//!   Euler or trapezoidal) with breakpoint alignment and per-source
-//!   energy integrals, which is how the paper's fJ/op numbers are
-//!   measured.
+//! * [`TransientAnalysis`] — backward-Euler integration, fixed-step or
+//!   LTE-adaptive, with breakpoint alignment and per-source energy
+//!   integrals, which is how the paper's fJ/op numbers are measured.
 //! * [`MonteCarlo`] — deterministic seeded fan-out for process-variation
 //!   studies (the paper's Fig. 9).
 //! * [`sweep`] — temperature/voltage grids for the 0–85 °C evaluations.
@@ -48,7 +47,6 @@ mod budget;
 pub mod chaos;
 mod context;
 mod dc;
-mod dcsweep;
 mod engine;
 mod error;
 mod export;
@@ -66,8 +64,7 @@ mod waveform;
 pub use budget::{Budget, BudgetResource, CancelToken, Deadline};
 pub use context::RunContext;
 pub use dc::{DcAnalysis, OperatingPoint};
-pub use dcsweep::DcSweep;
-pub use engine::{SimEngine, Workspace};
+pub use engine::Workspace;
 pub use error::SpiceError;
 pub use export::export_netlist;
 pub use health::{certify_solution, HealthPolicy, ResidualScan, SolveQuality};
@@ -82,7 +79,7 @@ pub use rescue::{RescuePolicy, RescueReport, RescueRung, RungAttempt};
 pub use solver::{
     DenseLu, FillOrdering, LinearSystem, SolveInfo, SolverConfig, SolverKind, SparseLu,
 };
-pub use transient::{AdaptiveOptions, Integrator, StepReport, TransientAnalysis, TransientResult};
+pub use transient::{AdaptiveOptions, StepReport, TransientAnalysis, TransientResult};
 pub use waveform::Waveform;
 
 /// Re-exported telemetry handle: the `telemetry` field of a

@@ -150,27 +150,15 @@ impl Layout {
     }
 }
 
-/// Per-capacitor companion state carried across transient steps.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CapState {
-    /// Branch voltage `v(a) − v(b)` at the previous accepted step.
-    pub v_prev: f64,
-    /// Branch current at the previous accepted step (trapezoidal only).
-    pub i_prev: f64,
-}
-
 /// What the stamper should do with capacitors.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CapMode<'a> {
     /// DC: capacitors are open circuits.
     Open,
-    /// Transient step of size `dt` with previous-step states (indexed
-    /// by element), using the given integration method.
-    Companion {
-        dt: f64,
-        states: &'a [CapState],
-        trapezoidal: bool,
-    },
+    /// Backward-Euler step of size `dt` from the previous accepted
+    /// step's capacitor branch voltages `v(a) − v(b)` (indexed by
+    /// element).
+    Companion { dt: f64, v_prev: &'a [f64] },
 }
 
 /// Assembles the linearized MNA system `A·x = z` around the candidate
@@ -235,23 +223,12 @@ pub(crate) fn assemble(
                 ..
             } => match caps {
                 CapMode::Open => {}
-                CapMode::Companion {
-                    dt,
-                    states,
-                    trapezoidal,
-                } => {
-                    let state = states.get(idx).copied().unwrap_or_default();
-                    let c = capacitance.value();
-                    // Companion: i = g·v − i_eq, with
-                    //   BE:   g = C/dt,   i_eq = g·v_prev
-                    //   trap: g = 2C/dt,  i_eq = g·v_prev + i_prev
-                    let (g, i_eq) = if trapezoidal {
-                        let g = 2.0 * c / dt;
-                        (g, g * state.v_prev + state.i_prev)
-                    } else {
-                        let g = c / dt;
-                        (g, g * state.v_prev)
-                    };
+                CapMode::Companion { dt, v_prev } => {
+                    let v_prev = v_prev.get(idx).copied().unwrap_or_default();
+                    // Companion: i = g·v − i_eq, with g = C/dt and
+                    // i_eq = g·v_prev.
+                    let g = capacitance.value() / dt;
+                    let i_eq = g * v_prev;
                     stamp_conductance(a, *na, *nb, g);
                     if let Some(ra) = layout.row_of(*na) {
                         z[ra] += i_eq;
@@ -498,8 +475,7 @@ pub(crate) fn newton_solve_in(
                         });
                     }
                     // Non-finite solutions fall through to the blowup
-                    // check below, preserving the historical error (and
-                    // the warm-start fallbacks keyed on it).
+                    // check below, preserving the historical error.
                     break;
                 }
             }

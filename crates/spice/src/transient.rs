@@ -17,24 +17,13 @@
 //!   solution is always the more accurate half-step one.
 
 use crate::dc::OperatingPoint;
-use crate::mna::{newton_solve_in, CapMode, CapState, Layout, NewtonOptions};
+use crate::mna::{newton_solve_in, CapMode, Layout, NewtonOptions};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::rescue::{is_rescuable, rescue_solve, RescuePolicy};
 use crate::{RunContext, SpiceError, Waveform, Workspace};
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Ampere, Celsius, Joule, Second, Volt};
 use std::collections::HashMap;
-
-/// The implicit integration method for capacitors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// Backward Euler: first-order, L-stable, no numerical ringing.
-    /// The default — charge-sharing steps with ideal switches are stiff.
-    #[default]
-    BackwardEuler,
-    /// Trapezoidal rule: second-order accurate, may ring on sharp edges.
-    Trapezoidal,
-}
 
 /// Step accounting for a transient run.
 ///
@@ -271,9 +260,7 @@ pub struct TransientAnalysis<'a> {
     temp: Celsius,
     stepping: Stepping,
     t_stop: Second,
-    integrator: Integrator,
     options: NewtonOptions,
-    start_from: Option<&'a OperatingPoint>,
     rescue: RescuePolicy,
     ctx: RunContext,
 }
@@ -291,9 +278,7 @@ impl<'a> TransientAnalysis<'a> {
             temp: Celsius::ROOM,
             stepping: Stepping::Adaptive(AdaptiveOptions::for_duration(t_stop)),
             t_stop,
-            integrator: Integrator::default(),
             options: NewtonOptions::default(),
-            start_from: None,
             rescue: RescuePolicy::default(),
             ctx: RunContext::default(),
         }
@@ -309,12 +294,6 @@ impl<'a> TransientAnalysis<'a> {
     /// (plus breakpoints).
     pub fn with_fixed_step(mut self, dt: Second) -> Self {
         self.stepping = Stepping::Fixed(dt);
-        self
-    }
-
-    /// Selects the integration method.
-    pub fn with_integrator(mut self, integrator: Integrator) -> Self {
-        self.integrator = integrator;
         self
     }
 
@@ -353,13 +332,6 @@ impl<'a> TransientAnalysis<'a> {
     /// default handle is off and adds no measurable cost.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
         self.ctx.telemetry = telemetry;
-        self
-    }
-
-    /// Starts from a previously solved operating point instead of
-    /// re-solving DC at `t = 0`.
-    pub fn start_from(mut self, op: &'a OperatingPoint) -> Self {
-        self.start_from = Some(op);
         self
     }
 
@@ -427,19 +399,13 @@ impl<'a> TransientAnalysis<'a> {
 
     /// Solves the `t = 0` starting point and seeds capacitor companion
     /// states from it (explicit initial conditions take precedence).
-    fn initial_state(
-        &self,
-        ws: &mut Workspace,
-    ) -> Result<(OperatingPoint, Vec<CapState>), SpiceError> {
-        let initial = match self.start_from {
-            Some(op) => op.clone(),
-            None => crate::DcAnalysis::new(self.circuit)
-                .at(self.temp)
-                .with_options(self.options)
-                .with_context(self.ctx.clone())
-                .solve_in(ws)?,
-        };
-        let mut cap_states = vec![CapState::default(); self.circuit.elements().len()];
+    fn initial_state(&self, ws: &mut Workspace) -> Result<(OperatingPoint, Vec<f64>), SpiceError> {
+        let initial = crate::DcAnalysis::new(self.circuit)
+            .at(self.temp)
+            .with_options(self.options)
+            .with_context(self.ctx.clone())
+            .solve_in(ws)?;
+        let mut cap_states = vec![0.0; self.circuit.elements().len()];
         for (idx, e) in self.circuit.elements().iter().enumerate() {
             if let Element::Capacitor {
                 a, b, initial: ic, ..
@@ -449,10 +415,7 @@ impl<'a> TransientAnalysis<'a> {
                     Some(v) => v.value(),
                     None => initial.voltage(*a).value() - initial.voltage(*b).value(),
                 };
-                cap_states[idx] = CapState {
-                    v_prev: v,
-                    i_prev: 0.0,
-                };
+                cap_states[idx] = v;
             }
         }
         Ok((initial, cap_states))
@@ -517,7 +480,6 @@ impl<'a> TransientAnalysis<'a> {
         }
 
         let mut x = initial.raw.clone();
-        let trapezoidal = matches!(self.integrator, Integrator::Trapezoidal);
 
         let mut rec = Recording::new(self.circuit, &layout, times.len() + 1, on_sample);
         rec.record(0.0, &x);
@@ -529,8 +491,7 @@ impl<'a> TransientAnalysis<'a> {
             let step = t_now - t_prev;
             let caps = CapMode::Companion {
                 dt: step,
-                states: &cap_states,
-                trapezoidal,
+                v_prev: &cap_states,
             };
             newton_solve_in(
                 self.circuit,
@@ -547,14 +508,7 @@ impl<'a> TransientAnalysis<'a> {
                 time: t_now,
                 dt: step,
             });
-            update_cap_states(
-                self.circuit,
-                &layout,
-                &x,
-                &mut cap_states,
-                step,
-                trapezoidal,
-            );
+            update_cap_states(self.circuit, &layout, &x, &mut cap_states);
             rec.accumulate_energy(t_now, &x, step);
             rec.record(t_now, &x);
             t_prev = t_now;
@@ -586,12 +540,6 @@ impl<'a> TransientAnalysis<'a> {
 
         let (initial, mut cap_states) = self.initial_state(ws)?;
         let layout = Layout::of(self.circuit, self.temp)?;
-        let trapezoidal = matches!(self.integrator, Integrator::Trapezoidal);
-        // Step-doubling error constant: ‖x_full − x_half‖ ≈ (2^p − 1)·LTE
-        // with p = 1 for backward Euler, p = 2 for trapezoidal; the dt
-        // controller exponent is 1/(p + 1).
-        let denom = if trapezoidal { 3.0 } else { 1.0 };
-        let inv_order = if trapezoidal { 1.0 / 3.0 } else { 1.0 / 2.0 };
         const FACTOR_MIN: f64 = 0.2;
 
         let dt_min = opts.dt_min.value();
@@ -635,7 +583,6 @@ impl<'a> TransientAnalysis<'a> {
                 &layout,
                 &self.options,
                 &self.ctx,
-                trapezoidal,
                 t,
                 h,
                 &x,
@@ -648,7 +595,10 @@ impl<'a> TransientAnalysis<'a> {
 
             match trial {
                 StepTrial::Solved { max_diff } => {
-                    let lte = max_diff / denom;
+                    // Step doubling: ‖x_full − x_half‖ ≈ (2^p − 1)·LTE,
+                    // which is the LTE itself for backward Euler (p = 1);
+                    // the dt controller exponent is 1/(p + 1).
+                    let lte = max_diff;
                     if lte <= opts.lte_tol || at_floor {
                         // Accept the half-step solution (the more
                         // accurate of the two trials); at the floor an
@@ -665,7 +615,7 @@ impl<'a> TransientAnalysis<'a> {
                         t = target;
                         report.accepted += 1;
                         let factor = if lte > 0.0 {
-                            (opts.safety * (opts.lte_tol / lte).powf(inv_order))
+                            (opts.safety * (opts.lte_tol / lte).powf(0.5))
                                 .clamp(FACTOR_MIN, opts.max_growth)
                         } else {
                             opts.max_growth
@@ -700,8 +650,7 @@ impl<'a> TransientAnalysis<'a> {
                         x_full.copy_from_slice(&x);
                         let caps = CapMode::Companion {
                             dt: h,
-                            states: &cap_states,
-                            trapezoidal,
+                            v_prev: &cap_states,
                         };
                         rescue_solve(
                             self.circuit,
@@ -716,14 +665,7 @@ impl<'a> TransientAnalysis<'a> {
                             ws,
                             err,
                         )?;
-                        update_cap_states(
-                            self.circuit,
-                            &layout,
-                            &x_full,
-                            &mut cap_states,
-                            h,
-                            trapezoidal,
-                        );
+                        update_cap_states(self.circuit, &layout, &x_full, &mut cap_states);
                         std::mem::swap(&mut x, &mut x_full);
                         rec.accumulate_energy(target, &x, h);
                         rec.record(target, &x);
@@ -767,21 +709,19 @@ fn attempt_step(
     layout: &Layout,
     options: &NewtonOptions,
     ctx: &RunContext,
-    trapezoidal: bool,
     t: f64,
     h: f64,
     x_prev: &[f64],
-    cap_states: &[CapState],
+    cap_states: &[f64],
     x_full: &mut [f64],
     x_half: &mut [f64],
-    states_half: &mut [CapState],
+    states_half: &mut [f64],
     ws: &mut Workspace,
 ) -> Result<StepTrial, SpiceError> {
     x_full.copy_from_slice(x_prev);
     let caps = CapMode::Companion {
         dt: h,
-        states: cap_states,
-        trapezoidal,
+        v_prev: cap_states,
     };
     if let Err(e) = newton_solve_in(
         circuit,
@@ -808,8 +748,7 @@ fn attempt_step(
         let t_sub = if k == 0 { t + hh } else { t + h };
         let caps = CapMode::Companion {
             dt: hh,
-            states: states_half,
-            trapezoidal,
+            v_prev: states_half,
         };
         if let Err(e) = newton_solve_in(
             circuit,
@@ -828,7 +767,7 @@ fn attempt_step(
                 Err(e)
             };
         }
-        update_cap_states(circuit, layout, x_half, states_half, hh, trapezoidal);
+        update_cap_states(circuit, layout, x_half, states_half);
     }
 
     let mut max_diff = 0.0f64;
@@ -838,32 +777,12 @@ fn attempt_step(
     Ok(StepTrial::Solved { max_diff })
 }
 
-/// Advances every capacitor companion state to the solution `x` reached
-/// with step size `step`.
-fn update_cap_states(
-    circuit: &Circuit,
-    layout: &Layout,
-    x: &[f64],
-    states: &mut [CapState],
-    step: f64,
-    trapezoidal: bool,
-) {
-    for (e, state) in circuit.elements().iter().zip(states) {
-        if let Element::Capacitor {
-            a, b, capacitance, ..
-        } = e
-        {
-            let va = layout.voltage(x, *a);
-            let vb = layout.voltage(x, *b);
-            let v_new = va - vb;
-            let c = capacitance.value();
-            let i_new = if trapezoidal {
-                2.0 * c / step * (v_new - state.v_prev) - state.i_prev
-            } else {
-                c / step * (v_new - state.v_prev)
-            };
-            state.v_prev = v_new;
-            state.i_prev = i_new;
+/// Advances every capacitor companion state (its branch voltage
+/// `v(a) − v(b)`, indexed by element) to the solution `x`.
+fn update_cap_states(circuit: &Circuit, layout: &Layout, x: &[f64], states: &mut [f64]) {
+    for (e, v_prev) in circuit.elements().iter().zip(states) {
+        if let Element::Capacitor { a, b, .. } = e {
+            *v_prev = layout.voltage(x, *a) - layout.voltage(x, *b);
         }
     }
 }
@@ -1099,19 +1018,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_trapezoidal_matches_analytic() {
-        let ckt = rc_circuit();
-        let out = ckt.find_node("out").unwrap();
-        let res = TransientAnalysis::over(&ckt, Second(5e-9))
-            .with_integrator(Integrator::Trapezoidal)
-            .run()
-            .unwrap();
-        let v_end = res.final_voltage(out).value();
-        let expected = 1.0 - (-5.0f64).exp();
-        assert!((v_end - expected).abs() < 5e-3, "v_end {v_end}");
-    }
-
-    #[test]
     fn adaptive_rejects_bad_options() {
         let ckt = rc_circuit();
         let bad = AdaptiveOptions {
@@ -1135,49 +1041,6 @@ mod tests {
                 .run(),
             Err(SpiceError::InvalidValue { .. })
         ));
-    }
-
-    #[test]
-    fn trapezoidal_is_more_accurate_than_be_on_coarse_grid() {
-        let build = || {
-            let mut ckt = Circuit::new();
-            let vin = ckt.node("in");
-            let out = ckt.node("out");
-            ckt.add(Element::vdc("V1", vin, NodeId::GROUND, Volt(1.0)))
-                .unwrap();
-            ckt.add(Element::resistor("R1", vin, out, Ohm(1e3)))
-                .unwrap();
-            ckt.add(Element::Capacitor {
-                name: "C1".into(),
-                a: out,
-                b: NodeId::GROUND,
-                capacitance: Farad(1e-12),
-                initial: Some(Volt(0.0)),
-            })
-            .unwrap();
-            ckt
-        };
-        let exact = 1.0 - (-2.0f64).exp(); // at t = 2τ
-        let ckt = build();
-        let be = TransientAnalysis::over(&ckt, Second(2e-9))
-            .with_fixed_step(Second(2e-10))
-            .run()
-            .unwrap()
-            .final_voltage(ckt.find_node("out").unwrap())
-            .value();
-        let trap = TransientAnalysis::over(&ckt, Second(2e-9))
-            .with_fixed_step(Second(2e-10))
-            .with_integrator(Integrator::Trapezoidal)
-            .run()
-            .unwrap()
-            .final_voltage(ckt.find_node("out").unwrap())
-            .value();
-        assert!(
-            (trap - exact).abs() < (be - exact).abs(),
-            "trap err {} vs be err {}",
-            (trap - exact).abs(),
-            (be - exact).abs()
-        );
     }
 
     #[test]

@@ -184,76 +184,6 @@ proptest! {
     }
 }
 
-mod continuation {
-    use ferrocim_device::{MosfetModel, MosfetParams};
-    use ferrocim_spice::sweep::voltage_sweep;
-    use ferrocim_spice::{Circuit, DcAnalysis, DcSweep, Element, NodeId, Waveform};
-    use ferrocim_units::{Ohm, Volt};
-    use proptest::prelude::*;
-
-    /// A transistor with a resistive load — nonlinear enough that the
-    /// Newton iteration actually works for its answer.
-    fn transistor_load(r_load: f64, vdd: f64, vg: f64) -> Circuit {
-        let mut ckt = Circuit::new();
-        let vdd_n = ckt.node("vdd");
-        let g = ckt.node("g");
-        let d = ckt.node("d");
-        ckt.add(Element::vdc("VDD", vdd_n, NodeId::GROUND, Volt(vdd)))
-            .unwrap();
-        ckt.add(Element::vdc("VG", g, NodeId::GROUND, Volt(vg)))
-            .unwrap();
-        ckt.add(Element::resistor("RL", vdd_n, d, Ohm(r_load)))
-            .unwrap();
-        ckt.add(Element::mosfet(
-            "M1",
-            d,
-            g,
-            NodeId::GROUND,
-            MosfetModel::new(MosfetParams::nmos_14nm()),
-        ))
-        .unwrap();
-        ckt
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Warm-started continuation must not change where Newton
-        /// lands: every point of a `DcSweep` equals a from-scratch
-        /// cold solve of the same circuit.
-        #[test]
-        fn warm_started_sweep_lands_on_cold_start_points(
-            r_load in 1e3f64..1e6,
-            vdd in 0.4f64..1.2,
-            v_stop in 0.3f64..1.0,
-            steps in 3usize..12,
-        ) {
-            let ckt = transistor_load(r_load, vdd, 0.0);
-            let points = DcSweep::new(&ckt, "VG", voltage_sweep(Volt(0.0), Volt(v_stop), steps))
-                .solve()
-                .unwrap();
-            prop_assert_eq!(points.len(), steps);
-            let d = ckt.find_node("d").unwrap();
-            for (vg, warm_op) in &points {
-                // Cold reference: fresh circuit, fresh analysis, no
-                // warm start, allocating solve path.
-                let mut cold_ckt = ckt.clone();
-                if let Some(Element::VoltageSource { waveform, .. }) =
-                    cold_ckt.element_mut("VG")
-                {
-                    *waveform = Waveform::dc(*vg);
-                }
-                let cold_op = DcAnalysis::new(&cold_ckt).solve().unwrap();
-                let dv = (warm_op.voltage(d).value() - cold_op.voltage(d).value()).abs();
-                prop_assert!(
-                    dv < 1e-9,
-                    "warm vs cold diverged by {} V at VG = {} V", dv, vg.value()
-                );
-            }
-        }
-    }
-}
-
 mod fault_tolerant_fan_out {
     use super::*;
     use ferrocim_spice::{FailurePolicy, FanOutError, JobError, MonteCarlo, SpiceError};

@@ -4,9 +4,8 @@
 //! point.
 
 use ferrocim_spice::{
-    AdaptiveOptions, Budget, BudgetResource, CancelToken, Circuit, DcAnalysis, DcSweep, Deadline,
-    Element, HealthPolicy, Integrator, NodeId, RunContext, SimEngine, SolverConfig, SpiceError,
-    TransientAnalysis,
+    AdaptiveOptions, Budget, BudgetResource, CancelToken, Circuit, DcAnalysis, Deadline, Element,
+    HealthPolicy, NodeId, RunContext, SolverConfig, SpiceError, TransientAnalysis,
 };
 use ferrocim_units::{Farad, Ohm, Second, Volt};
 use proptest::prelude::*;
@@ -137,24 +136,6 @@ proptest! {
 }
 
 #[test]
-fn adaptive_trapezoidal_also_tracks_the_reference() {
-    let (r, c, v) = (2e5, 5e-14, 1.0);
-    let tau = r * c;
-    let t_stop = 4.0 * tau;
-    let (ckt, node) = rc_circuit(r, c, v);
-    let result = TransientAnalysis::over(&ckt, Second(t_stop))
-        .with_integrator(Integrator::Trapezoidal)
-        .run()
-        .expect("trap adaptive run");
-    let want = v * (1.0 - (-t_stop / tau).exp());
-    assert!(
-        (result.final_voltage(node).value() - want).abs() < 5e-3,
-        "got {} want {want}",
-        result.final_voltage(node).value()
-    );
-}
-
-#[test]
 fn newton_budget_aborts_a_dc_solve_with_a_typed_error() {
     let ckt = nonlinear_circuit();
     let budget = Budget::unlimited().with_max_newton_iterations(2);
@@ -223,50 +204,35 @@ fn expired_deadline_aborts_every_entry_point() {
         .run()
         .unwrap_err();
     assert!(wall(&err), "adaptive: {err}");
-    let err = DcSweep::new(&ckt, "V1", vec![Volt(0.0), Volt(0.5)])
-        .with_context(budgeted(Budget::unlimited().with_deadline(deadline)))
-        .solve()
-        .unwrap_err();
-    assert!(wall(&err), "sweep: {err}");
 }
 
 #[test]
-fn cancel_token_aborts_a_dc_sweep() {
-    let ckt = nonlinear_circuit();
-    let token = CancelToken::new();
-    token.cancel();
-    let err = DcSweep::new(&ckt, "VDD", vec![Volt(0.2), Volt(0.4)])
-        .with_context(budgeted(Budget::unlimited().with_cancel_token(&token)))
-        .solve()
-        .unwrap_err();
-    assert!(matches!(err, SpiceError::Cancelled), "{err}");
-}
-
-#[test]
-fn sim_engine_threads_its_budget_into_every_analysis() {
+fn cancelled_token_aborts_every_analysis() {
     let (ckt, _) = rc_circuit(1e5, 1e-13, 1.0);
     let token = CancelToken::new();
     token.cancel();
-    let mut engine =
-        SimEngine::new().with_context(budgeted(Budget::unlimited().with_cancel_token(&token)));
-    let err = engine.dc(&ckt).unwrap_err();
+    let ctx = budgeted(Budget::unlimited().with_cancel_token(&token));
+    let err = DcAnalysis::new(&ckt)
+        .with_context(ctx.clone())
+        .solve()
+        .unwrap_err();
     assert!(matches!(err, SpiceError::Cancelled), "dc: {err}");
-    let err = engine
-        .transient(&ckt, Second(1e-10), Second(1e-8))
+    let err = TransientAnalysis::over(&ckt, Second(1e-8))
+        .with_fixed_step(Second(1e-10))
+        .with_context(ctx.clone())
+        .run()
         .unwrap_err();
     assert!(matches!(err, SpiceError::Cancelled), "transient: {err}");
-    let err = engine
-        .transient_adaptive(
-            &ckt,
-            Second(1e-8),
-            AdaptiveOptions::for_duration(Second(1e-8)),
-        )
+    let err = TransientAnalysis::over(&ckt, Second(1e-8))
+        .with_adaptive_options(AdaptiveOptions::for_duration(Second(1e-8)))
+        .with_context(ctx)
+        .run()
         .unwrap_err();
     assert!(matches!(err, SpiceError::Cancelled), "adaptive: {err}");
 }
 
 #[test]
-fn sweep_and_engine_forward_the_whole_context_to_the_leaf_solve() {
+fn strict_health_context_reaches_every_leaf_solve() {
     let ckt = nonlinear_circuit();
     // An unmeetable certification tolerance on the sparse backend: every
     // rung of the degradation ladder fails and the solve refuses.
@@ -286,13 +252,17 @@ fn sweep_and_engine_forward_the_whole_context_to_the_leaf_solve() {
         matches!(bare, SpiceError::UncertifiedSolve { .. }),
         "{bare}"
     );
-    let swept = DcSweep::new(&ckt, "VDD", vec![Volt(1.0)])
+    let fixed = TransientAnalysis::over(&ckt, Second(1e-8))
+        .with_fixed_step(Second(1e-10))
         .with_context(strict.clone())
-        .solve()
+        .run()
         .unwrap_err();
-    assert_eq!(swept, bare, "sweep");
-    let engined = SimEngine::new().with_context(strict).dc(&ckt).unwrap_err();
-    assert_eq!(engined, bare, "engine");
+    assert_eq!(fixed, bare, "transient");
+    let adaptive = TransientAnalysis::over(&ckt, Second(1e-8))
+        .with_context(strict)
+        .run()
+        .unwrap_err();
+    assert_eq!(adaptive, bare, "adaptive");
 }
 
 #[test]

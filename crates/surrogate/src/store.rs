@@ -46,31 +46,31 @@ const RANDOM_PROBES: usize = 4;
 /// Deterministic sampling policy for check mode: roughly one in `every`
 /// hit-path queries is re-solved live and compared to the envelope.
 ///
-/// The decision is a pure function of `(seed, query index)`, so a run
-/// with a fixed seed checks the same queries every time — reproducible
-/// audits rather than a coin flip per query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The decision is a pure function of the query index (mixed with a
+/// fixed seed), so a run checks the same queries every time —
+/// reproducible audits rather than a coin flip per query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckPolicy {
     /// Sampling period: 1 checks every query, `n` roughly one in `n`.
     pub every: u64,
-    /// Seed decorrelating the subsample from the query stream.
-    pub seed: u64,
 }
+
+/// Seed decorrelating the check subsample from the query stream.
+const CHECK_SEED: u64 = 0xfefe7;
 
 impl CheckPolicy {
     /// A policy checking roughly one in `every` queries (clamped to at
-    /// least 1) with the default seed.
+    /// least 1).
     pub fn every(every: u64) -> Self {
         CheckPolicy {
             every: every.max(1),
-            seed: 0xfefe7,
         }
     }
 
     /// Whether query number `n` is selected for a live check.
     fn selects(&self, n: u64) -> bool {
         // SplitMix64-style finalizer: cheap, well-mixed, deterministic.
-        let mut z = self.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut z = CHECK_SEED ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)).is_multiple_of(self.every)

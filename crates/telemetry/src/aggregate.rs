@@ -274,30 +274,18 @@ impl LabeledCounts {
     }
 }
 
-/// Policy for the serve SLO burn-rate monitor: a sliding window of
-/// request outcomes in which shed, degraded, deadline-missed, and
+/// The serve SLO burn-rate monitor watches a sliding window of this
+/// many request outcomes, in which shed, degraded, deadline-missed, and
 /// errored answers burn error budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloPolicy {
-    /// Sliding-window length in requests.
-    pub window: usize,
-    /// Minimum observations before a breach can latch (protects the
-    /// first few requests from tripping on a tiny denominator).
-    pub min_samples: usize,
-    /// Burn fraction (`bad / window`) at or above which a breach
-    /// latches.
-    pub burn_threshold: f64,
-}
+const SLO_WINDOW: usize = 64;
 
-impl Default for SloPolicy {
-    fn default() -> SloPolicy {
-        SloPolicy {
-            window: 64,
-            min_samples: 16,
-            burn_threshold: 0.5,
-        }
-    }
-}
+/// Minimum observations before an SLO breach can latch (protects the
+/// first few requests from tripping on a tiny denominator).
+const SLO_MIN_SAMPLES: usize = 16;
+
+/// Burn fraction (`bad / window`) at or above which an SLO breach
+/// latches.
+const SLO_BURN_THRESHOLD: f64 = 0.5;
 
 /// A latched SLO breach: the window statistics at the moment the burn
 /// rate crossed the policy threshold.
@@ -530,7 +518,6 @@ pub struct Aggregator {
     serve_tenant_cap: usize,
     serve_requests: LabeledCounts,
     serve_latency: Mutex<Vec<(String, Histogram)>>,
-    slo_policy: SloPolicy,
     slo: Mutex<SloState>,
 }
 
@@ -579,7 +566,6 @@ impl Aggregator {
             serve_tenant_cap: SERVE_TENANT_CAP,
             serve_requests: LabeledCounts::new(SERVE_TENANT_CAP),
             serve_latency: Mutex::new(Vec::new()),
-            slo_policy: SloPolicy::default(),
             slo: Mutex::new(SloState::default()),
         }
     }
@@ -592,16 +578,6 @@ impl Aggregator {
         self.serve_tenant_cap = cap;
         let old = std::mem::replace(&mut self.serve_requests, LabeledCounts::new(cap));
         self.serve_requests.merge_from(&old);
-        self
-    }
-
-    /// Replaces the SLO burn-rate policy (window, minimum samples, and
-    /// the burn fraction at which a breach latches).
-    pub fn with_slo_policy(mut self, policy: SloPolicy) -> Aggregator {
-        self.slo_policy = SloPolicy {
-            window: policy.window.max(1),
-            ..policy
-        };
         self
     }
 
@@ -664,16 +640,15 @@ impl Aggregator {
     /// Feeds one request outcome into the SLO sliding window, latching
     /// a breach on the threshold's rising edge.
     fn observe_slo(&self, bad: bool) {
-        let policy = self.slo_policy;
         let mut slo = lock(&self.slo);
         slo.recent.push_back(bad);
-        while slo.recent.len() > policy.window {
+        while slo.recent.len() > SLO_WINDOW {
             slo.recent.pop_front();
         }
         let n = slo.recent.len();
         let bad_count = slo.recent.iter().filter(|&&b| b).count();
         let burn = bad_count as f64 / n as f64;
-        if burn >= policy.burn_threshold && n >= policy.min_samples {
+        if burn >= SLO_BURN_THRESHOLD && n >= SLO_MIN_SAMPLES {
             if !slo.latched {
                 slo.latched = true;
                 slo.pending = Some(SloBreachInfo {
@@ -682,7 +657,7 @@ impl Aggregator {
                     burn,
                 });
             }
-        } else if burn < policy.burn_threshold {
+        } else if burn < SLO_BURN_THRESHOLD {
             slo.latched = false;
         }
     }
@@ -1111,21 +1086,17 @@ mod tests {
 
     #[test]
     fn slo_breach_latches_once_per_threshold_crossing() {
-        let agg = Aggregator::new().with_slo_policy(SloPolicy {
-            window: 8,
-            min_samples: 4,
-            burn_threshold: 0.5,
-        });
-        // Three bad outcomes: below min_samples, nothing latches.
-        for _ in 0..3 {
+        let agg = Aggregator::new();
+        // Bad outcomes below min_samples: nothing latches.
+        for _ in 1..SLO_MIN_SAMPLES {
             agg.record(&done("t", crate::ServeOutcome::Shed));
         }
         assert!(agg.take_slo_breach().is_none());
-        // Fourth bad outcome crosses with burn 1.0: one latch only.
+        // The next bad outcome crosses with burn 1.0: one latch only.
         agg.record(&done("t", crate::ServeOutcome::Deadline));
         let breach = agg.take_slo_breach().expect("breach should latch");
-        assert_eq!(breach.window, 4);
-        assert_eq!(breach.bad, 4);
+        assert_eq!(breach.window, SLO_MIN_SAMPLES as u64);
+        assert_eq!(breach.bad, SLO_MIN_SAMPLES as u64);
         assert!((breach.burn - 1.0).abs() < 1e-12);
         agg.record(&done("t", crate::ServeOutcome::Error));
         assert!(
@@ -1133,11 +1104,11 @@ mod tests {
             "edge-triggered, no re-latch"
         );
         // Recover below the threshold, then breach again: re-latches.
-        for _ in 0..8 {
+        for _ in 0..SLO_WINDOW {
             agg.record(&done("t", crate::ServeOutcome::Ok));
         }
         assert!(agg.take_slo_breach().is_none());
-        for _ in 0..4 {
+        for _ in 0..SLO_WINDOW / 2 {
             agg.record(&done("t", crate::ServeOutcome::Degraded));
         }
         assert!(agg.take_slo_breach().is_some(), "re-armed after recovery");
@@ -1145,12 +1116,8 @@ mod tests {
 
     #[test]
     fn rejected_and_ok_outcomes_do_not_burn_budget() {
-        let agg = Aggregator::new().with_slo_policy(SloPolicy {
-            window: 8,
-            min_samples: 4,
-            burn_threshold: 0.5,
-        });
-        for _ in 0..8 {
+        let agg = Aggregator::new();
+        for _ in 0..SLO_WINDOW {
             agg.record(&done("t", crate::ServeOutcome::Rejected));
         }
         assert!(agg.take_slo_breach().is_none());

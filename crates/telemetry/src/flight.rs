@@ -100,9 +100,9 @@ thread_local! {
     static THREAD_SEGMENTS: RefCell<Vec<(u64, Weak<Segment>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Default cap on automatic dumps per recorder (see
-/// [`FlightRecorder::with_max_dumps`]).
-const MAX_DUMPS: usize = 8;
+/// Cap on dumps per recorder: once reached, triggers stop writing files
+/// so a flapping breaker cannot fill the disk.
+const MAX_DUMPS: u64 = 8;
 
 /// A fixed-capacity, per-thread-segmented event ring implementing
 /// [`Recorder`]: always on, bounded memory, retroactive dumps.
@@ -134,7 +134,6 @@ pub struct FlightRecorder {
     segments: Mutex<Vec<Arc<Segment>>>,
     dump_dir: Option<PathBuf>,
     triggers: Vec<DumpOn>,
-    max_dumps: usize,
     dump_seq: AtomicU64,
     dump_errors: AtomicU64,
     last_dump: Mutex<Option<PathBuf>>,
@@ -152,7 +151,6 @@ impl FlightRecorder {
             segments: Mutex::new(Vec::new()),
             dump_dir: None,
             triggers: Vec::new(),
-            max_dumps: MAX_DUMPS,
             dump_seq: AtomicU64::new(0),
             dump_errors: AtomicU64::new(0),
             last_dump: Mutex::new(None),
@@ -166,13 +164,6 @@ impl FlightRecorder {
     pub fn with_dump_dir(mut self, dir: impl Into<PathBuf>, triggers: &[DumpOn]) -> FlightRecorder {
         self.dump_dir = Some(dir.into());
         self.triggers = triggers.to_vec();
-        self
-    }
-
-    /// Caps automatic dumps (default 8): once reached, triggers stop
-    /// writing files so a flapping breaker cannot fill the disk.
-    pub fn with_max_dumps(mut self, max_dumps: usize) -> FlightRecorder {
-        self.max_dumps = max_dumps;
         self
     }
 
@@ -273,7 +264,7 @@ impl FlightRecorder {
         let seq = self
             .dump_seq
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |seq| {
-                (seq < self.max_dumps as u64).then_some(seq + 1)
+                (seq < MAX_DUMPS).then_some(seq + 1)
             })
             .ok()?;
         let path = dir.join(format!("flight-{seq:03}-{}.jsonl", reason.label()));
@@ -441,14 +432,13 @@ mod tests {
         });
         assert_eq!(flight.dumps_written(), 0);
         // Manual triggers bypass the configured set but honor the cap.
-        let flight = FlightRecorder::new(8)
-            .with_dump_dir(&dir, &[])
-            .with_max_dumps(2);
+        let flight = FlightRecorder::new(8).with_dump_dir(&dir, &[]);
         flight.record(&iter_event(1));
-        assert!(flight.trigger(DumpOn::Signal).is_some());
-        assert!(flight.trigger(DumpOn::Signal).is_some());
+        for _ in 0..MAX_DUMPS {
+            assert!(flight.trigger(DumpOn::Signal).is_some());
+        }
         assert!(flight.trigger(DumpOn::Signal).is_none(), "cap reached");
-        assert_eq!(flight.dumps_written(), 2);
+        assert_eq!(flight.dumps_written(), MAX_DUMPS);
         assert_eq!(flight.dump_errors(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -67,7 +67,6 @@ mod sink;
 
 pub use aggregate::{
     Aggregator, CounterSpec, Counts, Histogram, LabeledCount, LabeledCounts, SloBreachInfo,
-    SloPolicy,
 };
 pub use event::{
     DegradeStageKind, Event, ResourceKind, RungKind, ServeBackendKind, ServeOutcome, SolverBackend,

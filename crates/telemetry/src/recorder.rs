@@ -148,7 +148,7 @@ fn epoch_micros() -> f64 {
         * 1e6
 }
 
-/// The clone-cheap telemetry handle threaded through `SimEngine`,
+/// The clone-cheap telemetry handle threaded through `DcAnalysis`,
 /// `TransientAnalysis`, `MonteCarlo`, `CimArray`, and friends (the same
 /// builder pattern as `Budget`).
 ///

@@ -99,7 +99,7 @@ echo "==> every workspace test suite, vendored crates excluded (full backtraces)
 RUST_BACKTRACE=1 cargo test -q --locked --offline --workspace --exclude proptest \
   --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
 
-echo "==> library size (reported, not gated)"
+echo "==> library size and settable pub fields (reported, not gated)"
 scripts/size.sh
 
 echo "==> all checks passed"
